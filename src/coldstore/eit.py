@@ -26,29 +26,20 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    FockOverflowError,
-    IntegrationError,
-    SectorOverflowError,
-    SpaceMismatchError,
-)
+from .errors import FockOverflowError, IntegrationError, SpaceMismatchError
 from .geometry import Geometry, ModeSet
-from .operators import _apply_terms, _b_sites, _with, _without, apply_field, apply_rho_ac, apply_sigma
+from .operators import _apply_terms, _moves, apply_field, apply_rho_ac, apply_sigma
 from .propagate import (
+    _field_occupations,
     enumerate_sector,
     ket_to_vector,
     operator_matrix,
     present_totals,
     rk4_propagate,
+    step_grid,
     vector_to_ket,
 )
-from .states import (
-    AtomConfig,
-    JointLabel,
-    SparseKet,
-    StateSpace,
-    normalize,
-)
+from .states import JointLabel, SparseKet, StateSpace, normalize
 from .storage import StorageSpec, falling_factorial, storage_direct, vacuum, with_field_occupation
 
 DEFAULT_RABI_CAP_FACTOR = 50.0
@@ -142,7 +133,6 @@ def apply_hamiltonian(ket: SparseKet, params: EitParams,
     ms = params.modes
     omega_ctrl = params.rabi if rabi is None else rabi
     g = params.g
-    n = space.n_atoms
     sig_phases = [geom.phases(ms.signal_wavevector(q)) for q in ms.detunings]
     ctrl_phases = geom.phases(ms.k_control)
     include_free = params.include_free_term
@@ -161,17 +151,9 @@ def apply_hamiltonian(ket: SparseKet, params: EitParams,
             ph = sig_phases[qi]
             if m > 0:
                 # -(g/2) a(q) [N rho_ab(k_s+q)]: absorb a photon, b -> a
-                room = (atoms.n_a + 1 <= space.a_max
-                        and atoms.n_excited + 1 <= space.n_exc_max)
                 newf = occ[:qi] + (m - 1,) + occ[qi + 1:]
                 amp = -(g / 2.0) * math.sqrt(m)
-                for j in _b_sites(atoms):
-                    if not room:
-                        raise SectorOverflowError(
-                            "photon absorption needs excited-level headroom; "
-                            "widen a_max / n_exc_max")
-                    new_atoms = AtomConfig(n, atoms.c_sites,
-                                           _with(atoms.a_sites, j))
+                for j, new_atoms in _moves(atoms, "b", "a", space):
                     yield JointLabel(newf, new_atoms), amp * ph[j]
             if atoms.a_sites:
                 # h.c.: emit a photon, a -> b
@@ -180,24 +162,14 @@ def apply_hamiltonian(ket: SparseKet, params: EitParams,
                         "photon emission exceeds a Fock cap; widen the caps")
                 newf = occ[:qi] + (m + 1,) + occ[qi + 1:]
                 amp = -(g / 2.0) * math.sqrt(m + 1)
-                for j in atoms.a_sites:
-                    new_atoms = AtomConfig(n, atoms.c_sites,
-                                           _without(atoms.a_sites, j))
+                for j, new_atoms in _moves(atoms, "a", "b", space):
                     yield JointLabel(newf, new_atoms), amp * ph[j].conjugate()
         if omega_ctrl != 0.0:
             # -(Omega/2) [N rho_ac(k_c)]: c -> a, plus h.c.
             half = omega_ctrl / 2.0
-            room_a = atoms.n_a + 1 <= space.a_max
-            for j in atoms.c_sites:
-                if not room_a:
-                    raise SectorOverflowError(
-                        "control coupling needs excited-level headroom")
-                new_atoms = AtomConfig(n, _without(atoms.c_sites, j),
-                                       _with(atoms.a_sites, j))
+            for j, new_atoms in _moves(atoms, "c", "a", space):
                 yield JointLabel(occ, new_atoms), -half * ctrl_phases[j]
-            for j in atoms.a_sites:
-                new_atoms = AtomConfig(n, _with(atoms.c_sites, j),
-                                       _without(atoms.a_sites, j))
+            for j, new_atoms in _moves(atoms, "a", "c", space):
                 yield JointLabel(occ, new_atoms), -half * ctrl_phases[j].conjugate()
 
     return _apply_terms(ket, terms)
@@ -374,7 +346,6 @@ class RampSchedule:
     theta_end: float
     duration: float
     shape: str = "smooth-cosine"
-    dt: float | None = None
 
     def __post_init__(self):
         if self.shape not in ("linear", "smooth-cosine"):
@@ -384,8 +355,6 @@ class RampSchedule:
         for th in (self.theta_start, self.theta_end):
             if not 0.0 <= th <= math.pi / 2.0 + 1e-12:
                 raise ValueError("mixing angles must lie in [0, pi/2]")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
 
     def theta(self, t):
         x = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
@@ -445,15 +414,6 @@ class Trajectory:
                 w.writerow([f"{v:.12g}" for v in row])
 
 
-def _occupancy_tuples(n_modes: int, total: int):
-    if n_modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _occupancy_tuples(n_modes - 1, total - first):
-            yield (first,) + rest
-
-
 def dark_manifold_weight(psi: np.ndarray, params: EitParams,
                          space: StateSpace, index: dict,
                          totals: list[int]) -> float:
@@ -470,7 +430,7 @@ def dark_manifold_weight(psi: np.ndarray, params: EitParams,
     if nn == 0.0:
         return 0.0
     for q_total in totals:
-        for occ in _occupancy_tuples(len(qs), q_total):
+        for occ in _field_occupations((q_total,) * len(qs), q_total):
             dark = multimode_dark_state(
                 params, dict(zip(qs, occ)), space=space)
             dvec = ket_to_vector(dark, index)
@@ -506,9 +466,7 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     theta_min = min(ramp.theta_start, ramp.theta_end)
     rabi_peak = float(control_amplitude(params.collective_coupling,
                                         theta_min, rabi_max))
-    dt = ramp.dt if ramp.dt is not None else sweep_time_step(params, rabi_peak)
-    n_steps = max(1, math.ceil(ramp.duration / dt))
-    dt = ramp.duration / n_steps
+    dt, n_steps = step_grid(ramp.duration, sweep_time_step(params, rabi_peak))
 
     totals = present_totals(initial)
     basis = enumerate_sector(space, totals)

@@ -1,8 +1,12 @@
 """Collective atomic operators applied directly to sparse kets.
 
-Every operator is expanded on the fly from its definition as a phased sum
-of single-atom flips; no matrix over the full Hilbert space is ever formed.
-Conventions (N atoms at positions z_j, wavevector k):
+Every collective transition is one phased sum of single-atom level changes,
+expanded on the fly; no matrix over the full Hilbert space is ever formed.
+One primitive does the expansion: ``_moves`` lists the atoms j in level
+``src`` and the configuration left when j moves to ``dst``, and
+``_transition`` sums those moves with the phase e^{+i k z_j} when the move
+goes up the level order b < c < a and e^{-i k z_j} when it goes down.
+With N atoms at positions z_j and wavevector k:
 
     sigma(k)        = N^{-1/2} sum_j |b_j><c_j| e^{-i k z_j}
     sigma_dagger(k) = N^{-1/2} sum_j |c_j><b_j| e^{+i k z_j}
@@ -16,8 +20,9 @@ and the quadrature/inversion combinations built from sigma:
     r3 = (N/2)(sigma_dagger sigma - sigma sigma_dagger)
     r_squared = (N/2)(sigma_dagger sigma + sigma sigma_dagger) + r3^2
 
-Raising operations that would leave the truncated space raise
-SectorOverflowError / FockOverflowError rather than silently truncating.
+Moves that would leave the truncated space raise SectorOverflowError (and
+photon creation past a cap FockOverflowError) rather than silently
+truncating.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ from dataclasses import dataclass
 
 from .errors import FockOverflowError, SectorOverflowError
 from .geometry import Geometry
-from .states import AtomConfig, JointLabel, SparseKet, inner_product
+from .states import AtomConfig, JointLabel, SparseKet, StateSpace, inner_product
+
+
+_LEVELS = ("b", "c", "a")
 
 
 def _apply_terms(ket: SparseKet, term_fn) -> SparseKet:
@@ -53,119 +61,73 @@ def _with(sites: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _b_sites(atoms: AtomConfig):
-    occupied = set(atoms.c_sites) | set(atoms.a_sites)
-    return (j for j in range(atoms.n_atoms) if j not in occupied)
+def _moves(atoms: AtomConfig, src: str, dst: str, space: StateSpace):
+    """Yield (j, atoms') for each atom j in ``src`` moved to ``dst``, j increasing.
+
+    Leaving b adds an atomic excitation and entering a adds an excited-level
+    atom; a move that would break ``n_exc_max`` or ``a_max`` raises
+    SectorOverflowError, provided some atom is there to move.
+    """
+    movers = atoms.sites(src)
+    if movers and ((src == "b" and atoms.n_excited + 1 > space.n_exc_max)
+                   or (dst == "a" and atoms.n_a + 1 > space.a_max)):
+        raise SectorOverflowError(
+            f"moving an atom {src} -> {dst} would exceed the sector caps "
+            f"(n_exc_max {space.n_exc_max}, a_max {space.a_max})")
+    c, a = atoms.c_sites, atoms.a_sites
+    for j in movers:
+        new_c = _without(c, j) if src == "c" else _with(c, j) if dst == "c" else c
+        new_a = _without(a, j) if src == "a" else _with(a, j) if dst == "a" else a
+        yield j, AtomConfig(atoms.n_atoms, new_c, new_a)
 
 
-def apply_sigma(ket: SparseKet, geometry: Geometry, k: float,
-                dagger: bool = False) -> SparseKet:
-    """Apply the collective b<->c lowering operator sigma(k) (or its adjoint)."""
+def _transition(ket: SparseKet, geometry: Geometry, k: float, src: str,
+                dst: str, scale: float) -> SparseKet:
+    """sum_j |dst><src|_j times e^{+i k z_j} (upward move) or e^{-i k z_j}
+    (downward move, in the order b < c < a), divided by ``scale``."""
     space = ket.space
     if geometry.n_atoms != space.n_atoms:
         raise ValueError(
             f"geometry has {geometry.n_atoms} atoms, space has {space.n_atoms}")
     phases = geometry.phases(k)
-    root_n = math.sqrt(space.n_atoms)
+    if _LEVELS.index(dst) < _LEVELS.index(src):
+        phases = phases.conjugate()
 
-    if dagger:
-        def terms(label):
-            atoms = label.atoms
-            if atoms.n_excited + 1 > space.n_exc_max:
-                if any(True for _ in _b_sites(atoms)):
-                    raise SectorOverflowError(
-                        f"sigma_dagger would push the atomic excitation count "
-                        f"past the sector cap {space.n_exc_max}")
-                return
-            for j in _b_sites(atoms):
-                new_atoms = AtomConfig(atoms.n_atoms, _with(atoms.c_sites, j),
-                                       atoms.a_sites)
-                yield (JointLabel(label.field, new_atoms),
-                       phases[j] / root_n)
-    else:
-        def terms(label):
-            atoms = label.atoms
-            for j in atoms.c_sites:
-                new_atoms = AtomConfig(atoms.n_atoms, _without(atoms.c_sites, j),
-                                       atoms.a_sites)
-                yield (JointLabel(label.field, new_atoms),
-                       phases[j].conjugate() / root_n)
+    def terms(label):
+        for j, atoms in _moves(label.atoms, src, dst, space):
+            yield JointLabel(label.field, atoms), phases[j] / scale
 
     return _apply_terms(ket, terms)
+
+
+def apply_sigma(ket: SparseKet, geometry: Geometry, k: float,
+                dagger: bool = False) -> SparseKet:
+    """Apply the collective b<->c lowering operator sigma(k) (or its adjoint)."""
+    src, dst = ("b", "c") if dagger else ("c", "b")
+    return _transition(ket, geometry, k, src, dst, math.sqrt(ket.space.n_atoms))
 
 
 def apply_rho_ab(ket: SparseKet, geometry: Geometry, k: float,
                  dagger: bool = False) -> SparseKet:
     """b -> a promotion density rho_ab(k); the adjoint demotes a -> b."""
-    space = ket.space
-    phases = geometry.phases(k)
-    n = space.n_atoms
-
-    if dagger:
-        def terms(label):
-            atoms = label.atoms
-            for j in atoms.a_sites:
-                new_atoms = AtomConfig(n, atoms.c_sites, _without(atoms.a_sites, j))
-                yield (JointLabel(label.field, new_atoms),
-                       phases[j].conjugate() / n)
-    else:
-        def terms(label):
-            atoms = label.atoms
-            room = (atoms.n_a + 1 <= space.a_max
-                    and atoms.n_excited + 1 <= space.n_exc_max)
-            for j in _b_sites(atoms):
-                if not room:
-                    raise SectorOverflowError(
-                        "rho_ab would exceed the excited-level or sector cap")
-                new_atoms = AtomConfig(n, atoms.c_sites, _with(atoms.a_sites, j))
-                yield (JointLabel(label.field, new_atoms), phases[j] / n)
-
-    return _apply_terms(ket, terms)
+    src, dst = ("a", "b") if dagger else ("b", "a")
+    return _transition(ket, geometry, k, src, dst, ket.space.n_atoms)
 
 
 def apply_rho_ac(ket: SparseKet, geometry: Geometry, k: float,
                  dagger: bool = False) -> SparseKet:
     """c -> a promotion density rho_ac(k); the adjoint demotes a -> c."""
-    space = ket.space
-    phases = geometry.phases(k)
-    n = space.n_atoms
-
-    if dagger:
-        def terms(label):
-            atoms = label.atoms
-            for j in atoms.a_sites:
-                new_atoms = AtomConfig(n, _with(atoms.c_sites, j),
-                                       _without(atoms.a_sites, j))
-                yield (JointLabel(label.field, new_atoms),
-                       phases[j].conjugate() / n)
-    else:
-        def terms(label):
-            atoms = label.atoms
-            room = atoms.n_a + 1 <= space.a_max
-            for j in atoms.c_sites:
-                if not room:
-                    raise SectorOverflowError(
-                        "rho_ac would exceed the excited-level cap")
-                new_atoms = AtomConfig(n, _without(atoms.c_sites, j),
-                                       _with(atoms.a_sites, j))
-                yield (JointLabel(label.field, new_atoms), phases[j] / n)
-
-    return _apply_terms(ket, terms)
+    src, dst = ("a", "c") if dagger else ("c", "a")
+    return _transition(ket, geometry, k, src, dst, ket.space.n_atoms)
 
 
 def apply_population(ket: SparseKet, level: str) -> SparseKet:
     """Diagonal operator counting atoms in 'b', 'c' or 'a'."""
-    if level not in ("b", "c", "a"):
+    if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}")
 
     def terms(label):
-        atoms = label.atoms
-        if level == "c":
-            count = atoms.n_c
-        elif level == "a":
-            count = atoms.n_a
-        else:
-            count = atoms.n_atoms - atoms.n_excited
+        count = len(label.atoms.sites(level))
         if count:
             yield label, float(count)
 
@@ -237,20 +199,22 @@ def apply_r_squared(ket: SparseKet, geometry: Geometry, k: float) -> SparseKet:
 
 # -- uniform operator handle ----------------------------------------------
 
-_KIND_NEEDS_K = {
-    "sigma": True, "sigma_dagger": True,
-    "rho_ab": True, "rho_ab_dagger": True,
-    "rho_ac": True, "rho_ac_dagger": True,
-    "pop_b": False, "pop_c": False, "pop_a": False,
-    "r1": True, "r2": True, "r3": True, "r_squared": True,
-}
-
-_ADJOINT = {
-    "sigma": "sigma_dagger", "sigma_dagger": "sigma",
-    "rho_ab": "rho_ab_dagger", "rho_ab_dagger": "rho_ab",
-    "rho_ac": "rho_ac_dagger", "rho_ac_dagger": "rho_ac",
-    "pop_b": "pop_b", "pop_c": "pop_c", "pop_a": "pop_a",
-    "r1": "r1", "r2": "r2", "r3": "r3", "r_squared": "r_squared",
+# kind -> (apply(ket, geometry, k), adjoint kind).  Entries look the module
+# functions up by name at call time, so rebinding those names reaches them.
+_KINDS = {
+    "sigma": (lambda x, g, k: apply_sigma(x, g, k), "sigma_dagger"),
+    "sigma_dagger": (lambda x, g, k: apply_sigma(x, g, k, dagger=True), "sigma"),
+    "rho_ab": (lambda x, g, k: apply_rho_ab(x, g, k), "rho_ab_dagger"),
+    "rho_ab_dagger": (lambda x, g, k: apply_rho_ab(x, g, k, dagger=True), "rho_ab"),
+    "rho_ac": (lambda x, g, k: apply_rho_ac(x, g, k), "rho_ac_dagger"),
+    "rho_ac_dagger": (lambda x, g, k: apply_rho_ac(x, g, k, dagger=True), "rho_ac"),
+    "pop_b": (lambda x, g, k: apply_population(x, "b"), "pop_b"),
+    "pop_c": (lambda x, g, k: apply_population(x, "c"), "pop_c"),
+    "pop_a": (lambda x, g, k: apply_population(x, "a"), "pop_a"),
+    "r1": (lambda x, g, k: apply_r1(x, g, k), "r1"),
+    "r2": (lambda x, g, k: apply_r2(x, g, k), "r2"),
+    "r3": (lambda x, g, k: apply_r3(x, g, k), "r3"),
+    "r_squared": (lambda x, g, k: apply_r_squared(x, g, k), "r_squared"),
 }
 
 
@@ -263,45 +227,20 @@ class CollectiveOperator:
     wavevector: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_NEEDS_K:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if _KIND_NEEDS_K[self.kind] and self.wavevector is None:
+        needs_k = not self.kind.startswith("pop_")
+        if needs_k and self.wavevector is None:
             raise ValueError(f"operator kind {self.kind!r} needs a wavevector")
-        if not _KIND_NEEDS_K[self.kind] and self.wavevector is not None:
+        if not needs_k and self.wavevector is not None:
             raise ValueError(f"operator kind {self.kind!r} takes no wavevector")
 
     def adjoint(self) -> "CollectiveOperator":
-        return CollectiveOperator(_ADJOINT[self.kind], self.geometry,
+        return CollectiveOperator(_KINDS[self.kind][1], self.geometry,
                                   self.wavevector)
 
     def apply(self, ket: SparseKet) -> SparseKet:
-        g, k = self.geometry, self.wavevector
-        kind = self.kind
-        if kind == "sigma":
-            return apply_sigma(ket, g, k)
-        if kind == "sigma_dagger":
-            return apply_sigma(ket, g, k, dagger=True)
-        if kind == "rho_ab":
-            return apply_rho_ab(ket, g, k)
-        if kind == "rho_ab_dagger":
-            return apply_rho_ab(ket, g, k, dagger=True)
-        if kind == "rho_ac":
-            return apply_rho_ac(ket, g, k)
-        if kind == "rho_ac_dagger":
-            return apply_rho_ac(ket, g, k, dagger=True)
-        if kind == "pop_b":
-            return apply_population(ket, "b")
-        if kind == "pop_c":
-            return apply_population(ket, "c")
-        if kind == "pop_a":
-            return apply_population(ket, "a")
-        if kind == "r1":
-            return apply_r1(ket, g, k)
-        if kind == "r2":
-            return apply_r2(ket, g, k)
-        if kind == "r3":
-            return apply_r3(ket, g, k)
-        return apply_r_squared(ket, g, k)
+        return _KINDS[self.kind][0](ket, self.geometry, self.wavevector)
 
 
 def commutator_matrix_element(op_a: CollectiveOperator, op_b: CollectiveOperator,

@@ -150,6 +150,16 @@ def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
     return mat
 
 
+def step_grid(t: float, dt_max: float) -> tuple[float, int]:
+    """(dt, n_steps): the fewest equal steps covering ``t`` with |dt| <= dt_max.
+
+    At least one step is taken, so ``t = 0`` gives one step of length 0, and
+    ``dt_max = inf`` one step of length ``t``.
+    """
+    n_steps = max(1, math.ceil(abs(t) / dt_max))
+    return t / n_steps, n_steps
+
+
 def rk4_propagate(h0: np.ndarray, psi0: np.ndarray, dt: float, n_steps: int,
                   h1: np.ndarray | None = None,
                   control: np.ndarray | float | None = None,

@@ -73,6 +73,17 @@ class AtomConfig(NamedTuple):
         """Total atoms outside the ground level."""
         return len(self.c_sites) + len(self.a_sites)
 
+    def sites(self, level: str) -> tuple[int, ...]:
+        """Increasing indices of the atoms in ``level`` ('b', 'c' or 'a')."""
+        if level == "c":
+            return self.c_sites
+        if level == "a":
+            return self.a_sites
+        if level != "b":
+            raise ValueError(f"unknown level {level!r}")
+        excited = set(self.c_sites) | set(self.a_sites)
+        return tuple(j for j in range(self.n_atoms) if j not in excited)
+
     def levels(self) -> str:
         """Per-atom level tags, e.g. ``'bcb'`` for atom 1 in storage."""
         tags = ["b"] * self.n_atoms
@@ -363,12 +374,6 @@ def level_population(x: SparseKet, level: str) -> float:
     nn = 0.0
     for label, amp in x.items():
         w = abs(amp) ** 2
-        if level == "c":
-            count = label.atoms.n_c
-        elif level == "a":
-            count = label.atoms.n_a
-        else:
-            count = label.atoms.n_atoms - label.atoms.n_excited
-        total += w * count
+        total += w * len(label.atoms.sites(level))
         nn += w
     return total / nn if nn else 0.0

@@ -39,6 +39,7 @@ from .propagate import (
     operator_matrix,
     present_totals,
     rk4_propagate,
+    step_grid,
     vector_to_ket,
 )
 from .states import SparseKet, StateSpace
@@ -158,17 +159,18 @@ def _two_boson_hamiltonian(photon_cap: int, excitation_cap: int,
                    + np.kron(lower_f.T.conj(), lower_a))
 
 
-def evolve_numeric(state: BosonicState, rabi: float, t: float,
-                   dt: float | None = None) -> BosonicState:
+def _transfer_step(rabi: float, quanta: int) -> float:
+    """Largest RK4 step for Omega-scale transfer: 0.005 / (|Omega| max(1, quanta))."""
+    return 0.005 / (abs(rabi) * max(1, quanta)) if rabi else math.inf
+
+
+def evolve_numeric(state: BosonicState, rabi: float, t: float) -> BosonicState:
     """Fixed-step integration of the ideal two-boson model (cross-check)."""
     total = state.max_quanta()
     if total > min(state.photon_cap, state.excitation_cap):
         raise FockOverflowError("grid too small for the quanta present")
     h = _two_boson_hamiltonian(state.photon_cap, state.excitation_cap, rabi)
-    if dt is None:
-        dt = 0.005 / (abs(rabi) * max(1, total)) if rabi else t
-    n_steps = max(1, math.ceil(abs(t) / dt))
-    dt = t / n_steps
+    dt, n_steps = step_grid(t, _transfer_step(rabi, total))
     vec = state.amplitudes.reshape(-1)
     out = rk4_propagate(h, vec, dt, n_steps)
     return BosonicState(out.reshape(state.amplitudes.shape))
@@ -305,7 +307,6 @@ def _apply_transfer_hamiltonian(ket: SparseKet, geometry: Geometry, k: float,
 
 def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
                        geometry: Geometry, k: float = 0.0,
-                       dt: float | None = None,
                        norm_drift_tol: float = 1e-8) -> SparseKet:
     """Integrate the finite-N transfer Hamiltonian Omega(a sigma^dag + h.c.).
 
@@ -324,24 +325,20 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
     h = operator_matrix(
         lambda ket: _apply_transfer_hamiltonian(ket, geometry, k, rabi),
         space, basis)
-    if dt is None:
-        dt = 0.005 / (abs(rabi) * max(1, max(totals))) if rabi else abs(t)
-    n_steps = max(1, math.ceil(abs(t) / dt))
-    dt = t / n_steps
+    dt, n_steps = step_grid(t, _transfer_step(rabi, max(totals)))
     psi = rk4_propagate(h, ket_to_vector(initial, index), dt, n_steps)
     drift = abs(float(np.linalg.norm(psi)) - initial.norm())
     if drift > norm_drift_tol:
         raise IntegrationError(
-            f"norm drifted by {drift:.3g} over {n_steps} steps; reduce dt")
+            f"norm drifted by {drift:.3g} over {n_steps} steps of {dt:.3g}")
     return vector_to_ket(space, basis, psi)
 
 
 def exact_vs_analytic_deviation(state: BosonicState, geometry: Geometry,
-                                rabi: float, t: float, k: float = 0.0,
-                                dt: float | None = None) -> float:
+                                rabi: float, t: float, k: float = 0.0) -> float:
     """|| exact finite-N evolution - mapped bosonic closed form ||."""
     joint0 = bosonic_to_joint(state, geometry, k)
-    exact = evolve_exact_atoms(joint0, rabi, t, geometry, k, dt=dt)
+    exact = evolve_exact_atoms(joint0, rabi, t, geometry, k)
     ideal = evolve_analytic(state, rabi * t)
     mapped = bosonic_to_joint(ideal, geometry, k, space=joint0.space)
     return (exact - mapped).norm()

@@ -6,14 +6,17 @@ from numpy.testing import assert_allclose
 
 from coldstore import (
     CollectiveOperator,
+    EitParams,
     FockOverflowError,
     Geometry,
+    ModeSet,
     SectorOverflowError,
     SparseKet,
     StateSpace,
     StorageSpec,
     angular_momentum_eigencheck,
     apply_field,
+    apply_hamiltonian,
     apply_population,
     apply_r1,
     apply_r2,
@@ -24,7 +27,10 @@ from coldstore import (
     apply_sigma,
     atomic_space,
     commutator_matrix_element,
+    enumerate_basis,
     inner_product,
+    joint_space,
+    operator_matrix,
     phase_sum,
     sigma_commutator_element,
     storage_direct,
@@ -92,6 +98,16 @@ def test_rho_operators_match_dense_oracle():
     ]
     for got, expected in pairs:
         assert_allclose(three_level_ket_to_dense(got), expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("dagger", [False, True])
+@pytest.mark.parametrize("apply_fn", [apply_rho_ab, apply_rho_ac])
+def test_rho_operators_reject_mismatched_geometry(apply_fn, dagger):
+    space = StateSpace(n_atoms=3, n_exc_max=3, a_max=3)
+    ket = SparseKet(space, {space.label(c_sites=(0,)): 0.6,
+                            space.label(a_sites=(1,)): 0.8})
+    with pytest.raises(ValueError):
+        apply_fn(ket, Geometry.lattice(5), 0.4, dagger=dagger)
 
 
 def test_population_operator():
@@ -213,6 +229,34 @@ def test_collective_operator_dispatch_matches_functions():
         assert diff.norm() < 1e-14, kind
     via_pop = CollectiveOperator("pop_c", geom).apply(ket)
     assert (via_pop - apply_population(ket, "c")).norm() < 1e-14
+    # every kind on the full 3-atom space, which no operator can leave
+    full = StateSpace(n_atoms=3, n_exc_max=3, a_max=3)
+    basis = enumerate_basis(full)
+    geom3 = Geometry.uniform_random(3, length=3.0, seed=17)
+    amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    ket3 = SparseKet(full, dict(zip(basis, amps / np.linalg.norm(amps))))
+    direct = {
+        "sigma": lambda x: apply_sigma(x, geom3, k),
+        "sigma_dagger": lambda x: apply_sigma(x, geom3, k, dagger=True),
+        "rho_ab": lambda x: apply_rho_ab(x, geom3, k),
+        "rho_ab_dagger": lambda x: apply_rho_ab(x, geom3, k, dagger=True),
+        "rho_ac": lambda x: apply_rho_ac(x, geom3, k),
+        "rho_ac_dagger": lambda x: apply_rho_ac(x, geom3, k, dagger=True),
+        "pop_b": lambda x: apply_population(x, "b"),
+        "pop_c": lambda x: apply_population(x, "c"),
+        "pop_a": lambda x: apply_population(x, "a"),
+        "r1": lambda x: apply_r1(x, geom3, k),
+        "r2": lambda x: apply_r2(x, geom3, k),
+        "r3": lambda x: apply_r3(x, geom3, k),
+        "r_squared": lambda x: apply_r_squared(x, geom3, k),
+    }
+    for kind, fn in direct.items():
+        op = CollectiveOperator(kind, geom3,
+                                None if kind.startswith("pop_") else k)
+        assert (op.apply(ket3) - fn(ket3)).norm() < 1e-14, kind
+        mat = operator_matrix(op.apply, full, basis)
+        adj = operator_matrix(op.adjoint().apply, full, basis)
+        assert_allclose(adj, mat.conj().T, atol=1e-13, err_msg=kind)
 
 
 def test_sector_and_fock_overflow():
@@ -224,6 +268,19 @@ def test_sector_and_fock_overflow():
     # a_max = 0 spaces cannot host an a-level excitation
     with pytest.raises(SectorOverflowError):
         apply_rho_ac(one_exc, geom, 0.0)
+    with pytest.raises(SectorOverflowError):
+        apply_rho_ab(one_exc, geom, 0.0)
+    # rho_ab also needs room under the excitation cap, not only under a_max
+    a_room = atomic_space(3, 1, a_max=1)
+    with pytest.raises(SectorOverflowError):
+        apply_rho_ab(SparseKet.basis_state(a_room, a_room.label(c_sites=(1,))),
+                     geom, 0.0)
+    # the Hamiltonian's photon absorption (b -> a) and control (c -> a)
+    params = EitParams(geom, ModeSet(1.0, 0.8, (0.0,), fock_cap=1), 1.0, 0.5)
+    no_a = joint_space(params, 1, a_max=0)
+    for label in (no_a.label(field=(1,)), no_a.label(c_sites=(0,))):
+        with pytest.raises(SectorOverflowError):
+            apply_hamiltonian(SparseKet.basis_state(no_a, label), params)
     field_space = StateSpace(n_atoms=2, n_exc_max=1, modes=(0.0,),
                              mode_caps=(1,), photon_cap=1)
     one_photon = SparseKet.basis_state(field_space,

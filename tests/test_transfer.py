@@ -110,6 +110,13 @@ def test_overflow_rejected_by_analytic_map():
         evolve_numeric(state, 1.0, 0.3)
 
 
+def test_numeric_integrator_at_zero_time_is_identity():
+    state = BosonicState.fock(1, 0)
+    for rabi in (0.0, 1.3):
+        out = evolve_numeric(state, rabi, 0.0)
+        assert np.array_equal(out.amplitudes, state.amplitudes)
+
+
 def test_numeric_integrator_matches_analytic():
     rng = np.random.default_rng(7)
     xi = np.zeros((4, 4), dtype=complex)

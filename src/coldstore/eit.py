@@ -33,9 +33,9 @@ from .propagate import (
     _field_occupations,
     enumerate_sector,
     ket_to_vector,
-    operator_matrix,
     present_totals,
     rk4_propagate,
+    sector_operator,
     step_grid,
     vector_to_ket,
 )
@@ -462,6 +462,8 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         rabi_max = DEFAULT_RABI_CAP_FACTOR * params.collective_coupling
     if rabi_max <= 0:
         raise ValueError("rabi_max must be positive")
+    if record_every is not None and record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
 
     theta_min = min(ramp.theta_start, ramp.theta_end)
     rabi_peak = float(control_amplitude(params.collective_coupling,
@@ -471,9 +473,9 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     totals = present_totals(initial)
     basis = enumerate_sector(space, totals)
     index = {label: i for i, label in enumerate(basis)}
-    h_static = operator_matrix(
+    h_static = sector_operator(
         lambda k: apply_hamiltonian(k, params, rabi=0.0), space, basis)
-    h_control = operator_matrix(
+    h_control = sector_operator(
         lambda k: apply_control_coupling(k, params), space, basis)
 
     stage_times = np.linspace(0.0, ramp.duration, 2 * n_steps + 1)

@@ -36,9 +36,9 @@ from .operators import apply_field, apply_sigma
 from .propagate import (
     enumerate_sector,
     ket_to_vector,
-    operator_matrix,
     present_totals,
     rk4_propagate,
+    sector_operator,
     step_grid,
     vector_to_ket,
 )
@@ -322,7 +322,7 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
         return initial
     basis = enumerate_sector(space, totals)
     index = {label: i for i, label in enumerate(basis)}
-    h = operator_matrix(
+    h = sector_operator(
         lambda ket: _apply_transfer_hamiltonian(ket, geometry, k, rabi),
         space, basis)
     dt, n_steps = step_grid(t, _transfer_step(rabi, max(totals)))

@@ -250,3 +250,5 @@ def test_sweep_rejects_bad_inputs():
         adiabatic_sweep(SparseKet.zero(space), params, ramp)
     with pytest.raises(ValueError):
         adiabatic_sweep(initial, params, ramp, rabi_max=-1.0)
+    with pytest.raises(ValueError, match="record_every"):
+        adiabatic_sweep(initial, params, ramp, record_every=0)

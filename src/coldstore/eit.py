@@ -357,12 +357,17 @@ class RampSchedule:
                 raise ValueError("mixing angles must lie in [0, pi/2]")
 
     def theta(self, t):
-        x = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
-        if self.shape == "linear":
-            f = x
-        else:
-            f = 0.5 * (1.0 - np.cos(np.pi * x))
-        out = self.theta_start + (self.theta_end - self.theta_start) * f
+        # in place on one fresh array: a sweep asks for 2 * n_steps + 1 times
+        out = np.array(t, dtype=float)
+        np.divide(out, self.duration, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+        if self.shape == "smooth-cosine":
+            np.multiply(out, np.pi, out=out)
+            np.cos(out, out=out)
+            np.subtract(1.0, out, out=out)
+            np.multiply(out, 0.5, out=out)
+        np.multiply(out, self.theta_end - self.theta_start, out=out)
+        np.add(out, self.theta_start, out=out)
         return out if out.ndim else float(out)
 
 
@@ -374,12 +379,16 @@ def control_amplitude(collective_coupling: float, theta, rabi_max: float):
     actually realized is atan2(g sqrt(N), Omega_clamped).
     """
     th = np.asarray(theta, dtype=float)
-    sin = np.sin(th)
-    cos = np.cos(th)
+    # in place on two arrays: a sweep asks for 2 * n_steps + 1 angles
+    sin = np.sin(th, out=np.empty(th.shape))
+    out = np.cos(th, out=np.empty(th.shape))
+    vertical = ~(sin > 1e-12)
+    np.maximum(sin, 1e-300, out=sin)
+    np.multiply(collective_coupling, out, out=out)
     with np.errstate(divide="ignore"):
-        raw = np.where(sin > 1e-12, collective_coupling * cos / np.maximum(sin, 1e-300),
-                       np.inf)
-    out = np.minimum(raw, rabi_max)
+        np.divide(out, sin, out=out)
+    out[vertical] = np.inf
+    np.minimum(out, rabi_max, out=out)
     return out if out.ndim else float(out)
 
 
@@ -478,10 +487,11 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     h_control = sector_operator(
         lambda k: apply_control_coupling(k, params), space, basis)
 
-    stage_times = np.linspace(0.0, ramp.duration, 2 * n_steps + 1)
-    theta_sched = np.asarray(ramp.theta(stage_times))
-    control = np.asarray(control_amplitude(params.collective_coupling,
-                                           theta_sched, rabi_max))
+    # only the control amplitudes on the half-step grid outlive this line
+    control = np.asarray(control_amplitude(
+        params.collective_coupling,
+        ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
+        rabi_max))
 
     photon_diag = np.array([sum(l.field) for l in basis], dtype=float)
     cpop_diag = np.array([l.atoms.n_c for l in basis], dtype=float)

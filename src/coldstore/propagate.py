@@ -11,11 +11,21 @@ dimensions range from a few states to thousands (2,325 for 24 atoms with
 three quanta), so :func:`sector_operator` keeps a small sector as a dense
 matrix and a large one as a :class:`SparseOperator`, whose non-zeros are a
 fraction of a percent of its dim^2 entries.
+
+A small dense sector driven by a control, h0 + u(t) h1 (the adiabatic
+sweep), would spend almost all its time in the interpreter: one RK4 step is
+eight tiny matvecs and their stage arithmetic.  :func:`rk4_propagate`
+therefore compiles that step once per call.  One step is psi <- psi + D psi,
+where the increment D is a fixed polynomial in the step's three control
+samples; its 12 coefficient matrices are built once, every D of a block of
+steps comes out of one matrix product, and each step is then a single
+matvec.  Sparse operators and control-free calls run the plain stage loop.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -244,10 +254,112 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
     """(dt, n_steps): the fewest equal steps covering ``t`` with |dt| <= dt_max.
 
     At least one step is taken, so ``t = 0`` gives one step of length 0, and
-    ``dt_max = inf`` one step of length ``t``.
+    ``dt_max = inf`` one step of length ``t``.  ``t`` must be finite and
+    ``dt_max`` positive.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time span must be finite, got {t}")
+    if not dt_max > 0:
+        raise ValueError(f"maximum step must be positive, got {dt_max}")
     n_steps = max(1, math.ceil(abs(t) / dt_max))
     return t / n_steps, n_steps
+
+
+# Bytes of step matrices D_n the compiled controlled step forms at once
+# (dim^2 complex entries each: 226 steps of the 17-state sweep sector).
+# Measured on the sweep's 250,000-step schedule over interleaved repeats
+# (2-core Xeon VM, Python 3.11, numpy 2.4, OpenBLAS): 64 KiB blocks were
+# slower, 256 KiB to 4 MiB agreed within the run-to-run spread, and the
+# traced peak grows with the block (1.2 MB at 1 MiB, 3.2 MB at 4 MiB).
+STEP_BLOCK_BYTES = 1 << 20
+
+# Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.
+_STEP_MONOMIALS = [(a, b, c) for a in (0, 1) for b in (0, 1, 2)
+                   for c in (0, 1)]
+
+
+def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
+    """Coefficients of one RK4 step's increment, (12, dim, dim).
+
+    With A(u) = -i (h0 + u h1), the step from psi to psi + D psi takes
+    A(u0), A(um), A(um), A(u1) through the stages k1..k4; expanding them
+    as polynomials in (u1, um, u0) gives D = sum_j C_j u1^a um^b u0^c over
+    ``_STEP_MONOMIALS``.  The identity of psi + D psi stays out of D: its
+    rounding would be the same at every step and accumulate.
+    """
+    dim = h0.shape[0]
+    free, driven = -1j * h0, -1j * h1
+
+    def times_a(var, poly):
+        """A(u_var) @ poly, poly mapping exponents to matrices."""
+        out = {}
+        for key, mat in poly.items():
+            up = key[:var] + (key[var] + 1,) + key[var + 1:]
+            for k, term in ((key, free @ mat), (up, driven @ mat)):
+                out[k] = out[k] + term if k in out else term
+        return out
+
+    eye = np.eye(dim, dtype=complex)
+
+    def plus_identity(scale, poly):
+        out = {k: scale * m for k, m in poly.items()}
+        out[(0, 0, 0)] = out[(0, 0, 0)] + eye
+        return out
+
+    u1, um, u0 = 0, 1, 2        # positions in the exponent tuples
+    k1 = times_a(u0, {(0, 0, 0): eye})
+    k2 = times_a(um, plus_identity(0.5 * dt, k1))
+    k3 = times_a(um, plus_identity(0.5 * dt, k2))
+    k4 = times_a(u1, plus_identity(dt, k3))
+    zero = np.zeros((dim, dim), dtype=complex)
+    return np.array([(dt / 6.0) * (k1.get(k, zero)
+                                   + 2.0 * (k2.get(k, zero) + k3.get(k, zero))
+                                   + k4.get(k, zero))
+                     for k in _STEP_MONOMIALS])
+
+
+def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
+                  dt: float, u: np.ndarray, stops: Sequence[int],
+                  on_sample) -> None:
+    """Advance ``psi`` in place through ``stops``, one matvec per step.
+
+    Each stretch up to the next stop is cut into equal blocks of at most
+    ``STEP_BLOCK_BYTES`` of step matrices, so no block straddles a sample
+    and every stretch of equal length does the same work.  The stops are
+    those of the sample schedule, so the first stretch is the longest.
+    """
+    if not stops:
+        return
+    dim = psi.shape[0]
+    terms = _rk4_step_terms(h0, h1, dt).reshape(len(_STEP_MONOMIALS), -1)
+    terms = terms.view(float)      # real GEMM on (re, im) pairs
+    a, b, c = np.array(_STEP_MONOMIALS).T
+    powers = np.arange(3)
+    max_block = max(1, STEP_BLOCK_BYTES // (16 * dim * dim))
+    block = np.empty((min(max_block, stops[0]), terms.shape[1]))
+    start = 0
+    for stop in stops:
+        n_blocks = -(-(stop - start) // max_block)
+        edges = [start + (stop - start) * i // n_blocks
+                 for i in range(n_blocks + 1)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            p1 = u[2 * lo + 2:2 * hi + 2:2, None] ** powers
+            pm = u[2 * lo + 1:2 * hi + 1:2, None] ** powers
+            p0 = u[2 * lo:2 * hi:2, None] ** powers
+            steps = np.matmul(p1[:, a] * pm[:, b] * p0[:, c], terms,
+                              out=block[:hi - lo])
+            for d_n in steps.view(complex).reshape(-1, dim, dim):
+                psi += d_n @ psi
+        if on_sample is not None:
+            on_sample(stop, stop * dt, psi)
+        start = stop
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
@@ -267,7 +379,21 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
     It is an error to give ``control`` without ``h1``.
     ``on_sample(step, t, psi)`` is invoked at step 0, every ``sample_every``
     steps (at least 1), and at the final step.
+    ``n_steps`` must be a nonnegative integer, ``sample_every`` an integer
+    and ``dt`` finite.
+
+    With dense ``h0`` and ``h1`` the step is compiled: its increment is
+    formed as a matrix from the control samples, block by block, and
+    applied with one matvec per step (see the module docstring).  The
+    results agree with the stage loop up to rounding.  Sparse operators
+    and calls without ``h1`` run the stage loop.
     """
+    n_steps = _integer("n_steps", n_steps)
+    sample_every = _integer("sample_every", sample_every)
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    if not math.isfinite(dt):
+        raise ValueError(f"step dt must be finite, got {dt}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     psi = np.array(psi0, dtype=complex, copy=True)
@@ -283,14 +409,23 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
             raise ValueError(
                 f"control array must have length {2*n_steps+1}, got {u.shape}")
 
+    if on_sample is not None:
+        on_sample(0, 0.0, psi)
+    if isinstance(h0, np.ndarray) and isinstance(h1, np.ndarray):
+        if on_sample is None:
+            stops = [n_steps] if n_steps else []
+        else:
+            stops = list(range(sample_every, n_steps, sample_every))
+            stops += [n_steps] if n_steps else []
+        _rk4_compiled(h0, h1, psi, dt, u, stops, on_sample)
+        return psi
+
     def deriv(v, ui):
         hv = h0 @ v
         if h1 is not None:
             hv = hv + ui * (h1 @ v)
         return -1j * hv
 
-    if on_sample is not None:
-        on_sample(0, 0.0, psi)
     half = 0.5 * dt
     for step in range(n_steps):
         u0 = u[2 * step] if u is not None else 0.0

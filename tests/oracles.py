@@ -128,6 +128,35 @@ def two_boson_hamiltonian(cap_a, cap_b, rabi):
     return rabi * (np.kron(low_a, low_b.T) + np.kron(low_a.T, low_b))
 
 
+# -- fixed-step RK4, straight from the stage formulas ------------------------
+
+
+def rk4_stage_loop(h0, h1, psi0, dt, control, sample_every):
+    """Plain RK4 of i dpsi/dt = (h0 + u(t) h1) psi, one stage at a time.
+
+    ``control`` holds u on the half-step grid (2 * n_steps + 1 values).
+    Returns [(step, t, psi)] at step 0, every ``sample_every`` steps and
+    at the last step.
+    """
+    n_steps = (len(control) - 1) // 2
+
+    def rate(v, u):
+        return -1j * (h0 @ v + u * (h1 @ v))
+
+    psi = np.array(psi0, dtype=complex)
+    samples = [(0, 0.0, psi.copy())]
+    for n in range(n_steps):
+        u0, um, u1 = control[2 * n], control[2 * n + 1], control[2 * n + 2]
+        k1 = rate(psi, u0)
+        k2 = rate(psi + 0.5 * dt * k1, um)
+        k3 = rate(psi + 0.5 * dt * k2, um)
+        k4 = rate(psi + dt * k3, u1)
+        psi = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (n + 1) % sample_every == 0 or n + 1 == n_steps:
+            samples.append((n + 1, (n + 1) * dt, psi.copy()))
+    return samples
+
+
 # -- multimode storage normalization, straight from the double sum ------------
 
 

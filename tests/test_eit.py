@@ -33,6 +33,8 @@ from coldstore import (
     with_field_occupation,
 )
 
+from coldstore import eit
+from coldstore.propagate import SparseOperator
 from oracles import dense_rho
 
 
@@ -215,6 +217,79 @@ def test_ramp_schedule_shapes_and_validation():
         RampSchedule(0.0, 2.0, duration=1.0)       # angle beyond pi/2
     with pytest.raises(ValueError):
         RampSchedule(0.0, 1.0, duration=1.0, shape="sawtooth")
+
+
+def _old_theta(ramp, t):
+    """RampSchedule.theta as written before it worked in place."""
+    x = np.clip(np.asarray(t, dtype=float) / ramp.duration, 0.0, 1.0)
+    if ramp.shape == "linear":
+        f = x
+    else:
+        f = 0.5 * (1.0 - np.cos(np.pi * x))
+    return ramp.theta_start + (ramp.theta_end - ramp.theta_start) * f
+
+
+def _old_control_amplitude(collective_coupling, theta, rabi_max):
+    """control_amplitude as written before it worked in place."""
+    th = np.asarray(theta, dtype=float)
+    sin = np.sin(th)
+    cos = np.cos(th)
+    with np.errstate(divide="ignore"):
+        raw = np.where(sin > 1e-12,
+                       collective_coupling * cos / np.maximum(sin, 1e-300),
+                       np.inf)
+    return np.minimum(raw, rabi_max)
+
+
+@pytest.mark.parametrize("shape", ["linear", "smooth-cosine"])
+def test_in_place_schedule_is_bit_identical(shape):
+    cc = math.sqrt(8.0)
+    for start, end in ((0.0, math.pi / 2), (1.2, 0.0)):
+        ramp = RampSchedule(start, end, duration=3.7, shape=shape)
+        t = np.linspace(-0.5, 4.5, 20_001)      # clamped at both ends
+        theta = ramp.theta(t)
+        assert np.array_equal(theta, _old_theta(ramp, t))
+        assert ramp.theta(1.1) == _old_theta(ramp, 1.1)
+        assert isinstance(ramp.theta(1.1), float)
+        for rabi_max in (50.0 * cc, 3.0):       # the clamp bites at both
+            control = control_amplitude(cc, theta, rabi_max)
+            old = _old_control_amplitude(cc, theta, rabi_max)
+            assert np.array_equal(control, old)
+            assert np.any(control == rabi_max)
+    edge = np.array([0.0, 1e-13, 1e-12, 2e-12, np.nan, math.pi / 2])
+    assert np.array_equal(control_amplitude(cc, edge, np.inf),
+                          _old_control_amplitude(cc, edge, np.inf),
+                          equal_nan=True)
+    assert control_amplitude(cc, 0.4, 10.0) == \
+        _old_control_amplitude(cc, 0.4, 10.0)
+
+
+def test_dense_sweep_matches_the_sweep_on_the_stage_loop(monkeypatch):
+    params = make_params(8, fock_cap=1, rabi=0.0)
+    space = joint_space(params, 1)
+    initial = with_field_occupation(vacuum(space), (1,))
+    cc = params.collective_coupling
+    ramp = RampSchedule(0.0, math.pi / 2, duration=2.0 / cc)
+    compiled = adiabatic_sweep(initial, params, ramp, rabi_max=50.0 * cc)
+
+    original = eit.sector_operator
+
+    def as_sparse(*args):
+        mat = original(*args)
+        assert isinstance(mat, np.ndarray)      # 17 states: dense
+        rows, cols = np.nonzero(mat)
+        return SparseOperator(rows, cols, mat[rows, cols], len(mat))
+
+    monkeypatch.setattr(eit, "sector_operator", as_sparse)
+    staged = adiabatic_sweep(initial, params, ramp, rabi_max=50.0 * cc)
+    assert (compiled.dt, compiled.n_steps) == (staged.dt, staged.n_steps)
+    assert compiled.n_steps == 10_000
+    for name in ("times", "rabi", "theta", "norms", "dark_fidelity",
+                 "photon_expectation", "c_population"):
+        a, b = getattr(compiled, name), getattr(staged, name)
+        assert a.shape == b.shape == (401,)
+        assert_allclose(a, b, rtol=0, atol=1e-13, err_msg=name)
+    assert (compiled.final_state - staged.final_state).norm() <= 1e-13
 
 
 def test_short_sweep_stores_the_photon(tmp_path):

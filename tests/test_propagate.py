@@ -17,14 +17,26 @@ from coldstore import (
     enumerate_sector,
     evolve_exact_atoms,
     exact_vs_analytic_deviation,
+    RampSchedule,
+    control_amplitude,
     joint_space,
     operator_matrix,
     rk4_propagate,
     transfer_space,
+    vacuum,
+    with_field_occupation,
 )
-from coldstore.eit import apply_control_coupling
-from coldstore.propagate import SPARSE_MIN_DIM, SparseOperator, sector_operator
+from coldstore.eit import apply_control_coupling, sweep_time_step
+from coldstore.propagate import (
+    SPARSE_MIN_DIM,
+    SparseOperator,
+    ket_to_vector,
+    sector_operator,
+    step_grid,
+)
 from coldstore.transfer import _apply_transfer_hamiltonian
+
+from oracles import rk4_stage_loop
 
 
 def transfer_sector(n_atoms, quanta, rabi=1.0):
@@ -193,3 +205,108 @@ def test_rk4_rejects_sample_every_below_one(sample_every):
         rk4_propagate(np.eye(2), psi, 0.1, 3, sample_every=sample_every,
                       on_sample=lambda step, t, v: seen.append(step))
     assert seen == []
+
+
+@pytest.mark.parametrize("n_steps", [-3, -1, 2.0, 2.5, "3", None])
+@pytest.mark.parametrize("with_control", [False, True])
+def test_rk4_rejects_bad_step_counts(n_steps, with_control):
+    psi = np.array([1.0, 0.0])
+    kwargs = {"h1": np.eye(2), "control": 1.0} if with_control else {}
+    with pytest.raises(ValueError, match="n_steps"):
+        rk4_propagate(np.eye(2), psi, 0.1, n_steps, **kwargs)
+
+
+@pytest.mark.parametrize("with_control", [False, True])
+def test_rk4_rejects_non_integer_sample_every(with_control):
+    psi = np.array([1.0, 0.0])
+    kwargs = {"h1": np.eye(2), "control": 1.0} if with_control else {}
+    with pytest.raises(ValueError, match="sample_every"):
+        rk4_propagate(np.eye(2), psi, 0.1, 10, sample_every=2.5,
+                      on_sample=lambda step, t, v: None, **kwargs)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("with_control", [False, True])
+def test_rk4_rejects_non_finite_step(dt, with_control):
+    psi = np.array([1.0, 0.0])
+    kwargs = {"h1": np.eye(2), "control": 1.0} if with_control else {}
+    with pytest.raises(ValueError, match="dt"):
+        rk4_propagate(np.eye(2), psi, dt, 3, **kwargs)
+
+
+def test_rk4_accepts_numpy_integers_and_zero_steps():
+    psi = np.array([1.0, 0.0])
+    seen = []
+    for h1 in (None, np.eye(2)):
+        out = rk4_propagate(np.eye(2), psi, 0.1, np.int64(0), h1=h1,
+                            on_sample=lambda step, t, v: seen.append(step))
+        assert np.array_equal(out, psi)
+    assert seen == [0, 0]
+
+
+def test_step_grid_covers_the_span():
+    assert step_grid(1.0, 0.3) == (0.25, 4)
+    assert step_grid(-1.0, 0.3) == (-0.25, 4)
+    assert step_grid(0.0, 0.1) == (0.0, 1)
+    assert step_grid(2.0, math.inf) == (2.0, 1)
+
+
+@pytest.mark.parametrize("t, dt_max", [
+    (1.0, -0.1), (1.0, 0.0), (1.0, math.nan), (1.0, -math.inf),
+    (math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1), (math.nan, math.inf),
+])
+def test_step_grid_rejects_bad_arguments(t, dt_max):
+    with pytest.raises(ValueError) as info:
+        step_grid(t, dt_max)
+    assert info.type is ValueError
+
+
+@pytest.fixture(scope="module")
+def sweep_problem():
+    """The sweep's 17-state sector with its real control schedule:
+    N=8, one quantum, duration_coupling 5, control clamped at 50 g sqrt(N),
+    25,000 steps; the stage-by-stage reference sampled at every step."""
+    params = EitParams(Geometry.lattice(8, 0.5),
+                       ModeSet(1.9, 0.7, (0.0,), "raman", fock_cap=1),
+                       1.0, rabi=0.0)
+    space = joint_space(params, 1)
+    basis = enumerate_sector(space, [1])
+    h0 = sector_operator(lambda k: apply_hamiltonian(k, params, rabi=0.0),
+                         space, basis)
+    h1 = sector_operator(lambda k: apply_control_coupling(k, params),
+                         space, basis)
+    cc = params.collective_coupling
+    ramp = RampSchedule(0.0, math.pi / 2, 5.0 / cc)
+    rabi_max = 50.0 * cc
+    dt, n_steps = step_grid(ramp.duration, sweep_time_step(params, rabi_max))
+    control = control_amplitude(
+        cc, ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
+        rabi_max)
+    index = {label: i for i, label in enumerate(basis)}
+    psi0 = ket_to_vector(with_field_occupation(vacuum(space), (1,)), index)
+    reference = rk4_stage_loop(h0, h1, psi0, dt, control, 1)
+    return h0, h1, psi0, dt, n_steps, control, reference
+
+
+@pytest.mark.parametrize("sample_every", [625, 62, 30_000])
+def test_compiled_rk4_step_matches_the_stage_loop_oracle(sweep_problem,
+                                                         sample_every):
+    h0, h1, psi0, dt, n_steps, control, reference = sweep_problem
+    assert isinstance(h0, np.ndarray) and h0.shape == (17, 17)
+    assert n_steps == 25_000
+    seen = []
+    psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1, control=control,
+                        sample_every=sample_every,
+                        on_sample=lambda step, t, v: seen.append(
+                            (step, t, v.copy())))
+    steps = sorted({*range(0, n_steps, sample_every), n_steps})
+    assert [(step, t) for step, t, _v in seen] == \
+        [reference[step][:2] for step in steps]
+    for (step, _t, v) in seen:
+        assert_allclose(v, reference[step][2], rtol=0, atol=1e-14)
+    expected = reference[-1][2]
+    assert_allclose(psi, expected, rtol=0, atol=1e-14)
+    drift = max(abs(np.linalg.norm(v) - 1.0) for _s, _t, v in seen)
+    expected_drift = max(abs(np.linalg.norm(reference[step][2]) - 1.0)
+                         for step in steps)
+    assert abs(drift - expected_drift) <= 1e-15

@@ -26,6 +26,7 @@ from coldstore import (
     vacuum,
     with_field_occupation,
 )
+from coldstore import propagate
 from coldstore.eit import apply_control_coupling, sweep_time_step
 from coldstore.propagate import (
     SPARSE_MIN_DIM,
@@ -34,7 +35,11 @@ from coldstore.propagate import (
     sector_operator,
     step_grid,
 )
-from coldstore.transfer import _apply_transfer_hamiltonian
+from coldstore.transfer import (
+    _apply_transfer_hamiltonian,
+    _transfer_step,
+    _two_boson_hamiltonian,
+)
 
 from oracles import rk4_stage_loop
 
@@ -310,3 +315,168 @@ def test_compiled_rk4_step_matches_the_stage_loop_oracle(sweep_problem,
     expected_drift = max(abs(np.linalg.norm(reference[step][2]) - 1.0)
                          for step in steps)
     assert abs(drift - expected_drift) <= 1e-15
+
+
+class _NoControl:
+    """h1 = 0 for the stage-loop oracle, with no dim^2 array behind it."""
+
+    def __matmul__(self, v):
+        return np.zeros(len(v), dtype=complex)
+
+
+def control_free_oracle(h0, psi0, dt, n_steps, sample_every=None):
+    """Stage-loop RK4 of a constant h0: the oracle with a zero control."""
+    samples = rk4_stage_loop(h0, _NoControl(), psi0, dt,
+                             np.zeros(2 * n_steps + 1),
+                             sample_every or n_steps + 1)
+    return samples if sample_every else samples[-1][2]
+
+
+@pytest.fixture(scope="module")
+def transfer_sector_24():
+    """The sparse 2,325-state sector of N=24, 3 quanta at wavevectors 0
+    and 1.3, with the collective Fock state |3 photons> and the transfer
+    step grid over a quarter period."""
+    out = {}
+    for k in (0.0, 1.3):
+        geom = Geometry.lattice(24, 0.5)
+        joint = bosonic_to_joint(BosonicState.fock(3, 0), geom, k)
+        basis = enumerate_sector(joint.space, [3])
+        h = sector_operator(
+            lambda ket: _apply_transfer_hamiltonian(ket, geom, k, 1.0),
+            joint.space, basis)
+        fock = ket_to_vector(joint, {lab: i for i, lab in enumerate(basis)})
+        out[k] = h, fock
+    return out, step_grid(math.pi / 2, _transfer_step(1.0, 3))
+
+
+@pytest.mark.parametrize("k", [0.0, 1.3])
+@pytest.mark.parametrize("initial", ["fock", "random"])
+def test_krylov_power_matches_the_stage_loop_on_the_24_atom_sector(
+        transfer_sector_24, k, initial):
+    sectors, (dt, n_steps) = transfer_sector_24
+    h, fock = sectors[k]
+    assert isinstance(h, SparseOperator) and h.shape == (2325, 2325)
+    assert n_steps == 943
+    psi0 = fock if initial == "fock" else \
+        random_vector(np.random.default_rng(11), h.shape[0])
+    assert_allclose(rk4_propagate(h, psi0, dt, n_steps),
+                    control_free_oracle(h, psi0, dt, n_steps),
+                    rtol=0, atol=1e-12)
+
+
+def test_krylov_power_matches_the_stage_loop_on_the_two_boson_model():
+    h = _two_boson_hamiltonian(4, 4, 1.3)
+    dt, n_steps = step_grid(0.9 / 1.3, _transfer_step(1.3, 4))
+    psi0 = random_vector(np.random.default_rng(12), h.shape[0])
+    assert_allclose(rk4_propagate(h, psi0, dt, n_steps),
+                    control_free_oracle(h, psi0, dt, n_steps),
+                    rtol=0, atol=1e-12)
+
+
+def test_krylov_power_matches_the_stage_loop_off_hermitian():
+    rng = np.random.default_rng(13)
+    h = (rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))) / 8.0
+    h -= 0.5j * np.eye(60)
+    assert not np.allclose(h, h.conj().T)
+    psi0 = rng.normal(size=60) + 1j * rng.normal(size=60)
+    expected = control_free_oracle(h, psi0, 0.01, 300)
+    got = rk4_propagate(h, psi0, 0.01, 300)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_krylov_power_splits_a_stretch_at_the_cap(monkeypatch):
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
+    h = a + a.conj().T
+    h /= np.max(np.abs(np.linalg.eigvalsh(h)))      # spectral radius 1
+    psi0 = random_vector(rng, 200)
+    stretches = []
+    original = propagate._krylov_stretch
+
+    def counted(h0, psi, dt, n_steps):
+        out, done = original(h0, psi, dt, n_steps)
+        stretches.append(done)
+        return out, done
+
+    monkeypatch.setattr(propagate, "_krylov_stretch", counted)
+    got = rk4_propagate(h, psi0, 0.1, 790)           # rho t = 79
+    assert len(stretches) > 1 and sum(stretches) == 790
+    assert_allclose(got, control_free_oracle(h, psi0, 0.1, 790),
+                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sample_every", [100, 97, 2000])
+def test_krylov_power_keeps_the_sample_schedule(sample_every):
+    apply_fn, space, basis = transfer_sector(16, 3)
+    h = sector_operator(apply_fn, space, basis)
+    psi0 = random_vector(np.random.default_rng(15), len(basis))
+    dt, n_steps = step_grid(1.0, _transfer_step(1.0, 3))
+    reference = control_free_oracle(h, psi0, dt, n_steps, sample_every)
+    seen = []
+    psi = rk4_propagate(h, psi0, dt, n_steps, sample_every=sample_every,
+                        on_sample=lambda step, t, v: seen.append(
+                            (step, t, v.copy())))
+    assert [(step, t) for step, t, _v in seen] == \
+        [(step, t) for step, t, _v in reference]
+    for (_s, _t, v), (_rs, _rt, expected) in zip(seen, reference):
+        assert_allclose(v, expected, rtol=0, atol=1e-12)
+    assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_control_free_rk4_returns_psi_exactly_when_nothing_moves(sparse):
+    apply_fn, space, basis = transfer_sector(16 if sparse else 8, 3)
+    h = sector_operator(apply_fn, space, basis)
+    assert isinstance(h, SparseOperator) == sparse
+    dim = h.shape[0]
+    zero = SparseOperator([], [], [], dim) if sparse else np.zeros((dim, dim))
+    psi0 = 3.7 * random_vector(np.random.default_rng(16), dim)
+    assert np.array_equal(rk4_propagate(h, psi0, 0.0, 50), psi0)
+    assert np.array_equal(rk4_propagate(h, psi0, 0.1, 0), psi0)
+    assert np.array_equal(rk4_propagate(zero, psi0, 0.1, 50), psi0)
+    assert np.array_equal(rk4_propagate(h, np.zeros(dim), 0.1, 50),
+                          np.zeros(dim))
+
+
+def test_24_atom_transfer_costs_a_few_matvecs(monkeypatch):
+    calls = []
+    original = SparseOperator.__matmul__
+
+    def counted(self, v):
+        calls.append(self.shape)
+        return original(self, v)
+
+    monkeypatch.setattr(SparseOperator, "__matmul__", counted)
+    dev = exact_vs_analytic_deviation(BosonicState.fock(3, 0),
+                                      Geometry.lattice(24, 0.5), rabi=1.0,
+                                      t=math.pi / 2)
+    assert calls and set(calls) == {(2325, 2325)}
+    assert len(calls) <= 16
+    assert dev == pytest.approx(0.0689078768544164, rel=0, abs=1e-8)
+
+
+@pytest.mark.parametrize("rows, cols, amps", [
+    ([0, 1], [0], [1.0]), ([0], [0, 1], [1.0]), ([0], [0], [1.0, 2.0]),
+    ([-1], [0], [1.0]), ([0], [-1], [1.0]), ([3], [0], [1.0]),
+    ([0], [3], [1.0]), ([[0]], [[0]], [[1.0]]),
+])
+def test_sparse_operator_rejects_malformed_entries(rows, cols, amps):
+    with pytest.raises(ValueError):
+        SparseOperator(rows, cols, amps, 3)
+
+
+@pytest.mark.parametrize("n_steps", [0, 3])
+def test_rk4_rejects_mismatched_shapes(n_steps):
+    sparse = SparseOperator([0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0], 3)
+    for h0 in (np.eye(3), sparse):
+        with pytest.raises(ValueError, match="psi0"):
+            rk4_propagate(h0, np.ones(2), 0.1, n_steps)
+        with pytest.raises(ValueError, match="psi0"):
+            rk4_propagate(h0, np.ones((3, 1)), 0.1, n_steps)
+        for h1 in (np.eye(2), SparseOperator([], [], [], 4)):
+            with pytest.raises(ValueError, match="h1"):
+                rk4_propagate(h0, np.ones(3), 0.1, n_steps, h1=h1,
+                              control=1.0)
+    with pytest.raises(ValueError, match="square"):
+        rk4_propagate(np.ones((3, 2)), np.ones(3), 0.1, n_steps)

@@ -1071,6 +1071,7 @@ SCENARIOS: dict[str, Scenario] = {
 def run(scenario: str, config: Mapping | None = None,
         out_dir=None, fmt: str = "json") -> Report:
     """Validate, execute, and (optionally) write one scenario report."""
+    _check_format(fmt)
     cfg = validate_config(scenario, config)
     start = time.perf_counter()
     checks = SCENARIOS[scenario].runner(cfg)
@@ -1081,12 +1082,15 @@ def run(scenario: str, config: Mapping | None = None,
     return report
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in ("json", "csv"):
+        raise ConfigError([f"format: must be 'json' or 'csv' (got {fmt!r})"])
+
+
 def _write_report(report: Report, out_dir, fmt: str, stem: str) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if fmt not in ("json", "csv"):
-        raise ConfigError([f"format: must be 'json' or 'csv' (got {fmt!r})"])
     if fmt == "json":
         path = out / f"{stem}.json"
         report.write_json(path)
@@ -1214,6 +1218,7 @@ def _scan_worker(args) -> list[CheckRecord]:
 def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
          jobs: int = 1) -> Report:
     """Run one scenario over a parameter grid; per-point rows, ordered."""
+    _check_format(fmt)
     cfg = validate_scan_config(config)
     scenario = cfg["scenario"]
     points = scan_points(cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,7 +13,12 @@ from coldstore import (
     scan,
     validate_config,
 )
-from coldstore.harness import load_config, scan_points, validate_scan_config
+from coldstore.harness import (
+    SCENARIOS,
+    load_config,
+    scan_points,
+    validate_scan_config,
+)
 
 
 def test_validate_config_fills_defaults():
@@ -76,6 +82,21 @@ def test_report_files_and_csv_columns(tmp_path):
     loaded = json.loads(json_path.read_text())
     assert loaded["scenario"] == "swap"
     assert loaded["aggregate"]["n_passed"] == json_report.n_passed
+
+
+def test_bad_report_format_is_refused_before_any_work(tmp_path, monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setitem(SCENARIOS, "verify-ladder", dataclasses.replace(
+        SCENARIOS["verify-ladder"], runner=refuse))
+    out_dir = tmp_path / "reports"
+    with pytest.raises(ConfigError, match="format: must be 'json' or 'csv'"):
+        run("verify-ladder", out_dir=out_dir, fmt="xml")
+    with pytest.raises(ConfigError, match="format: must be 'json' or 'csv'"):
+        scan({"scenario": "verify-ladder", "grid": {"n_atoms_max": [4]}},
+             out_dir=out_dir, fmt="xml")
+    assert not out_dir.exists()
 
 
 def test_scan_single_point_matches_plain_run():

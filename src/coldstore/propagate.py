@@ -12,32 +12,24 @@ three quanta), so :func:`sector_operator` keeps a small sector as a dense
 matrix and a large one as a :class:`SparseOperator`, whose non-zeros are a
 fraction of a percent of its dim^2 entries.
 
-:func:`rk4_propagate` computes the RK4 map without running it stage by
-stage where it can:
+:func:`rk4_propagate` has one RK4 core.  One step is psi <- psi + D psi,
+where the increment D is a fixed polynomial in the step's three control
+samples; its 12 coefficient matrices are built once per call, every D of a
+block of steps comes out of one matrix product, and each step is then a
+single matvec.  Without a control D is its u-independent term D0, constant,
+so the k steps between two samples are the one power (I + D0)^k.
 
-* Without a control the operator is constant, and k steps are exactly
-  psi <- R(-i dt h0)^k psi with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
-  That power is evaluated on the Krylov space of psi (Saad, SIAM J.
-  Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal.
-  34, 1911 (1997)): Arnoldi gives V_m and the Hessenberg H_m, and
-  psi_k = |psi| V_m R(-i dt H_m)^k e_1, the small power taken by repeated
-  squaring.  The space grows until the estimate h_{m+1,m} |(R^k e_1)_m|
-  falls below ``KRYLOV_TOL`` or m reaches the dimension.  From a
-  collective Fock state it closes after q + 1 vectors (the symmetric
-  subspace), so the 943 steps of a transfer at 24 atoms cost 4 matvecs
-  instead of 3,772.
-* A small dense sector driven by a control, h0 + u(t) h1 (the adiabatic
-  sweep), would spend almost all its time in the interpreter: one RK4 step
-  is eight tiny matvecs and their stage arithmetic.  That step is compiled
-  once per call.  One step is psi <- psi + D psi, where the increment D is
-  a fixed polynomial in the step's three control samples; its 12
-  coefficient matrices are built once, every D of a block of steps comes
-  out of one matrix product, and each step is then a single matvec.
-* Sparse operators with a control run the plain stage loop.
-
-Both shortcuts apply the same polynomial map as the stage loop, so results
-differ from it only by rounding and, for the Krylov power, by an estimated
-truncation error below ``KRYLOV_TOL`` relative to |psi|.
+A call with dense h0 and h1 (the adiabatic sweep's 17-state sector) runs
+the core on the full vector, since reducing it would only change rounding.
+Every other call first closes psi under h0 (and h1): each new direction h v
+is orthogonalized against the space so far (classical Gram-Schmidt, done
+twice) and kept unless it is rounding.  The storage states are symmetric,
+so that space is tiny: the 129-state sweep sector of two quanta reduces to
+6 states, the 2,325-state transfer sector of 24 atoms to 4.  The core then
+runs on the small dense V^dag h V, and the result is lifted back to the
+sector at every sample.  A closure larger than ``REACHABLE_MAX_DIM`` states
+is refused with a budget error, so there is no second path.  Both ways
+apply the map of stage-by-stage RK4, up to rounding.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import BudgetExceededError, IntegrationError
 from .states import AtomConfig, JointLabel, SparseKet, StateSpace
 
 
@@ -389,73 +381,57 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
         start = stop
 
 
-# Krylov vectors one control-free power may build.  A stretch whose error
-# estimate is still above KRYLOV_TOL at this size applies only a half of
-# its steps (halved again if need be) on the capped space and starts a new
-# space for the rest.  The estimate of a power of j steps on m vectors is
-# exactly 0 once 4 j + 2 <= m (R^j has degree 4 j), so at 40 vectors at
-# least 9 steps are taken.
-KRYLOV_MAX_DIM = 40
-# Bound on the a-posteriori error estimate of a Krylov power, relative to
-# the norm of the vector it starts from.
-KRYLOV_TOL = 1e-14
+# States the reachable subspace of one call may have; a call whose closure
+# needs more is refused rather than run on the full sector.
+REACHABLE_MAX_DIM = 512
+# A new direction joins the reachable subspace only if its part orthogonal
+# to the subspace exceeds this fraction of the largest |h v| seen for that
+# operator.  What Gram-Schmidt leaves of a direction already in the space is
+# rounding, 1e-16 to 1e-15 of |h v| in the sectors here.  The symmetric
+# states close on the same few states at 1e-14 and at 1e-13, but at 1e-14
+# a random state in the 24-atom transfer sector keeps 14 states, not 9.
+REACHABLE_TOL = 1e-13
 
 
-def _step_polynomial(z: np.ndarray) -> np.ndarray:
-    """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of a square matrix: the map
-    of one RK4 step of psi' = A psi at z = dt A."""
-    eye = np.eye(len(z), dtype=complex)
-    r = eye + z / 4.0
-    r = eye + (z / 3.0) @ r
-    r = eye + (z / 2.0) @ r
-    return eye + z @ r
+def _reachable_subspace(ops: Sequence[np.ndarray | SparseOperator],
+                        psi: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(V, [V^dag h V for h in ops]): orthonormal rows V spanning the closure
+    of ``psi`` under ``ops``.
 
-
-def _krylov_stretch(h0: np.ndarray | SparseOperator, psi: np.ndarray,
-                    dt: float, n_steps: int) -> tuple[np.ndarray, int]:
-    """(R(-i dt h0)^j psi, j) on the Krylov space of ``psi``.
-
-    Arnoldi with classical Gram-Schmidt done twice builds the orthonormal
-    basis V_m (first vector psi / |psi|) and the Hessenberg matrix H_m, so
-    that R(-i dt h0)^j psi ~ |psi| V_m R(-i dt H_m)^j e_1.  The space grows
-    until h_{m+1,m} |(R(-i dt H_m)^j e_1)_m| <= KRYLOV_TOL or m reaches the
-    dimension (then the result is exact).  j is ``n_steps`` unless the cap
-    ``KRYLOV_MAX_DIM`` is reached first; then j halves until the estimate
-    passes on the capped space.  Nothing assumes h0 Hermitian.
+    The first row is psi / |psi| (psi itself if it is zero).  Each row v in
+    turn is mapped by every operator, and the part of h v orthogonal to the
+    rows so far (classical Gram-Schmidt, done twice) becomes a new row
+    unless its norm is at most ``REACHABLE_TOL`` times the largest |h v| of
+    that operator.  Raises :class:`BudgetExceededError` when the closure
+    needs more than ``REACHABLE_MAX_DIM`` rows.
     """
-    norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
-        return psi, n_steps
     dim = psi.shape[0]
-    m_max = min(dim, KRYLOV_MAX_DIM)
-    hess = np.zeros((m_max + 1, m_max), dtype=complex)
-    vectors = [psi / norm]
-    steps = n_steps
-    for m in range(1, m_max + 1):
-        w = h0 @ vectors[-1]
-        basis = np.array(vectors)
-        for _ in range(2):
-            c = basis.conj() @ w
-            w = w - c @ basis
-            hess[:m, m - 1] += c
-        beta = float(np.linalg.norm(w))
-        hess[m, m - 1] = beta
-        step = _step_polynomial(-1j * dt * hess[:m, :m])
-        y = np.linalg.matrix_power(step, steps)[:, 0]
-        if m == dim or beta * abs(y[-1]) <= KRYLOV_TOL:
-            break
-        if m == m_max:
-            while steps > 1 and beta * abs(y[-1]) > KRYLOV_TOL:
-                steps //= 2
-                y = np.linalg.matrix_power(step, steps)[:, 0]
-            break
-        vectors.append(w / beta)
-    # psi itself stands for the first basis vector times |psi|, so a power
-    # that leaves e_1 alone (a zero operator, dt = 0) returns psi exactly
-    out = psi * y[0]
-    if m > 1:
-        out = out + norm * (y[1:] @ basis[1:])
-    return out, steps
+    norm = np.linalg.norm(psi)
+    basis = np.empty((max(1, min(dim, REACHABLE_MAX_DIM)), dim), dtype=complex)
+    basis[0] = psi / norm if norm else psi
+    images: list[list[np.ndarray]] = [[] for _ in ops]
+    scales = [0.0] * len(ops)
+    m, j = 1, 0
+    while j < m:
+        for i, h in enumerate(ops):
+            w = h @ basis[j]
+            images[i].append(w)
+            scales[i] = max(scales[i], float(np.linalg.norm(w)))
+            for _ in range(2):
+                w = w - (basis[:m].conj() @ w) @ basis[:m]
+            beta = float(np.linalg.norm(w))
+            if beta <= REACHABLE_TOL * scales[i] or m == dim:
+                continue
+            if m == REACHABLE_MAX_DIM:
+                raise BudgetExceededError(
+                    f"the space reachable from psi0 has more than "
+                    f"REACHABLE_MAX_DIM = {REACHABLE_MAX_DIM} of the {dim} "
+                    f"states of the sector; refusing to propagate it")
+            basis[m] = w / beta
+            m += 1
+        j += 1
+    basis = basis[:m]
+    return basis, [basis.conj() @ np.array(image).T for image in images]
 
 
 def _integer(name: str, value) -> int:
@@ -486,15 +462,17 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
     ``n_steps`` must be a nonnegative integer, ``sample_every`` an integer
     and ``dt`` finite.
 
-    Without ``h1`` the operator is constant, so the k steps between two
-    samples are the one map psi <- R(-i dt h0)^k psi, R the RK4 step
-    polynomial; it is evaluated on the Krylov space of psi (Arnoldi, no
-    Hermiticity assumed) to a relative error estimate of ``KRYLOV_TOL``,
-    with a few matvecs per stretch instead of four per step.  With dense
-    ``h0`` and ``h1`` the step is compiled: its increment is formed as a
-    matrix from the control samples, block by block, and applied with one
-    matvec per step.  Both agree with the stage loop up to rounding (see
-    the module docstring); sparse controlled calls run the stage loop.
+    Dense ``h0`` and ``h1`` run the compiled step on the full vector: the
+    increment of each step is formed as a matrix from its control samples,
+    block by block, and applied with one matvec.  Every other call runs on
+    the subspace reachable from ``psi0`` (its closure under ``h0`` and
+    ``h1``, refused with :class:`BudgetExceededError` above
+    ``REACHABLE_MAX_DIM`` states), with the small dense V^dag h V: a
+    controlled call runs the compiled step there, and a control-free one
+    takes the k steps between two samples as one power (I + D0)^k of the
+    step map.  The result is lifted back to the sector at every sample and
+    at the end.  All of these apply the map of stage-by-stage RK4, up to
+    rounding (see the module docstring).
     """
     n_steps = _integer("n_steps", n_steps)
     sample_every = _integer("sample_every", sample_every)
@@ -531,33 +509,35 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
         on_sample(0, 0.0, psi)
         stops = list(range(sample_every, n_steps, sample_every))
         stops += [n_steps] if n_steps else []
-    if h1 is None:
-        start = 0
-        for stop in stops:
-            steps = stop - start
-            while steps:
-                psi, done = _krylov_stretch(h0, psi, dt, steps)
-                steps -= done
-            if on_sample is not None:
-                on_sample(stop, stop * dt, psi)
-            start = stop
+    if not stops:
         return psi
     if isinstance(h0, np.ndarray) and isinstance(h1, np.ndarray):
         _rk4_compiled(h0, h1, psi, dt, u, stops, on_sample)
         return psi
 
-    def deriv(v, ui):
-        return -1j * (h0 @ v + ui * (h1 @ v))
+    basis, reduced = _reachable_subspace((h0,) if h1 is None else (h0, h1),
+                                         psi)
+    norm = np.linalg.norm(psi)
 
-    half = 0.5 * dt
-    for step in range(n_steps):
-        u0, um, u1 = u[2 * step], u[2 * step + 1], u[2 * step + 2]
-        k1 = deriv(psi, u0)
-        k2 = deriv(psi + half * k1, um)
-        k3 = deriv(psi + half * k2, um)
-        k4 = deriv(psi + dt * k3, u1)
-        psi += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if on_sample is not None and (
-                (step + 1) % sample_every == 0 or step == n_steps - 1):
-            on_sample(step + 1, (step + 1) * dt, psi)
-    return psi
+    def lift(y):
+        # y is in units of |psi| and psi stands for |psi| times the first
+        # basis vector, so a map that leaves e_1 alone returns psi exactly
+        return psi * y[0] + norm * (y[1:] @ basis[1:])
+
+    y = np.zeros(len(basis), dtype=complex)
+    y[0] = 1.0
+    if h1 is not None:
+        _rk4_compiled(*reduced, y, dt, u, stops, None if on_sample is None
+                      else lambda step, t, v: on_sample(step, t, lift(v)))
+        return lift(y)
+    # D0, the u-independent term (first in _STEP_MONOMIALS), is the whole
+    # increment of a control-free step
+    step = np.eye(len(y)) + _rk4_step_terms(
+        reduced[0], np.zeros_like(reduced[0]), dt)[0]
+    start = 0
+    for stop in stops:
+        y = np.linalg.matrix_power(step, stop - start) @ y
+        if on_sample is not None:
+            on_sample(stop, stop * dt, lift(y))
+        start = stop
+    return lift(y)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from coldstore import (
     BosonicState,
+    BudgetExceededError,
     EitParams,
     Geometry,
     IntegrationError,
@@ -317,6 +318,76 @@ def test_compiled_rk4_step_matches_the_stage_loop_oracle(sweep_problem,
     assert abs(drift - expected_drift) <= 1e-15
 
 
+@pytest.fixture(scope="module")
+def sparse_sweep_problem():
+    """The sweep's 129-state sector of N=8 with two quanta as sparse
+    operators, starting from two photons, with a schedule clamped at
+    50 g sqrt(N) over duration_coupling 1 (5,000 steps); the stage-by-stage
+    reference runs on the dense operator_matrix forms, sampled every step."""
+    params = EitParams(Geometry.lattice(8, 0.5),
+                       ModeSet(1.9, 0.7, (0.0,), "raman", fock_cap=2),
+                       1.0, rabi=0.0)
+    space = joint_space(params, 2)
+    basis = enumerate_sector(space, [2])
+    fns = (lambda k: apply_hamiltonian(k, params, rabi=0.0),
+           lambda k: apply_control_coupling(k, params))
+    h0, h1 = (sector_operator(fn, space, basis) for fn in fns)
+    cc = params.collective_coupling
+    ramp = RampSchedule(0.0, math.pi / 2, 1.0 / cc)
+    rabi_max = 50.0 * cc
+    dt, n_steps = step_grid(ramp.duration, sweep_time_step(params, rabi_max))
+    control = control_amplitude(
+        cc, ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
+        rabi_max)
+    index = {label: i for i, label in enumerate(basis)}
+    psi0 = ket_to_vector(with_field_occupation(vacuum(space), (2,)), index)
+    reference = rk4_stage_loop(*(operator_matrix(fn, space, basis)
+                                 for fn in fns), psi0, dt, control, 1)
+    return h0, h1, psi0, dt, n_steps, control, reference
+
+
+@pytest.mark.parametrize("sample_every", [97, 10_000])
+def test_sparse_sector_sweep_matches_the_stage_loop_oracle(
+        sparse_sweep_problem, sample_every):
+    h0, h1, psi0, dt, n_steps, control, reference = sparse_sweep_problem
+    assert isinstance(h0, SparseOperator) and h0.shape == (129, 129)
+    assert isinstance(h1, SparseOperator)
+    assert n_steps == 5_000
+    seen = []
+    psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1, control=control,
+                        sample_every=sample_every,
+                        on_sample=lambda step, t, v: seen.append(
+                            (step, t, v.copy())))
+    steps = sorted({*range(0, n_steps, sample_every), n_steps})
+    assert [(step, t) for step, t, _v in seen] == \
+        [reference[step][:2] for step in steps]
+    for (step, _t, v) in seen:
+        assert_allclose(v, reference[step][2], rtol=0, atol=1e-12)
+    assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-12)
+
+
+def test_a_reachable_space_above_the_cap_is_refused():
+    # a random Hermitian tridiagonal matrix: the closure of a random state
+    # under it is all 600 states
+    rng = np.random.default_rng(17)
+    dim = 600
+    assert propagate.REACHABLE_MAX_DIM < dim
+    off = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+    h = SparseOperator(np.r_[np.arange(dim), np.arange(dim - 1),
+                             np.arange(1, dim)],
+                       np.r_[np.arange(dim), np.arange(1, dim),
+                             np.arange(dim - 1)],
+                       np.r_[rng.normal(size=dim), off, off.conj()], dim)
+    seen = []
+    for h1 in (None, h):
+        with pytest.raises(BudgetExceededError) as info:
+            rk4_propagate(h, random_vector(rng, dim), 0.01, 10, h1=h1,
+                          on_sample=lambda step, t, v: seen.append(step))
+        assert f"{propagate.REACHABLE_MAX_DIM}" in str(info.value)
+        assert f"{dim} states" in str(info.value)
+    assert seen == [0, 0]
+
+
 class _NoControl:
     """h1 = 0 for the stage-loop oracle, with no dim^2 array behind it."""
 
@@ -385,23 +456,13 @@ def test_krylov_power_matches_the_stage_loop_off_hermitian():
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_krylov_power_splits_a_stretch_at_the_cap(monkeypatch):
+def test_control_free_rk4_matches_the_stage_loop_at_rho_t_79():
     rng = np.random.default_rng(14)
     a = rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
     h = a + a.conj().T
     h /= np.max(np.abs(np.linalg.eigvalsh(h)))      # spectral radius 1
     psi0 = random_vector(rng, 200)
-    stretches = []
-    original = propagate._krylov_stretch
-
-    def counted(h0, psi, dt, n_steps):
-        out, done = original(h0, psi, dt, n_steps)
-        stretches.append(done)
-        return out, done
-
-    monkeypatch.setattr(propagate, "_krylov_stretch", counted)
     got = rk4_propagate(h, psi0, 0.1, 790)           # rho t = 79
-    assert len(stretches) > 1 and sum(stretches) == 790
     assert_allclose(got, control_free_oracle(h, psi0, 0.1, 790),
                     rtol=0, atol=1e-12)
 

@@ -238,108 +238,84 @@ class Report:
 
 @dataclass(frozen=True)
 class Field:
+    """One config key; its default sets the type the key takes.
+
+    An int default takes integers, a float default finite numbers and a str
+    default a string.  A list default takes a list of at least ``min_len``
+    entries, each typed like its first entry, so ``[[1, 1], [2, 1]]`` takes
+    pairs of integers.  A ``None`` default takes null or an integer.
+    ``options``, if given, lists the values allowed; ``lo``, ``hi`` and
+    ``positive`` bound a number.  Both apply to every entry of a list.
+    """
     default: object
-    describe: str
-    validate: Callable[[object], str | None]
+    lo: float | None = None
+    hi: float | None = None
+    positive: bool = False
+    options: tuple = ()
+    min_len: int = 1
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _f_float(lo=None, hi=None, positive=False):
-    def check(v):
-        if not _is_number(v):
-            return "must be a number"
-        if positive and v <= 0:
-            return "must be positive"
-        if lo is not None and v < lo:
-            return f"must be >= {lo}"
-        if hi is not None and v > hi:
-            return f"must be <= {hi}"
+def _broken_rule(fld: Field, v) -> str | None:
+    """The first rule of ``fld`` that ``v`` breaks, or None."""
+    like = fld.default
+    if not isinstance(like, list):
+        return _broken_entry_rule(fld, like, v)
+    if not isinstance(v, (list, tuple)) or len(v) < fld.min_len:
+        return f"must be a list with at least {fld.min_len} element(s)"
+    like = like[0]
+    if isinstance(like, list):  # entries of a fixed length, such as pairs
+        if any(not isinstance(x, (list, tuple)) or len(x) != len(like)
+               for x in v):
+            return f"each element must be a list of {len(like)}"
+        like, v = like[0], [y for x in v for y in x]
+    errs = (_broken_entry_rule(fld, like, x) for x in v)
+    return next(("each element " + err for err in errs if err), None)
+
+
+def _broken_entry_rule(fld: Field, like, v) -> str | None:
+    if like is None and v is None:
         return None
-    return Field(None, "number", check)
-
-
-def _f_int(lo=None, hi=None):
-    def check(v):
-        if not isinstance(v, int) or isinstance(v, bool):
-            return "must be an integer"
-        if lo is not None and v < lo:
-            return f"must be >= {lo}"
-        if hi is not None and v > hi:
-            return f"must be <= {hi}"
-        return None
-    return Field(None, "integer", check)
-
-
-def _f_str(*options):
-    def check(v):
+    if isinstance(like, str):
         if not isinstance(v, str):
             return "must be a string"
-        if options and v not in options:
-            return f"must be one of {options}"
-        return None
-    return Field(None, "string", check)
+    elif isinstance(like, float):
+        if not (_is_int(v) or isinstance(v, float) and math.isfinite(v)):
+            return "must be a finite number"
+    elif not _is_int(v):
+        return "must be an integer" + (" or null" if like is None else "")
+    if fld.options and v not in fld.options:
+        return f"must be one of {fld.options}"
+    if fld.positive and v <= 0:
+        return "must be positive"
+    if fld.lo is not None and v < fld.lo:
+        return f"must be >= {fld.lo}"
+    if fld.hi is not None and v > fld.hi:
+        return f"must be <= {fld.hi}"
+    return None
 
 
-def _f_number_list(min_len=1, element_lo=None):
-    def check(v):
-        if not isinstance(v, (list, tuple)) or len(v) < min_len:
-            return f"must be a list with at least {min_len} element(s)"
-        for x in v:
-            if not _is_number(x):
-                return "elements must be numbers"
-            if element_lo is not None and x < element_lo:
-                return f"elements must be >= {element_lo}"
-        return None
-    return Field(None, "list of numbers", check)
-
-
-def _f_int_list(min_len=1, element_lo=None):
-    def check(v):
-        if not isinstance(v, (list, tuple)) or len(v) < min_len:
-            return f"must be a list with at least {min_len} element(s)"
-        for x in v:
-            if not isinstance(x, int) or isinstance(x, bool):
-                return "elements must be integers"
-            if element_lo is not None and x < element_lo:
-                return f"elements must be >= {element_lo}"
-        return None
-    return Field(None, "list of integers", check)
-
-
-def _f_pairs_list():
-    def check(v):
-        if not isinstance(v, (list, tuple)) or not v:
-            return "must be a non-empty list of [int, int] pairs"
-        for p in v:
-            if (not isinstance(p, (list, tuple)) or len(p) != 2
-                    or any(not isinstance(x, int) or isinstance(x, bool)
-                           or x < 1 for x in p)):
-                return "each entry must be a pair of positive integers"
-        return None
-    return Field(None, "list of integer pairs", check)
-
-
-def _with_default(f: Field, default) -> Field:
-    return Field(default, f.describe, f.validate)
-
-
-def _seed_field() -> Field:
-    def check(v):
-        if v is None:
-            return None
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            return "must be a nonnegative integer or null"
-        return None
-    return Field(None, "seed (nonnegative integer or null)", check)
+def _validate(schema: Mapping[str, Field], given: Mapping, what: str,
+              violations: list) -> dict:
+    """Fill in defaults; append every unknown key and broken rule."""
+    violations.extend(f"{key}: unknown key for {what}"
+                      for key in sorted(given) if key not in schema)
+    out = {}
+    for key, fld in schema.items():
+        v = given.get(key, fld.default)
+        err = key in given and _broken_rule(fld, v)
+        if err:
+            violations.append(f"{key}: {err} (got {v!r})")
+        out[key] = list(v) if isinstance(v, tuple) else v
+    return out
 
 
 _COMMON_FIELDS = {
-    "schema_version": _with_default(_f_int(lo=SCHEMA_VERSION, hi=SCHEMA_VERSION),
-                                    SCHEMA_VERSION),
-    "seed": _seed_field(),
+    "schema_version": Field(SCHEMA_VERSION, options=(SCHEMA_VERSION,)),
+    "seed": Field(None, lo=0),
 }
 
 
@@ -348,24 +324,13 @@ def validate_config(scenario: str, config: Mapping | None) -> dict:
     if scenario not in SCENARIOS:
         raise ConfigError([f"unknown scenario {scenario!r}; available: "
                            + ", ".join(sorted(SCENARIOS))])
-    schema = dict(_COMMON_FIELDS)
-    schema.update(SCENARIOS[scenario].schema)
-    given = dict(config or {})
-    violations = []
-    for key in sorted(given):
-        if key not in schema:
-            violations.append(f"{key}: unknown key for scenario {scenario!r}")
-    out = {}
-    for key, fld in schema.items():
-        if key in given:
-            err = fld.validate(given[key])
-            if err:
-                violations.append(f"{key}: {err} (got {given[key]!r})")
-            else:
-                v = given[key]
-                out[key] = list(v) if isinstance(v, tuple) else v
-        else:
-            out[key] = fld.default
+    violations: list[str] = []
+    out = _validate({**_COMMON_FIELDS, **SCENARIOS[scenario].schema},
+                    dict(config or {}), f"scenario {scenario!r}", violations)
+    lo, hi = out.get("n_atoms_min"), out.get("n_atoms_max")
+    if _is_int(lo) and _is_int(hi) and lo > hi:
+        violations.append(
+            f"n_atoms_min: must be <= n_atoms_max (got {lo!r} > {hi!r})")
     if violations:
         raise ConfigError(violations)
     return out
@@ -379,12 +344,12 @@ def _rng(cfg: Mapping) -> np.random.Generator:
 # -- scenario: verify-ladder -------------------------------------------------
 
 _LADDER_SCHEMA = {
-    "n_atoms_min": _with_default(_f_int(lo=2), 3),
-    "n_atoms_max": _with_default(_f_int(lo=2), 12),
-    "n_max": _with_default(_f_int(lo=1), 3),
-    "spacing": _with_default(_f_float(positive=True), 0.5),
-    "wavevectors": _with_default(_f_number_list(), [0.0, 1.7]),
-    "tolerance": _with_default(_f_float(positive=True), 1e-12),
+    "n_atoms_min": Field(3, lo=2),
+    "n_atoms_max": Field(12, lo=2),
+    "n_max": Field(3, lo=1),
+    "spacing": Field(0.5, positive=True),
+    "wavevectors": Field([0.0, 1.7]),
+    "tolerance": Field(1e-12, positive=True),
 }
 
 
@@ -442,12 +407,12 @@ def _run_verify_ladder(cfg) -> list[CheckRecord]:
 # -- scenario: verify-dicke --------------------------------------------------
 
 _DICKE_SCHEMA = {
-    "n_atoms_min": _with_default(_f_int(lo=2), 2),
-    "n_atoms_max": _with_default(_f_int(lo=2), 10),
-    "n_max": _with_default(_f_int(lo=1), 3),
-    "spacing": _with_default(_f_float(positive=True), 0.5),
-    "wavevector": _with_default(_f_float(), 1.3),
-    "tolerance": _with_default(_f_float(positive=True), 1e-10),
+    "n_atoms_min": Field(2, lo=2),
+    "n_atoms_max": Field(10, lo=2),
+    "n_max": Field(3, lo=1),
+    "spacing": Field(0.5, positive=True),
+    "wavevector": Field(1.3),
+    "tolerance": Field(1e-10, positive=True),
 }
 
 
@@ -493,17 +458,16 @@ def _run_verify_dicke(cfg) -> list[CheckRecord]:
 # -- scenario: commutator-scan ----------------------------------------------
 
 _COMMUTATOR_SCHEMA = {
-    "n_atoms": _with_default(_f_int(lo=2), 64),
-    "spacing": _with_default(_f_float(positive=True), 0.5),
-    "n_pairs": _with_default(_f_int(lo=1), 10),
-    "max_kd": _with_default(_f_float(positive=True), 0.2),
-    "base_kd": _with_default(_f_float(lo=0.0), 0.1),
-    "identity_tolerance": _with_default(_f_float(positive=True), 1e-12),
-    "distant_bound": _with_default(_f_float(positive=True), 0.05),
-    "min_dk_length": _with_default(_f_float(positive=True), 40.0),
-    "dk_length_grid": _with_default(
-        _f_number_list(), [40.0, 41.0, 44.0, 50.0, 60.0, 80.0, 120.0,
-                           200.0, 300.0]),
+    "n_atoms": Field(64, lo=2),
+    "spacing": Field(0.5, positive=True),
+    "n_pairs": Field(10, lo=1),
+    "max_kd": Field(0.2, positive=True),
+    "base_kd": Field(0.1, lo=0.0),
+    "identity_tolerance": Field(1e-12, positive=True),
+    "distant_bound": Field(0.05, positive=True),
+    "min_dk_length": Field(40.0, positive=True),
+    "dk_length_grid": Field([40.0, 41.0, 44.0, 50.0, 60.0, 80.0, 120.0,
+                            200.0, 300.0]),
 }
 
 
@@ -576,15 +540,15 @@ def _run_commutator_scan(cfg) -> list[CheckRecord]:
 # -- scenario: mode-conditions -----------------------------------------------
 
 _MODE_SCHEMA = {
-    "wavelength": _with_default(_f_float(positive=True), 589.6e-9),
-    "length": _with_default(_f_float(positive=True), 339e-6),
-    "expected_spacing": _with_default(_f_float(positive=True), 0.163e-9),
-    "spacing_tolerance": _with_default(_f_float(positive=True), 0.001e-9),
-    "n_atoms": _with_default(_f_int(lo=2), 100_000),
-    "n_max": _with_default(_f_int(lo=1), 2),
-    "transition": _with_default(_f_str("raman", "cascade"), "raman"),
-    "detunings": _with_default(_f_number_list(min_len=1), [0.0, 1.0e5]),
-    "min_ratio": _with_default(_f_float(positive=True), 10.0),
+    "wavelength": Field(589.6e-9, positive=True),
+    "length": Field(339e-6, positive=True),
+    "expected_spacing": Field(0.163e-9, positive=True),
+    "spacing_tolerance": Field(0.001e-9, positive=True),
+    "n_atoms": Field(100_000, lo=2),
+    "n_max": Field(2, lo=1),
+    "transition": Field("raman", options=("raman", "cascade")),
+    "detunings": Field([0.0, 1.0e5]),
+    "min_ratio": Field(10.0, positive=True),
 }
 
 
@@ -631,21 +595,19 @@ def _run_mode_conditions(cfg) -> list[CheckRecord]:
 # -- scenario: dark-residual --------------------------------------------------
 
 _DARK_SCHEMA = {
-    "n_atoms_list": _with_default(_f_int_list(element_lo=2), [4, 8]),
-    "n_list": _with_default(_f_int_list(element_lo=1), [1, 2]),
-    "thetas": _with_default(_f_number_list(),
-                            [math.pi / 6, math.pi / 4, math.pi / 3]),
-    "g": _with_default(_f_float(positive=True), 1.0),
-    "spacing": _with_default(_f_float(positive=True), 0.5),
-    "k_signal": _with_default(_f_float(), 1.9),
-    "k_control": _with_default(_f_float(), 0.7),
-    "transition": _with_default(_f_str("raman", "cascade"), "raman"),
-    "q": _with_default(_f_float(), 0.0),
-    "exact_tolerance": _with_default(_f_float(positive=True), 1e-10),
-    "approx_n_atoms": _with_default(_f_int_list(min_len=2, element_lo=2),
-                                    [8, 16]),
-    "approx_n": _with_default(_f_int(lo=1), 2),
-    "approx_theta": _with_default(_f_float(), math.pi / 4),
+    "n_atoms_list": Field([4, 8], lo=2),
+    "n_list": Field([1, 2], lo=1),
+    "thetas": Field([math.pi / 6, math.pi / 4, math.pi / 3]),
+    "g": Field(1.0, positive=True),
+    "spacing": Field(0.5, positive=True),
+    "k_signal": Field(1.9),
+    "k_control": Field(0.7),
+    "transition": Field("raman", options=("raman", "cascade")),
+    "q": Field(0.0),
+    "exact_tolerance": Field(1e-10, positive=True),
+    "approx_n_atoms": Field([8, 16], min_len=2, lo=2),
+    "approx_n": Field(2, lo=1),
+    "approx_theta": Field(math.pi / 4),
 }
 
 
@@ -702,23 +664,23 @@ def _run_dark_residual(cfg) -> list[CheckRecord]:
 # -- scenario: adiabatic-sweep -------------------------------------------------
 
 _SWEEP_SCHEMA = {
-    "n_atoms": _with_default(_f_int(lo=2), 8),
-    "n_quanta": _with_default(_f_int(lo=1), 1),
-    "g": _with_default(_f_float(positive=True), 1.0),
-    "spacing": _with_default(_f_float(positive=True), 0.5),
-    "k_signal": _with_default(_f_float(), 1.9),
-    "k_control": _with_default(_f_float(), 0.7),
-    "transition": _with_default(_f_str("raman", "cascade"), "raman"),
-    "q": _with_default(_f_float(), 0.0),
-    "duration_coupling": _with_default(_f_float(positive=True), 200.0),
-    "fast_duration_coupling": _with_default(_f_float(positive=True), 0.1),
-    "rabi_cap_factor": _with_default(_f_float(positive=True), 50.0),
-    "shape": _with_default(_f_str("smooth-cosine", "linear"), "smooth-cosine"),
-    "min_fidelity": _with_default(_f_float(lo=0.0, hi=1.0), 0.999),
-    "fast_max_fidelity": _with_default(_f_float(lo=0.0, hi=1.0), 0.9),
-    "norm_drift_tolerance": _with_default(_f_float(positive=True), 1e-8),
-    "record_every": _with_default(_f_int(lo=0), 0),
-    "trajectory_out": _with_default(_f_str(), ""),
+    "n_atoms": Field(8, lo=2),
+    "n_quanta": Field(1, lo=1),
+    "g": Field(1.0, positive=True),
+    "spacing": Field(0.5, positive=True),
+    "k_signal": Field(1.9),
+    "k_control": Field(0.7),
+    "transition": Field("raman", options=("raman", "cascade")),
+    "q": Field(0.0),
+    "duration_coupling": Field(200.0, positive=True),
+    "fast_duration_coupling": Field(0.1, positive=True),
+    "rabi_cap_factor": Field(50.0, positive=True),
+    "shape": Field("smooth-cosine", options=("smooth-cosine", "linear")),
+    "min_fidelity": Field(0.999, lo=0.0, hi=1.0),
+    "fast_max_fidelity": Field(0.9, lo=0.0, hi=1.0),
+    "norm_drift_tolerance": Field(1e-8, positive=True),
+    "record_every": Field(0, lo=0),
+    "trajectory_out": Field(""),
 }
 
 
@@ -788,16 +750,15 @@ def _run_adiabatic_sweep(cfg) -> list[CheckRecord]:
 # -- scenario: dynamic-transfer ------------------------------------------------
 
 _TRANSFER_SCHEMA = {
-    "m_max": _with_default(_f_int(lo=1), 3),
-    "checkpoint_tolerance": _with_default(_f_float(positive=True), 1e-10),
-    "numeric_tolerance": _with_default(_f_float(positive=True), 1e-8),
-    "n_atoms_list": _with_default(_f_int_list(min_len=2, element_lo=2),
-                                  [4, 8, 16]),
-    "deviation_m": _with_default(_f_int(lo=1), 2),
-    "rabi": _with_default(_f_float(positive=True), 1.0),
-    "spacing": _with_default(_f_float(positive=True), 0.5),
-    "wavevector": _with_default(_f_float(), 0.0),
-    "purity_grid": _with_default(_f_int(lo=8), 64),
+    "m_max": Field(3, lo=1),
+    "checkpoint_tolerance": Field(1e-10, positive=True),
+    "numeric_tolerance": Field(1e-8, positive=True),
+    "n_atoms_list": Field([4, 8, 16], min_len=2, lo=2),
+    "deviation_m": Field(2, lo=1),
+    "rabi": Field(1.0, positive=True),
+    "spacing": Field(0.5, positive=True),
+    "wavevector": Field(0.0),
+    "purity_grid": Field(64, lo=8),
 }
 
 
@@ -925,9 +886,9 @@ def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
 # -- scenario: swap ------------------------------------------------------------
 
 _SWAP_SCHEMA = {
-    "max_quanta": _with_default(_f_int(lo=1), 3),
-    "n_trials": _with_default(_f_int(lo=1), 5),
-    "tolerance": _with_default(_f_float(positive=True), 1e-10),
+    "max_quanta": Field(3, lo=1),
+    "n_trials": Field(5, lo=1),
+    "tolerance": Field(1e-10, positive=True),
 }
 
 
@@ -963,16 +924,16 @@ def _run_swap(cfg) -> list[CheckRecord]:
 # -- scenario: normalization-audit ---------------------------------------------
 
 _AUDIT_SCHEMA = {
-    "n_atoms_min": _with_default(_f_int(lo=2), 2),
-    "n_atoms_max": _with_default(_f_int(lo=2), 12),
-    "n_max": _with_default(_f_int(lo=1), 3),
-    "spacing": _with_default(_f_float(positive=True), 0.5),
-    "wavevector": _with_default(_f_float(), 1.7),
-    "route_tolerance": _with_default(_f_float(positive=True), 1e-12),
-    "audit_n_atoms": _with_default(_f_int(lo=2), 8),
-    "audit_occupancies": _with_default(_f_pairs_list(), [[1, 1], [2, 1]]),
-    "audit_wavevectors": _with_default(_f_number_list(min_len=2), [1.3, 2.9]),
-    "audit_tolerance": _with_default(_f_float(positive=True), 1e-12),
+    "n_atoms_min": Field(2, lo=2),
+    "n_atoms_max": Field(12, lo=2),
+    "n_max": Field(3, lo=1),
+    "spacing": Field(0.5, positive=True),
+    "wavevector": Field(1.7),
+    "route_tolerance": Field(1e-12, positive=True),
+    "audit_n_atoms": Field(8, lo=2),
+    "audit_occupancies": Field([[1, 1], [2, 1]], lo=1),
+    "audit_wavevectors": Field([1.3, 2.9], min_len=2),
+    "audit_tolerance": Field(1e-12, positive=True),
 }
 
 
@@ -1103,10 +1064,8 @@ def _write_report(report: Report, out_dir, fmt: str, stem: str) -> list[Path]:
 
 # -- parameter scans -------------------------------------------------------------
 
-_SCAN_OWN_KEYS = ("schema_version", "seed", "scenario", "grid", "base",
-                  "budget")
-
-_DEFAULT_BUDGET = 500_000
+# "scenario", "grid" and "base" are checked in validate_scan_config
+_SCAN_FIELDS = {**_COMMON_FIELDS, "budget": Field(500_000, lo=1)}
 
 
 def _estimate_cost(scenario: str, cfg: dict) -> int:
@@ -1149,27 +1108,16 @@ def _estimate_cost(scenario: str, cfg: dict) -> int:
 
 def validate_scan_config(config: Mapping | None) -> dict:
     given = dict(config or {})
-    violations = []
-    for key in sorted(given):
-        if key not in _SCAN_OWN_KEYS:
-            violations.append(f"{key}: unknown key for scan")
-    scenario = given.get("scenario")
+    scenario = given.pop("scenario", None)
+    grid = given.pop("grid", {})
+    base = given.pop("base", {})
+    violations: list[str] = []
+    own = _validate(_SCAN_FIELDS, given, "scan", violations)
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
         violations.append(
             "scenario: must name a known scenario, one of "
             + ", ".join(sorted(SCENARIOS)))
         raise ConfigError(violations)
-    sv = given.get("schema_version", SCHEMA_VERSION)
-    if sv != SCHEMA_VERSION:
-        violations.append(f"schema_version: must be {SCHEMA_VERSION}")
-    seed = given.get("seed")
-    if seed is not None and (not isinstance(seed, int)
-                             or isinstance(seed, bool) or seed < 0):
-        violations.append("seed: must be a nonnegative integer or null")
-    budget = given.get("budget", _DEFAULT_BUDGET)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget <= 0:
-        violations.append("budget: must be a positive integer")
-    grid = given.get("grid", {})
     if not isinstance(grid, dict) or not grid:
         violations.append("grid: must be a non-empty object of "
                           "parameter -> list of values")
@@ -1180,19 +1128,18 @@ def validate_scan_config(config: Mapping | None) -> dict:
             violations.append(f"grid.{key}: not a parameter of {scenario!r}")
         elif not isinstance(values, list) or not values:
             violations.append(f"grid.{key}: must be a non-empty list")
-    base = given.get("base", {})
     if not isinstance(base, dict):
         violations.append("base: must be an object of parameter overrides")
         base = {}
     if violations:
         raise ConfigError(violations)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
+        "schema_version": own["schema_version"],
+        "seed": own["seed"],
         "scenario": scenario,
         "grid": {k: list(v) for k, v in grid.items()},
         "base": dict(base),
-        "budget": budget,
+        "budget": own["budget"],
     }
 
 

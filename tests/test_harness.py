@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -194,3 +195,140 @@ def test_cli_seed_override(tmp_path):
     payload = json.loads(next(p for p in tmp_path.iterdir()
                               if p.suffix == ".json").read_text())
     assert payload["config"]["seed"] == 11
+
+
+# One accepted and one rejected value per rule kind, as
+# (scenario, key, value, accepted).
+RULE_CASES = [
+    # integer
+    ("swap", "n_trials", 2, True),
+    ("swap", "n_trials", "2", False),
+    ("swap", "n_trials", 0, False),
+    # float, bounded float, positive
+    ("dark-residual", "q", -0.5, True),
+    ("dark-residual", "q", "0", False),
+    ("adiabatic-sweep", "min_fidelity", 1.0, True),
+    ("adiabatic-sweep", "min_fidelity", 1.01, False),
+    ("adiabatic-sweep", "min_fidelity", -0.1, False),
+    ("swap", "tolerance", 1e-3, True),
+    ("swap", "tolerance", 0.0, False),
+    # options, free string
+    ("adiabatic-sweep", "shape", "linear", True),
+    ("adiabatic-sweep", "shape", "cubic", False),
+    ("adiabatic-sweep", "trajectory_out", "trajectory.csv", True),
+    ("adiabatic-sweep", "trajectory_out", 3, False),
+    # number list
+    ("verify-ladder", "wavevectors", [0.5, 2], True),
+    ("verify-ladder", "wavevectors", [], False),
+    ("verify-ladder", "wavevectors", ["a"], False),
+    # integer list with an entry bound
+    ("dark-residual", "n_atoms_list", [2, 5], True),
+    ("dark-residual", "n_atoms_list", [1, 5], False),
+    ("dark-residual", "n_atoms_list", [2.0], False),
+    # min_len 2
+    ("dynamic-transfer", "n_atoms_list", [4, 8], True),
+    ("dynamic-transfer", "n_atoms_list", [4], False),
+    # pairs
+    ("normalization-audit", "audit_occupancies", [[1, 2], [3, 1]], True),
+    ("normalization-audit", "audit_occupancies", [[1, 2, 3]], False),
+    ("normalization-audit", "audit_occupancies", [[0, 1]], False),
+    ("normalization-audit", "audit_occupancies", [1, 1], False),
+    # seed, schema_version
+    ("swap", "seed", None, True),
+    ("swap", "seed", 0, True),
+    ("swap", "seed", -1, False),
+    ("swap", "seed", 1.0, False),
+    ("swap", "schema_version", 1, True),
+    ("swap", "schema_version", 2, False),
+    # a bool is not an integer, an integer is a number, 0.5 is not an integer
+    ("swap", "n_trials", True, False),
+    ("swap", "tolerance", 1, True),
+    ("swap", "n_trials", 0.5, False),
+]
+
+
+@pytest.mark.parametrize("scenario,key,value,accepted", RULE_CASES)
+def test_config_rule_table(scenario, key, value, accepted):
+    if accepted:
+        cfg = validate_config(scenario, {key: value})
+        assert cfg[key] == value
+        assert type(cfg[key]) is type(value)
+        return
+    with pytest.raises(ConfigError) as err:
+        validate_config(scenario, {key: value})
+    (violation,) = err.value.violations
+    assert violation.startswith(f"{key}: ")
+    assert violation.endswith(f"(got {value!r})")
+
+
+def test_a_tuple_is_validated_as_a_list():
+    cfg = validate_config("verify-ladder", {"wavevectors": (0.0, 1.0)})
+    assert cfg["wavevectors"] == [0.0, 1.0]
+    assert type(cfg["wavevectors"]) is list
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_explicit_defaults_validate_like_no_config(scenario):
+    defaults = {key: fld.default
+                for key, fld in SCENARIOS[scenario].schema.items()}
+    assert validate_config(scenario, defaults) == validate_config(scenario,
+                                                                  None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_refused(tmp_path, bad):
+    with pytest.raises(ConfigError, match="tolerance"):
+        validate_config("verify-ladder", {"tolerance": bad})
+    with pytest.raises(ConfigError, match="wavevectors"):
+        validate_config("verify-ladder", {"wavevectors": [0.0, bad]})
+    with pytest.raises(ConfigError, match="tolerance"):
+        scan({"scenario": "swap", "base": {"tolerance": bad},
+              "grid": {"n_trials": [1]}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_trials": 1, "tolerance": bad}))
+    proc = cli("swap", "--config", str(cfg), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "tolerance" in proc.stderr
+    assert not any(p.suffix == ".json" and p.name != "cfg.json"
+                   for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scenario", ["verify-ladder", "verify-dicke",
+                                      "normalization-audit"])
+def test_an_empty_atom_range_is_refused(scenario):
+    with pytest.raises(ConfigError) as err:
+        validate_config(scenario, {"n_atoms_min": 12, "n_atoms_max": 3})
+    assert len(err.value.violations) == 1
+    assert "n_atoms_min" in err.value.violations[0]
+    assert "n_atoms_max" in err.value.violations[0]
+    validate_config(scenario, {"n_atoms_min": 4, "n_atoms_max": 4})
+
+
+def test_cli_refuses_an_empty_atom_range(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_atoms_min": 12, "n_atoms_max": 3}')
+    proc = cli("verify-dicke", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "n_atoms_min" in proc.stderr
+    assert "PASS" not in proc.stdout
+
+
+@pytest.mark.parametrize("key,value,accepted", [
+    ("budget", 10, True),
+    ("budget", 0, False),
+    ("budget", 1.5, False),
+    ("seed", 3, True),
+    ("seed", -1, False),
+    ("schema_version", 1, True),
+    ("schema_version", 2, False),
+    ("schema_version", True, False),
+])
+def test_scan_rule_table(key, value, accepted):
+    cfg = {"scenario": "swap", "grid": {"n_trials": [1]}, key: value}
+    if accepted:
+        assert validate_scan_config(cfg)[key] == value
+        return
+    with pytest.raises(ConfigError) as err:
+        validate_scan_config(cfg)
+    (violation,) = err.value.violations
+    assert violation.startswith(f"{key}: ")

@@ -309,8 +309,14 @@ def _validate(schema: Mapping[str, Field], given: Mapping, what: str,
         err = key in given and _broken_rule(fld, v)
         if err:
             violations.append(f"{key}: {err} (got {v!r})")
-        out[key] = list(v) if isinstance(v, tuple) else v
+        out[key] = _copied(v) if isinstance(v, (list, tuple)) else v
     return out
+
+
+def _copied(values) -> list:
+    """A new list of ``values``, with every list inside it copied too, so a
+    config shares no list with the schema's defaults or the caller."""
+    return [_copied(x) if isinstance(x, list) else x for x in values]
 
 
 _COMMON_FIELDS = {

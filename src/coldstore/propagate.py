@@ -12,24 +12,27 @@ three quanta), so :func:`sector_operator` keeps a small sector as a dense
 matrix and a large one as a :class:`SparseOperator`, whose non-zeros are a
 fraction of a percent of its dim^2 entries.
 
-:func:`rk4_propagate` has one RK4 core.  One step is psi <- psi + D psi,
-where the increment D is a fixed polynomial in the step's three control
-samples; its 12 coefficient matrices are built once per call, every D of a
-block of steps comes out of one matrix product, and each step is then a
-single matvec.  Without a control D is its u-independent term D0, constant,
-so the k steps between two samples are the one power (I + D0)^k.
+:func:`rk4_propagate` first closes psi under h0 (and h1): each new
+direction h v is orthogonalized against the space so far (classical
+Gram-Schmidt, done twice) and kept unless it is rounding.  The storage
+states are symmetric, so that space is tiny: the 17-state sweep sector of
+one quantum reduces to 3 states, the 129-state one of two quanta to 6, the
+2,325-state transfer sector of 24 atoms to 4.  A closure larger than
+``REACHABLE_MAX_DIM`` states is refused with a budget error, so there is no
+second path.  The RK4 core runs on the small dense V^dag h V, and the
+result is lifted back to the sector at every sample.
 
-A call with dense h0 and h1 (the adiabatic sweep's 17-state sector) runs
-the core on the full vector, since reducing it would only change rounding.
-Every other call first closes psi under h0 (and h1): each new direction h v
-is orthogonalized against the space so far (classical Gram-Schmidt, done
-twice) and kept unless it is rounding.  The storage states are symmetric,
-so that space is tiny: the 129-state sweep sector of two quanta reduces to
-6 states, the 2,325-state transfer sector of 24 atoms to 4.  The core then
-runs on the small dense V^dag h V, and the result is lifted back to the
-sector at every sample.  A closure larger than ``REACHABLE_MAX_DIM`` states
-is refused with a budget error, so there is no second path.  Both ways
-apply the map of stage-by-stage RK4, up to rounding.
+One step is psi <- psi + D psi, where the increment D is a fixed polynomial
+in the step's three control samples; its 12 coefficient matrices are built
+once per call, and every D of a block of steps comes out of one matrix
+product.  Up to ``COMPOSE_MAX_DIM`` states the increments of a stretch
+between two samples (or of each block, if the stretch holds more than
+``STEP_BLOCK_BYTES`` of them) are composed pairwise into one increment E,
+a product tree of batched matmuls, and applied as the one matvec psi <-
+psi + E psi; above it each step is its own matvec.  Without a control D is
+its u-independent term D0, constant, so the k steps between two samples
+are the one power (I + D0)^k.  Each of these applies the map of
+stage-by-stage RK4, up to rounding.
 """
 
 from __future__ import annotations
@@ -292,11 +295,13 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 
 
 # Bytes of step matrices D_n the compiled controlled step forms at once
-# (dim^2 complex entries each: 226 steps of the 17-state sweep sector).
-# Measured on the sweep's 250,000-step schedule over interleaved repeats
-# (2-core Xeon VM, Python 3.11, numpy 2.4, OpenBLAS): 64 KiB blocks were
-# slower, 256 KiB to 4 MiB agreed within the run-to-run spread, and the
-# traced peak grows with the block (1.2 MB at 1 MiB, 3.2 MB at 4 MiB).
+# (dim^2 complex entries each: 7,281 steps of the sweep's 3-state closure,
+# 226 of a 17-state space; composing a block allocates about as much again).
+# Measured when the step loop ran on the sweep's full 17-state sector, over
+# its 250,000-step schedule with interleaved repeats (2-core Xeon VM,
+# Python 3.11, numpy 2.4, OpenBLAS): 64 KiB blocks were slower, 256 KiB to
+# 4 MiB agreed within the run-to-run spread, and the traced peak grows with
+# the block (1.2 MB at 1 MiB, 3.2 MB at 4 MiB).
 STEP_BLOCK_BYTES = 1 << 20
 
 # Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.
@@ -344,37 +349,77 @@ def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
                      for k in _STEP_MONOMIALS])
 
 
+# Reduced dimensions up to which the steps of a stretch are composed into one
+# increment before they touch the state; above it each step is one matvec.
+# Measured as controlled rk4_propagate calls of 20,000 steps sampled every
+# 625 and every 2,500 steps on random Hermitian h0 and h1, composing against
+# stepping, interleaved, best of 7 (2-core Xeon VM, Python 3.11, numpy 2.4,
+# OpenBLAS with 2 threads): composing took 0.3x the time at 3 states and
+# 0.4-0.55x at 6 to 8; from 9 to 13 states the ratio went from 0.7 to 1.2
+# between runs and sizes (1.3-1.8 at 10), and from 14 states on it was 1.2
+# to 1.8.  The sweep's closures of 1, 2, 3 and 4 quanta have 3, 6, 10 and
+# 15 states; on the 10- and 15-state ones composing took 1.2-1.7x as long.
+COMPOSE_MAX_DIM = 8
+
+
+def _compose(steps: np.ndarray) -> np.ndarray:
+    """Increment E of a stack of step increments D_n, earliest first, with
+    I + E the product of the I + D_n, the later step on the left.
+
+    Adjacent pairs are composed with one batched matmul per level,
+    E <- E_early + E_late + E_late E_early, until one is left; a level of odd
+    length is padded with a zero increment, which composes exactly.  Like
+    the D_n, E leaves the identity out.
+    """
+    while len(steps) > 1:
+        if len(steps) % 2:
+            steps = np.concatenate((steps, np.zeros_like(steps[:1])))
+        early, late = steps[0::2], steps[1::2]
+        steps = late @ early
+        steps += early
+        steps += late
+    return steps[0]
+
+
 def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
                   dt: float, u: np.ndarray, stops: Sequence[int],
                   on_sample) -> None:
-    """Advance ``psi`` in place through ``stops``, one matvec per step.
+    """Advance ``psi`` in place through ``stops``.
 
     Each stretch up to the next stop is cut into equal blocks of at most
     ``STEP_BLOCK_BYTES`` of step matrices, so no block straddles a sample
     and every stretch of equal length does the same work.  The stops are
-    those of the sample schedule, so the first stretch is the longest.
+    those of the sample schedule, so the first stretch is the longest.  Up
+    to ``COMPOSE_MAX_DIM`` states a block is composed into one increment
+    and applied with one matvec; above it each step is applied in turn.
     """
     if not stops:
         return
     dim = psi.shape[0]
     terms = _rk4_step_terms(h0, h1, dt).reshape(len(_STEP_MONOMIALS), -1)
     terms = terms.view(float)      # real GEMM on (re, im) pairs
-    a, b, c = np.array(_STEP_MONOMIALS).T
-    powers = np.arange(3)
     max_block = max(1, STEP_BLOCK_BYTES // (16 * dim * dim))
     block = np.empty((min(max_block, stops[0]), terms.shape[1]))
+    # monomials u1^a um^b u0^c, indexed [step, a, b, c] as _STEP_MONOMIALS
+    monomials = np.empty((len(block), 2, 3, 2))
     start = 0
     for stop in stops:
         n_blocks = -(-(stop - start) // max_block)
         edges = [start + (stop - start) * i // n_blocks
                  for i in range(n_blocks + 1)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            p1 = u[2 * lo + 2:2 * hi + 2:2, None] ** powers
-            pm = u[2 * lo + 1:2 * hi + 1:2, None] ** powers
-            p0 = u[2 * lo:2 * hi:2, None] ** powers
-            steps = np.matmul(p1[:, a] * pm[:, b] * p0[:, c], terms,
+            mono = monomials[:hi - lo]
+            mono[:, 0, 0, 0] = 1.0
+            mono[:, 0, 0, 1] = u[2 * lo:2 * hi:2]
+            mono[:, 0, 1] = mono[:, 0, 0] * u[2 * lo + 1:2 * hi + 1:2, None]
+            mono[:, 0, 2] = mono[:, 0, 1] * u[2 * lo + 1:2 * hi + 1:2, None]
+            mono[:, 1] = mono[:, 0] * u[2 * lo + 2:2 * hi + 2:2, None, None]
+            steps = np.matmul(mono.reshape(hi - lo, -1), terms,
                               out=block[:hi - lo])
-            for d_n in steps.view(complex).reshape(-1, dim, dim):
+            steps = steps.view(complex).reshape(-1, dim, dim)
+            if dim <= COMPOSE_MAX_DIM:
+                steps = _compose(steps)[None]
+            for d_n in steps:
                 psi += d_n @ psi
         if on_sample is not None:
             on_sample(stop, stop * dt, psi)
@@ -459,20 +504,20 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
     It is an error to give ``control`` without ``h1``.
     ``on_sample(step, t, psi)`` is invoked at step 0, every ``sample_every``
     steps (at least 1), and at the final step.
-    ``n_steps`` must be a nonnegative integer, ``sample_every`` an integer
-    and ``dt`` finite.
+    ``n_steps`` must be a nonnegative integer, ``sample_every`` an integer,
+    and ``dt``, ``psi0`` and ``control`` finite.
 
-    Dense ``h0`` and ``h1`` run the compiled step on the full vector: the
-    increment of each step is formed as a matrix from its control samples,
-    block by block, and applied with one matvec.  Every other call runs on
-    the subspace reachable from ``psi0`` (its closure under ``h0`` and
-    ``h1``, refused with :class:`BudgetExceededError` above
-    ``REACHABLE_MAX_DIM`` states), with the small dense V^dag h V: a
-    controlled call runs the compiled step there, and a control-free one
-    takes the k steps between two samples as one power (I + D0)^k of the
-    step map.  The result is lifted back to the sector at every sample and
-    at the end.  All of these apply the map of stage-by-stage RK4, up to
-    rounding (see the module docstring).
+    Every call runs on the subspace reachable from ``psi0`` (its closure
+    under ``h0`` and ``h1``, refused with :class:`BudgetExceededError` above
+    ``REACHABLE_MAX_DIM`` states), with the small dense V^dag h V.  A
+    controlled call forms the increment of each step from its control
+    samples, block by block; up to ``COMPOSE_MAX_DIM`` states it composes
+    the steps between two samples into one increment and applies that with
+    one matvec, above it it applies each step with one matvec.  A
+    control-free call takes the k steps between two samples as one power
+    (I + D0)^k of the step map.  The result is lifted back to the sector at
+    every sample and at the end.  All of these apply the map of
+    stage-by-stage RK4, up to rounding (see the module docstring).
     """
     n_steps = _integer("n_steps", n_steps)
     sample_every = _integer("sample_every", sample_every)
@@ -492,6 +537,8 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
     if psi.shape != shape[:1]:
         raise ValueError(
             f"psi0 of shape {psi.shape} does not match h0 of shape {shape}")
+    if not np.isfinite(psi).all():
+        raise ValueError("psi0 must be finite, got a NaN or infinite entry")
     if h1 is None:
         if control is not None:
             raise ValueError("control given without a control operator h1")
@@ -502,6 +549,8 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
         if u.shape != (2 * n_steps + 1,):
             raise ValueError(
                 f"control array must have length {2*n_steps+1}, got {u.shape}")
+    if h1 is not None and not np.isfinite(u).all():
+        raise ValueError("control must be finite, got a NaN or infinite value")
 
     if on_sample is None:
         stops = [n_steps] if n_steps else []
@@ -511,10 +560,6 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
         stops += [n_steps] if n_steps else []
     if not stops:
         return psi
-    if isinstance(h0, np.ndarray) and isinstance(h1, np.ndarray):
-        _rk4_compiled(h0, h1, psi, dt, u, stops, on_sample)
-        return psi
-
     basis, reduced = _reachable_subspace((h0,) if h1 is None else (h0, h1),
                                          psi)
     norm = np.linalg.norm(psi)

@@ -267,6 +267,27 @@ def test_a_tuple_is_validated_as_a_list():
     assert type(cfg["wavevectors"]) is list
 
 
+def test_a_config_shares_no_list_with_the_defaults_or_the_caller():
+    cfg = validate_config("verify-ladder", None)
+    cfg["wavevectors"].append(5.0)
+    assert validate_config("verify-ladder", None)["wavevectors"] == [0.0, 1.7]
+
+    cfg = validate_config("normalization-audit", None)
+    cfg["audit_occupancies"][0].append(7)
+    cfg["audit_occupancies"].append([3, 1])
+    assert validate_config("normalization-audit",
+                           None)["audit_occupancies"] == [[1, 1], [2, 1]]
+
+    given = {"wavevectors": [0.0, 1.0]}
+    validate_config("verify-ladder", given)["wavevectors"].append(2.0)
+    assert given == {"wavevectors": [0.0, 1.0]}
+    pairs = [[1, 1], [2, 1]]
+    validated = validate_config("normalization-audit",
+                                {"audit_occupancies": pairs})
+    pairs[1][0] = 3
+    assert validated["audit_occupancies"] == [[1, 1], [2, 1]]
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_explicit_defaults_validate_like_no_config(scenario):
     defaults = {key: fld.default

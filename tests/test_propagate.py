@@ -240,6 +240,27 @@ def test_rk4_rejects_non_finite_step(dt, with_control):
         rk4_propagate(np.eye(2), psi, dt, 3, **kwargs)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["control", "control array", "psi0"])
+def test_rk4_rejects_non_finite_control_or_state(where, bad):
+    psi = np.array([1.0, 0.0])
+    control = np.zeros(7)
+    if where == "control":
+        control = bad
+    elif where == "control array":
+        control[3] = bad
+    else:
+        psi = np.array([1.0, bad])
+    seen = []
+    with pytest.raises(ValueError, match=where.split()[0]):
+        rk4_propagate(np.eye(2), psi, 0.1, 3, h1=np.eye(2), control=control,
+                      on_sample=lambda step, t, v: seen.append(step))
+    assert seen == []
+    if where == "psi0":
+        with pytest.raises(ValueError, match="psi0"):
+            rk4_propagate(np.eye(2), psi, 0.1, 3)
+
+
 def test_rk4_accepts_numpy_integers_and_zero_steps():
     psi = np.array([1.0, 0.0])
     seen = []
@@ -315,7 +336,46 @@ def test_compiled_rk4_step_matches_the_stage_loop_oracle(sweep_problem,
     drift = max(abs(np.linalg.norm(v) - 1.0) for _s, _t, v in seen)
     expected_drift = max(abs(np.linalg.norm(reference[step][2]) - 1.0)
                          for step in steps)
-    assert abs(drift - expected_drift) <= 1e-15
+    assert drift <= expected_drift
+
+
+def _sampled_run(h0, h1, psi0, dt, n_steps, control, sample_every):
+    seen = []
+    psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1, control=control,
+                        sample_every=sample_every,
+                        on_sample=lambda step, t, v: seen.append(
+                            (step, t, v.copy())))
+    return psi, seen
+
+
+@pytest.mark.parametrize("sample_every", [97, 1, 25_001])
+def test_composed_stretches_match_the_stage_loop_oracle(sweep_problem,
+                                                        sample_every):
+    # stretches of 97 steps (odd, so the product tree pads five of its
+    # levels), of one step (the fast sweep's schedule), and one stretch
+    # longer than a block of step matrices
+    h0, h1, psi0, dt, n_steps, control, reference = sweep_problem
+    basis, _ = propagate._reachable_subspace((h0, h1), psi0)
+    assert len(basis) == 3 <= propagate.COMPOSE_MAX_DIM
+    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, control,
+                             sample_every)
+    steps = sorted({*range(0, n_steps, sample_every), n_steps})
+    assert [(step, t) for step, t, _v in seen] == \
+        [reference[step][:2] for step in steps]
+    assert_allclose(np.array([v for _s, _t, v in seen]),
+                    np.array([reference[step][2] for step in steps]),
+                    rtol=0, atol=1e-14)
+    assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-14)
+
+
+def test_controlled_rk4_with_a_zero_step_returns_psi_exactly(sweep_problem):
+    h0, h1, psi0, _dt, n_steps, control, _reference = sweep_problem
+    rng = np.random.default_rng(18)
+    for start in (psi0, 2.5 * random_vector(rng, h0.shape[0])):
+        psi, seen = _sampled_run(h0, h1, start, 0.0, n_steps, control, 97)
+        assert np.array_equal(psi, start)
+        assert all(np.array_equal(v, start) for _s, _t, v in seen)
+        assert {t for _s, t, _v in seen} == {0.0}
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +423,24 @@ def test_sparse_sector_sweep_matches_the_stage_loop_oracle(
         [reference[step][:2] for step in steps]
     for (step, _t, v) in seen:
         assert_allclose(v, reference[step][2], rtol=0, atol=1e-12)
+    assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-12)
+
+
+def test_a_closure_above_the_crossover_matches_the_stage_loop_oracle(
+        sparse_sweep_problem):
+    # a random state of the 129-state sector: its closure is too large to
+    # compose, so every step is applied in turn
+    h0, h1, _psi0, dt, n_steps, control, _reference = sparse_sweep_problem
+    psi0 = random_vector(np.random.default_rng(19), h0.shape[0])
+    basis, _ = propagate._reachable_subspace((h0, h1), psi0)
+    assert len(basis) > propagate.COMPOSE_MAX_DIM
+    reference = rk4_stage_loop(h0.toarray(), h1.toarray(), psi0, dt, control,
+                               1000)
+    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, control, 1000)
+    assert [(step, t) for step, t, _v in seen] == \
+        [(step, t) for step, t, _v in reference]
+    for (_s, _t, v), (_rs, _rt, expected) in zip(seen, reference):
+        assert_allclose(v, expected, rtol=0, atol=1e-12)
     assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-12)
 
 

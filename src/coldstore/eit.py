@@ -8,6 +8,8 @@ control field of Rabi frequency Omega drives a->c (units with hbar = 1):
         - (1/2) [ g N sum_q a(q) rho_ab(k_s + q)
                   + Omega N rho_ac(k_c) + h.c. ]
 
+Each term is a collective operator of ``operators.py`` (the field ladders,
+rho_ab and rho_ac), so that module alone knows how a term acts on a label.
 Polaritons psi(q) = cos(theta) a(q) - sin(theta) sigma(k_eff(q)) with
 tan(theta) = g sqrt(N) / Omega create the dark states of this coupling;
 everything here builds those states exactly at finite N, measures how well
@@ -26,9 +28,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FockOverflowError, IntegrationError, SpaceMismatchError
+from .errors import IntegrationError, SpaceMismatchError
 from .geometry import Geometry, ModeSet
-from .operators import _apply_terms, _moves, apply_field, apply_rho_ac, apply_sigma
+from .operators import apply_field, apply_rho_ab, apply_rho_ac, apply_sigma
 from .propagate import (
     _field_occupations,
     enumerate_sector,
@@ -39,7 +41,7 @@ from .propagate import (
     step_grid,
     vector_to_ket,
 )
-from .states import JointLabel, SparseKet, StateSpace, normalize
+from .states import SparseKet, StateSpace, normalize
 from .storage import StorageSpec, falling_factorial, storage_direct, vacuum, with_field_occupation
 
 DEFAULT_RABI_CAP_FACTOR = 50.0
@@ -78,10 +80,6 @@ class EitParams:
     @property
     def theta(self) -> float:
         return mixing_angle(self.g, self.n_atoms, self.rabi)
-
-    def at_rabi(self, rabi: float) -> "EitParams":
-        return EitParams(self.geometry, self.modes, self.g, rabi,
-                         self.include_free_term)
 
 
 def joint_space(params: EitParams, n_quanta: int | None = None,
@@ -122,57 +120,28 @@ def _check_space(params: EitParams, space: StateSpace) -> None:
 
 def apply_hamiltonian(ket: SparseKet, params: EitParams,
                       rabi: float | None = None) -> SparseKet:
-    """Apply the interaction Hamiltonian by on-the-fly term expansion.
-
-    ``rabi`` overrides the static control amplitude (used by the sweep,
-    which splits H into a static part and a control-scaled part).
+    """Apply H composed from ``operators.py``: per tracked mode the field
+    ladders and N rho_ab(k_s + q), lowering factor first so that states at
+    a cap annihilate instead of tripping the Fock guard, then the control
+    coupling.  ``rabi`` overrides the static control amplitude (used by
+    the sweep, which splits H into a static and a control-scaled part).
     """
     space = ket.space
     _check_space(params, space)
-    geom = params.geometry
-    ms = params.modes
+    geom, ms = params.geometry, params.modes
+    out = SparseKet.zero(space)
+    for i, q in enumerate(ms.detunings):
+        lowered = apply_field(ket, i)
+        if params.include_free_term:
+            out = out + ms.omega(q) * apply_field(lowered, i, dagger=True)
+        k = ms.signal_wavevector(q)
+        absorb = apply_rho_ab(lowered, geom, k)
+        emit = apply_field(apply_rho_ab(ket, geom, k, dagger=True), i, dagger=True)
+        out = out + (-params.g * space.n_atoms / 2.0) * (absorb + emit)
     omega_ctrl = params.rabi if rabi is None else rabi
-    g = params.g
-    sig_phases = [geom.phases(ms.signal_wavevector(q)) for q in ms.detunings]
-    ctrl_phases = geom.phases(ms.k_control)
-    include_free = params.include_free_term
-    mode_freqs = [ms.omega(q) for q in ms.detunings]
-
-    def terms(label):
-        occ = label.field
-        atoms = label.atoms
-        if include_free:
-            e = sum(w * m for w, m in zip(mode_freqs, occ))
-            if e:
-                yield label, e
-        total_photons = sum(occ)
-        for qi in range(len(occ)):
-            m = occ[qi]
-            ph = sig_phases[qi]
-            if m > 0:
-                # -(g/2) a(q) [N rho_ab(k_s+q)]: absorb a photon, b -> a
-                newf = occ[:qi] + (m - 1,) + occ[qi + 1:]
-                amp = -(g / 2.0) * math.sqrt(m)
-                for j, new_atoms in _moves(atoms, "b", "a", space):
-                    yield JointLabel(newf, new_atoms), amp * ph[j]
-            if atoms.a_sites:
-                # h.c.: emit a photon, a -> b
-                if m + 1 > space.mode_caps[qi] or total_photons + 1 > space.total_photon_cap:
-                    raise FockOverflowError(
-                        "photon emission exceeds a Fock cap; widen the caps")
-                newf = occ[:qi] + (m + 1,) + occ[qi + 1:]
-                amp = -(g / 2.0) * math.sqrt(m + 1)
-                for j, new_atoms in _moves(atoms, "a", "b", space):
-                    yield JointLabel(newf, new_atoms), amp * ph[j].conjugate()
-        if omega_ctrl != 0.0:
-            # -(Omega/2) [N rho_ac(k_c)]: c -> a, plus h.c.
-            half = omega_ctrl / 2.0
-            for j, new_atoms in _moves(atoms, "c", "a", space):
-                yield JointLabel(occ, new_atoms), -half * ctrl_phases[j]
-            for j, new_atoms in _moves(atoms, "a", "c", space):
-                yield JointLabel(occ, new_atoms), -half * ctrl_phases[j].conjugate()
-
-    return _apply_terms(ket, terms)
+    if omega_ctrl != 0.0:
+        out = out + omega_ctrl * apply_control_coupling(ket, params)
+    return out
 
 
 def apply_control_coupling(ket: SparseKet, params: EitParams) -> SparseKet:
@@ -425,13 +394,15 @@ class Trajectory:
 
 def dark_manifold_weight(psi: np.ndarray, params: EitParams,
                          space: StateSpace, index: dict,
-                         totals: list[int]) -> float:
+                         totals: list[int],
+                         theta: float | None = None) -> float:
     """Total population of the instantaneous dark manifold.
 
     Sums |<D|psi>|^2 over the exact dark states of every mode-occupancy
     pattern within the given total quantum numbers.  Distinct patterns have
     distinct quasiparticle content, so the family is orthogonal and the sum
-    is a genuine projection weight.
+    is a genuine projection weight.  ``theta`` overrides the mixing angle
+    implied by ``params.rabi``.
     """
     qs = params.modes.detunings
     weight = 0.0
@@ -441,7 +412,7 @@ def dark_manifold_weight(psi: np.ndarray, params: EitParams,
     for q_total in totals:
         for occ in _field_occupations((q_total,) * len(qs), q_total):
             dark = multimode_dark_state(
-                params, dict(zip(qs, occ)), space=space)
+                params, dict(zip(qs, occ)), space=space, theta=theta)
             dvec = ket_to_vector(dark, index)
             weight += abs(np.vdot(dvec, psi)) ** 2
     return weight / nn
@@ -517,7 +488,7 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         samples["theta"].append(theta_eff)
         samples["norm"].append(nrm)
         samples["dark"].append(dark_manifold_weight(
-            psi, params.at_rabi(rabi_t), space, index, totals))
+            psi, params, space, index, totals, theta=theta_eff))
         samples["photon"].append(float(photon_diag @ w))
         samples["cpop"].append(float(cpop_diag @ w))
 

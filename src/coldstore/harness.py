@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -1143,8 +1142,9 @@ def validate_scan_config(config: Mapping | None) -> dict:
         "schema_version": own["schema_version"],
         "seed": own["seed"],
         "scenario": scenario,
-        "grid": {k: list(v) for k, v in grid.items()},
-        "base": dict(base),
+        "grid": {k: _copied(v) for k, v in grid.items()},
+        "base": {k: _copied(v) if isinstance(v, (list, tuple)) else v
+                 for k, v in base.items()},
         "budget": own["budget"],
     }
 
@@ -1198,6 +1198,9 @@ def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
     start = time.perf_counter()
     work = [(scenario, pcfg) for pcfg in validated]
     if jobs > 1 and len(work) > 1:
+        # imported here: it costs ~18 ms of every ``import coldstore``
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_worker, work))
     else:

@@ -55,29 +55,40 @@ def test_hamiltonian_is_hermitian_on_sector_basis():
 
 
 def test_hamiltonian_matches_dense_oracle():
-    # one detuned mode with Fock cap 2, 3 atoms, a_max 2, free term and
-    # control both on; the reference is H written out on (field) x 3^N
-    q, g, rabi, k_s, k_c = 0.3, 0.9, 0.7, 1.0, 0.8
+    # 3 atoms, a_max 2, free term and control both on: one detuned mode
+    # with Fock cap 2, then modes 0 and 0.3 sharing the photon cap 2; the
+    # reference is H written out on (field) x 3^N
+    g, rabi, k_s, k_c = 0.9, 0.7, 1.0, 0.8
     geom = Geometry.uniform_random(3, length=3.0, seed=21)
-    params = EitParams(geom, ModeSet(k_s, k_c, (q,), "raman", fock_cap=2),
-                       g, rabi, include_free_term=True)
-    space = joint_space(params, 2)
-    assert (space.mode_caps, space.a_max) == ((2,), 2)
-    basis = enumerate_sector(space, [0, 1, 2])
-    h = operator_matrix(lambda ket: apply_hamiltonian(ket, params),
-                        space, basis)
-
     n, z = 3, geom.positions
     low = np.diag(np.sqrt([1.0, 2.0]), 1)        # <m-1| a |m> = sqrt(m)
-    coupling = (g * n * np.kron(low, dense_rho(z, k_s + q, src="b", dst="a"))
-                + rabi * n * np.kron(np.eye(3),
-                                     dense_rho(z, k_c, src="c", dst="a")))
-    dense = (q * np.kron(low.T @ low, np.eye(3 ** n))
-             - 0.5 * (coupling + coupling.conj().T))
-    idx = [label.field[0] * 3 ** n
-           + sum(3 ** j for j in label.atoms.c_sites)
-           + sum(2 * 3 ** j for j in label.atoms.a_sites) for label in basis]
-    assert_allclose(h, dense[np.ix_(idx, idx)], atol=1e-13)
+    for qs in [(0.3,), (0.0, 0.3)]:
+        params = EitParams(geom, ModeSet(k_s, k_c, qs, "raman", fock_cap=2),
+                           g, rabi, include_free_term=True)
+        space = joint_space(params, 2)
+        assert (space.mode_caps, space.a_max) == ((2,) * len(qs), 2)
+        assert space.total_photon_cap == 2
+        basis = enumerate_sector(space, [0, 1, 2])
+        h = operator_matrix(lambda ket: apply_hamiltonian(ket, params),
+                            space, basis)
+
+        n_field = 3 ** len(qs)
+        coupling = rabi * n * np.kron(np.eye(n_field),
+                                      dense_rho(z, k_c, src="c", dst="a"))
+        free = np.zeros_like(coupling)
+        for i, q in enumerate(qs):
+            a_q = np.kron(np.kron(np.eye(3 ** i), low),
+                          np.eye(3 ** (len(qs) - 1 - i)))
+            coupling += g * n * np.kron(a_q, dense_rho(z, k_s + q, src="b",
+                                                       dst="a"))
+            free += q * np.kron(a_q.T @ a_q, np.eye(3 ** n))
+        dense = free - 0.5 * (coupling + coupling.conj().T)
+        idx = [sum(m * 3 ** (len(qs) - 1 - i)
+                   for i, m in enumerate(label.field)) * 3 ** n
+               + sum(3 ** j for j in label.atoms.c_sites)
+               + sum(2 * 3 ** j for j in label.atoms.a_sites)
+               for label in basis]
+        assert_allclose(h, dense[np.ix_(idx, idx)], atol=1e-13)
 
 
 @pytest.mark.parametrize("n_atoms", [4, 8])

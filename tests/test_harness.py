@@ -288,6 +288,20 @@ def test_a_config_shares_no_list_with_the_defaults_or_the_caller():
     assert validated["audit_occupancies"] == [[1, 1], [2, 1]]
 
 
+def test_a_scan_config_shares_no_list_with_the_caller():
+    base = {"wavevectors": [0.0, 1.0]}
+    grid = {"audit_occupancies": [[[1, 1]], [[2, 1]]]}
+    cfg = validate_scan_config({"scenario": "verify-ladder",
+                                "grid": {"n_max": [1, 2]}, "base": base})
+    cfg["base"]["wavevectors"].append(9.0)
+    assert base == {"wavevectors": [0.0, 1.0]}
+    cfg = validate_scan_config({"scenario": "normalization-audit",
+                                "grid": grid})
+    cfg["grid"]["audit_occupancies"][0].append([3, 1])
+    cfg["grid"]["audit_occupancies"][1][0][0] = 4
+    assert grid == {"audit_occupancies": [[[1, 1]], [[2, 1]]]}
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_explicit_defaults_validate_like_no_config(scenario):
     defaults = {key: fld.default

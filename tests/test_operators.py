@@ -281,6 +281,13 @@ def test_sector_and_fock_overflow():
     for label in (no_a.label(field=(1,)), no_a.label(c_sites=(0,))):
         with pytest.raises(SectorOverflowError):
             apply_hamiltonian(SparseKet.basis_state(no_a, label), params)
+    # and its photon emission (a -> b) from a mode already at its cap
+    params = EitParams(Geometry.lattice(4),
+                       ModeSet(1.0, 0.8, (0.0,), fock_cap=2), 1.0, 0.5)
+    full = joint_space(params, 2)
+    at_cap = full.label(field=(2,), a_sites=(0,))
+    with pytest.raises(FockOverflowError):
+        apply_hamiltonian(SparseKet.basis_state(full, at_cap), params)
     field_space = StateSpace(n_atoms=2, n_exc_max=1, modes=(0.0,),
                              mode_caps=(1,), photon_cap=1)
     one_photon = SparseKet.basis_state(field_space,

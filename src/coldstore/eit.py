@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IntegrationError, SpaceMismatchError
+from .errors import IntegrationError, NotNormalizedError, SpaceMismatchError
 from .geometry import Geometry, ModeSet
 from .operators import apply_field, apply_rho_ab, apply_rho_ac, apply_sigma
 from .propagate import (
@@ -63,10 +63,12 @@ class EitParams:
     include_free_term: bool = False
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
-        if self.rabi < 0:
-            raise ValueError("control Rabi frequency must be nonnegative")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"coupling g must be positive and finite, "
+                             f"got {self.g!r}")
+        if not 0 <= self.rabi < math.inf:
+            raise ValueError(f"control Rabi frequency must be nonnegative and "
+                             f"finite, got {self.rabi!r}")
 
     @property
     def n_atoms(self) -> int:
@@ -319,8 +321,9 @@ class RampSchedule:
     def __post_init__(self):
         if self.shape not in ("linear", "smooth-cosine"):
             raise ValueError(f"unknown ramp shape {self.shape!r}")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite, got {self.duration!r}")
         for th in (self.theta_start, self.theta_end):
             if not 0.0 <= th <= math.pi / 2.0 + 1e-12:
                 raise ValueError("mixing angles must lie in [0, pi/2]")
@@ -431,13 +434,19 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
 
     The initial ket fixes the conserved quantum-number sector(s); the
     Hamiltonian is cached on that sector as H_static + Omega(t) * H_control
-    and integrated with fixed-step RK4.  A norm drift beyond
-    ``norm_drift_tol`` aborts with a diagnostic (the step was too coarse).
+    and integrated with fixed-step RK4.  The initial ket must have unit norm
+    to within ``norm_drift_tol``; a norm drift beyond it aborts with a
+    diagnostic (the step was too coarse).
     """
     space = initial.space
     _check_space(params, space)
     if not initial:
         raise ValueError("initial state is the zero vector")
+    norm = initial.norm()
+    if not abs(norm - 1.0) <= norm_drift_tol:
+        raise NotNormalizedError(
+            f"the sweep needs a unit-norm initial state (to norm_drift_tol = "
+            f"{norm_drift_tol:g}), got norm {norm!r}")
     if rabi_max is None:
         rabi_max = DEFAULT_RABI_CAP_FACTOR * params.collective_coupling
     if rabi_max <= 0:

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -105,6 +105,14 @@ class CheckRecord:
             "provenance": self.provenance,
             "detail": self.detail,
         }
+
+
+def _write_rows(path, fieldnames: list[str], rows: list[dict]) -> None:
+    """A CSV file of one header line and one line per row."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=fieldnames)
+        w.writeheader()
+        w.writerows(rows)
 
 
 def _json_float(x: float):
@@ -218,13 +226,9 @@ class Report:
         Path(path).write_text(self.to_json() + "\n")
 
     def write_csv(self, path) -> None:
-        cols = ["name", "comparison", "actual", "expected", "tolerance",
-                "passed", "provenance", "detail"]
-        with Path(path).open("w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=cols)
-            w.writeheader()
-            for c in self.checks:
-                w.writerow(c.to_dict())
+        _write_rows(path, ["name", "comparison", "actual", "expected",
+                           "tolerance", "passed", "provenance", "detail"],
+                    [c.to_dict() for c in self.checks])
 
     def summary_line(self) -> str:
         status = "PASS" if self.all_passed else "FAIL"
@@ -1053,18 +1057,13 @@ def _check_format(fmt: str) -> None:
         raise ConfigError([f"format: must be 'json' or 'csv' (got {fmt!r})"])
 
 
-def _write_report(report: Report, out_dir, fmt: str, stem: str) -> list[Path]:
+def _write_report(report: Report, out_dir, fmt: str, stem: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     if fmt == "json":
-        path = out / f"{stem}.json"
-        report.write_json(path)
+        report.write_json(out / f"{stem}.json")
     else:
-        path = out / f"{stem}.csv"
-        report.write_csv(path)
-    written.append(path)
-    return written
+        report.write_csv(out / f"{stem}.csv")
 
 
 # -- parameter scans -------------------------------------------------------------
@@ -1210,11 +1209,8 @@ def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
     rows = []
     for point, point_checks in zip(points, results):
         tag = ",".join(f"{k}={v}" for k, v in sorted(point["overrides"].items()))
-        for c in point_checks:
-            checks.append(CheckRecord(
-                name=f"[{tag}] {c.name}", comparison=c.comparison,
-                actual=c.actual, expected=c.expected, tolerance=c.tolerance,
-                passed=c.passed, provenance=c.provenance, detail=c.detail))
+        checks.extend(replace(c, name=f"[{tag}] {c.name}")
+                      for c in point_checks)
         rows.append({**{k: v for k, v in sorted(point["overrides"].items())},
                      "n_checks": len(point_checks),
                      "n_passed": sum(1 for c in point_checks if c.passed),
@@ -1226,19 +1222,9 @@ def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
                     runtime_seconds=time.perf_counter() - start)
     if out_dir is not None:
         _write_report(report, out_dir, fmt, "scan")
-        _write_scan_rows(rows, Path(out_dir) / "scan-points.csv")
+        # a validated grid has at least one point, so rows is never empty
+        _write_rows(Path(out_dir) / "scan-points.csv", list(rows[0]), rows)
     return report
-
-
-def _write_scan_rows(rows: list[dict], path: Path) -> None:
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    with Path(path).open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols)
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
 
 
 def load_config(path) -> dict:

@@ -8,9 +8,9 @@ once (column by column, from the same on-the-fly operator expansion used
 everywhere else), and integrate with a fixed-step 4th-order Runge-Kutta
 scheme.  No matrix over the full Hilbert space is ever formed.  Sector
 dimensions range from a few states to thousands (2,325 for 24 atoms with
-three quanta), so :func:`sector_operator` keeps a small sector as a dense
-matrix and a large one as a :class:`SparseOperator`, whose non-zeros are a
-fraction of a percent of its dim^2 entries.
+three quanta), so :func:`sector_operator` holds every sector operator as a
+:class:`SparseOperator` of its non-zero entries, never as a dense dim^2
+matrix.
 
 :func:`rk4_propagate` first closes psi under h0 (and h1): each new
 direction h v is orthogonalized against the space so far (classical
@@ -59,32 +59,35 @@ def _field_occupations(mode_caps: Sequence[int], total: int):
             yield (m,) + rest
 
 
-def _atom_configs(n_atoms: int, n_exc: int, a_max: int):
-    for n_a in range(min(a_max, n_exc) + 1):
-        n_c = n_exc - n_a
-        if n_c > n_atoms:
-            continue
-        for c_combo in combinations(range(n_atoms), n_c):
-            rest = [j for j in range(n_atoms) if j not in c_combo]
-            for a_combo in combinations(rest, n_a):
-                yield AtomConfig(n_atoms, c_combo, tuple(a_combo))
+def _atom_configs(n_atoms: int, n_c: int, n_a: int):
+    for c_combo in combinations(range(n_atoms), n_c):
+        rest = [j for j in range(n_atoms) if j not in c_combo]
+        for a_combo in combinations(rest, n_a):
+            yield AtomConfig(n_atoms, c_combo, a_combo)
+
+
+def _sector_blocks(space: StateSpace, totals: Iterable[int]):
+    """(photons, n_c, n_a) of every block of labels whose total quantum
+    number lies in ``totals``: ``photons`` spread over the modes, n_c atoms
+    in c and n_a in a, within every cap of the space."""
+    for q in sorted(set(totals)):
+        if q < 0:
+            raise ValueError("total quantum number cannot be negative")
+        for s in range(min(q, space.total_photon_cap) + 1):
+            r = q - s
+            if r > space.n_exc_max:
+                continue
+            for n_a in range(min(space.a_max, r) + 1):
+                if r - n_a <= space.n_atoms:
+                    yield s, r - n_a, n_a
 
 
 def enumerate_sector(space: StateSpace, totals: Iterable[int]) -> list[JointLabel]:
     """All labels whose total quantum number lies in ``totals``, sorted."""
-    labels = []
-    photon_cap = space.total_photon_cap
-    for q in sorted(set(totals)):
-        if q < 0:
-            raise ValueError("total quantum number cannot be negative")
-        for s in range(min(q, photon_cap) + 1):
-            r = q - s
-            if r > space.n_exc_max:
-                continue
-            for occ in _field_occupations(space.mode_caps, s):
-                for atoms in _atom_configs(space.n_atoms, r, space.a_max):
-                    labels.append(JointLabel(occ, atoms))
-    return sorted(labels)
+    return sorted(JointLabel(occ, atoms)
+                  for s, n_c, n_a in _sector_blocks(space, totals)
+                  for occ in _field_occupations(space.mode_caps, s)
+                  for atoms in _atom_configs(space.n_atoms, n_c, n_a))
 
 
 def enumerate_basis(space: StateSpace) -> list[JointLabel]:
@@ -108,21 +111,9 @@ def _count_field_occupations(mode_caps: Sequence[int], total: int) -> int:
 def estimate_sector_size(space: StateSpace, totals: Iterable[int]) -> int:
     """Label count of :func:`enumerate_sector` without enumerating."""
     n = space.n_atoms
-    total_count = 0
-    photon_cap = space.total_photon_cap
-    for q in sorted(set(totals)):
-        for s in range(min(q, photon_cap) + 1):
-            r = q - s
-            if r > space.n_exc_max:
-                continue
-            atom_count = 0
-            for n_a in range(min(space.a_max, r) + 1):
-                n_c = r - n_a
-                if n_c > n:
-                    continue
-                atom_count += math.comb(n, n_c) * math.comb(n - n_c, n_a)
-            total_count += _count_field_occupations(space.mode_caps, s) * atom_count
-    return total_count
+    return sum(_count_field_occupations(space.mode_caps, s)
+               * math.comb(n, n_c) * math.comb(n - n_c, n_a)
+               for s, n_c, n_a in _sector_blocks(space, totals))
 
 
 def estimate_basis_size(space: StateSpace) -> int:
@@ -151,48 +142,6 @@ def vector_to_ket(space: StateSpace, basis: Sequence[JointLabel],
                   vec: np.ndarray) -> SparseKet:
     entries = {basis[i]: vec[i] for i in np.flatnonzero(np.abs(vec) > 0)}
     return SparseKet(space, entries, _checked=True)
-
-
-def _operator_triplets(apply_fn: Callable[[SparseKet], SparseKet],
-                       space: StateSpace, basis: Sequence[JointLabel],
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, amps) of an operator restricted to the basis, column
-    by column.
-
-    Raises if the operator maps any basis label outside the basis: a
-    restriction must be exact, never a silent truncation.
-    """
-    index = {label: i for i, label in enumerate(basis)}
-    rows: list[int] = []
-    cols: list[int] = []
-    amps: list[complex] = []
-    for j, label in enumerate(basis):
-        column = apply_fn(SparseKet(space, {label: 1.0}, _checked=True))
-        for out_label, amp in column.raw().items():
-            i = index.get(out_label)
-            if i is None:
-                raise IntegrationError(
-                    f"operator maps {label} to {out_label}, which is outside "
-                    f"the enumerated sector; widen the caps or the totals")
-            rows.append(i)
-            cols.append(j)
-            amps.append(amp)
-    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-            np.array(amps, dtype=complex))
-
-
-def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
-                    space: StateSpace,
-                    basis: Sequence[JointLabel]) -> np.ndarray:
-    """Dense restriction of an operator to the enumerated basis.
-
-    Raises if the operator maps any basis label outside the basis: a
-    restriction must be exact, never a silent truncation.
-    """
-    rows, cols, amps = _operator_triplets(apply_fn, space, basis)
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    mat[rows, cols] = amps
-    return mat
 
 
 class SparseOperator:
@@ -254,29 +203,41 @@ class SparseOperator:
         return mat
 
 
-# Sectors with at least this many states are compiled to a SparseOperator,
-# smaller ones to a dense matrix.  Measured as the fastest RK4 step over
-# interleaved repeats on the transfer Hamiltonian and on the sweep's
-# H_static + u H_control (2-core Xeon VM, Python 3.11, numpy 2.4, OpenBLAS
-# with 2 threads): dense was faster up to 56 states; from 73 to 106 states
-# the faster form changed from run to run; from 129 states on the sparse
-# form was faster or tied in every run, 5x faster at 697 states.
-SPARSE_MIN_DIM = 128
-
-
 def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
                     space: StateSpace, basis: Sequence[JointLabel],
-                    ) -> np.ndarray | SparseOperator:
-    """Restriction of an operator to the enumerated basis, for RK4.
+                    ) -> SparseOperator:
+    """Restriction of an operator to the enumerated basis, column by column.
 
-    A dense :func:`operator_matrix` below ``SPARSE_MIN_DIM`` states, a
-    :class:`SparseOperator` (never a dense dim^2 array) from there on.
-    Raises like :func:`operator_matrix` if the operator leaves the basis.
+    Raises if the operator maps any basis label outside the basis: a
+    restriction must be exact, never a silent truncation.
     """
-    if len(basis) < SPARSE_MIN_DIM:
-        return operator_matrix(apply_fn, space, basis)
-    return SparseOperator(*_operator_triplets(apply_fn, space, basis),
-                          len(basis))
+    index = {label: i for i, label in enumerate(basis)}
+    rows: list[int] = []
+    cols: list[int] = []
+    amps: list[complex] = []
+    for j, label in enumerate(basis):
+        column = apply_fn(SparseKet(space, {label: 1.0}, _checked=True))
+        for out_label, amp in column.raw().items():
+            i = index.get(out_label)
+            if i is None:
+                raise IntegrationError(
+                    f"operator maps {label} to {out_label}, which is outside "
+                    f"the enumerated sector; widen the caps or the totals")
+            rows.append(i)
+            cols.append(j)
+            amps.append(amp)
+    return SparseOperator(rows, cols, amps, len(basis))
+
+
+def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
+                    space: StateSpace,
+                    basis: Sequence[JointLabel]) -> np.ndarray:
+    """Dense restriction of an operator to the enumerated basis, the
+    ``toarray()`` of :func:`sector_operator`.
+
+    Raises like :func:`sector_operator` if the operator leaves the basis.
+    """
+    return sector_operator(apply_fn, space, basis).toarray()
 
 
 def step_grid(t: float, dt_max: float) -> tuple[float, int]:
@@ -496,8 +457,9 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
     """Integrate i d/dt psi = (h0 + u(t) h1) psi with fixed-step RK4.
 
     ``h0`` and ``h1`` may be any square operators with ``.shape`` and ``@``
-    on a vector: dense arrays or the :class:`SparseOperator` of
-    :func:`sector_operator`; ``h1`` must have the shape of ``h0`` and
+    on a vector: the :class:`SparseOperator` that :func:`sector_operator`
+    builds for every sector, or a dense array such as that of
+    :func:`operator_matrix`; ``h1`` must have the shape of ``h0`` and
     ``psi0`` the shape ``(h0.shape[0],)``.
     ``control`` supplies u: a scalar for constant control, or an array of
     length 2*n_steps + 1 sampled on the half-step grid t_0, t_0 + dt/2, ...

@@ -349,7 +349,7 @@ def fidelity(x: SparseKet, y: SparseKet, norm_tol: float = 1e-8) -> float:
     """
     for name, ket in (("x", x), ("y", y)):
         n = ket.norm()
-        if abs(n - 1.0) > norm_tol:
+        if not abs(n - 1.0) <= norm_tol:
             raise NotNormalizedError(
                 f"fidelity requires unit norm, but ||{name}|| = {n!r}")
     return abs(inner_product(x, y)) ** 2

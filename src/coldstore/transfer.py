@@ -60,7 +60,7 @@ class BosonicState:
         if arr.ndim != 2:
             raise ValueError("amplitudes must be a 2-D grid")
         nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > norm_tol:
+        if not abs(nrm - 1.0) <= norm_tol:
             raise NotNormalizedError(
                 f"bosonic state must be unit norm, got {nrm!r}")
         self.amplitudes = arr

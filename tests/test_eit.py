@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coldstore import (
+    BosonicState,
     EitParams,
     Geometry,
     ModeSet,
+    NotNormalizedError,
     RampSchedule,
     SparseKet,
     StorageSpec,
@@ -18,6 +20,7 @@ from coldstore import (
     apply_rho_ab,
     apply_rho_ac,
     apply_sigma,
+    atomic_space,
     control_amplitude,
     dark_state,
     enumerate_sector,
@@ -285,13 +288,11 @@ def test_dense_sweep_matches_the_sweep_on_the_stage_loop(monkeypatch):
 
     original = eit.sector_operator
 
-    def as_sparse(*args):
-        mat = original(*args)
-        assert isinstance(mat, np.ndarray)      # 17 states: dense
-        rows, cols = np.nonzero(mat)
-        return SparseOperator(rows, cols, mat[rows, cols], len(mat))
+    def as_dense(*args):
+        assert isinstance(original(*args), SparseOperator)
+        return operator_matrix(*args)
 
-    monkeypatch.setattr(eit, "sector_operator", as_sparse)
+    monkeypatch.setattr(eit, "sector_operator", as_dense)
     staged = adiabatic_sweep(initial, params, ramp, rabi_max=50.0 * cc)
     assert (compiled.dt, compiled.n_steps) == (staged.dt, staged.n_steps)
     assert compiled.n_steps == 10_000
@@ -325,6 +326,41 @@ def test_short_sweep_stores_the_photon(tmp_path):
     header = out.read_text().splitlines()[0]
     assert header == "t,rabi,theta,norm,dark_fidelity,photon_expectation,c_population"
     assert len(out.read_text().splitlines()) == len(traj.times) + 1
+
+
+def test_sweep_refuses_a_non_unit_initial_state():
+    params = make_params(4, fock_cap=1, rabi=0.0)
+    space = joint_space(params, 1)
+    initial = 2.0 * with_field_occupation(vacuum(space), (1,))
+    ramp = RampSchedule(0.0, math.pi / 2, duration=1.0)
+    with pytest.raises(NotNormalizedError, match="norm 2.0"):
+        adiabatic_sweep(initial, params, ramp)
+    with pytest.raises(NotNormalizedError, match="1e-12"):
+        adiabatic_sweep((1.0 + 1e-10) * initial / 2.0, params, ramp,
+                        norm_drift_tol=1e-12)
+
+
+def _nan_ket():
+    return math.nan * vacuum(atomic_space(2, 1))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: BosonicState([[math.nan, 0.0], [0.0, 0.0]]), NotNormalizedError),
+    (lambda: fidelity(_nan_ket(), vacuum(atomic_space(2, 1))),
+     NotNormalizedError),
+    (lambda: fidelity(vacuum(atomic_space(2, 1)), _nan_ket()),
+     NotNormalizedError),
+    (lambda: RampSchedule(0.0, 1.0, duration=math.nan), ValueError),
+    (lambda: RampSchedule(0.0, 1.0, duration=math.inf), ValueError),
+    (lambda: make_params(4, g=math.nan), ValueError),
+    (lambda: make_params(4, g=math.inf), ValueError),
+    (lambda: make_params(4, rabi=math.nan), ValueError),
+    (lambda: make_params(4, rabi=math.inf), ValueError),
+], ids=["bosonic-state", "fidelity-x", "fidelity-y", "duration-nan",
+        "duration-inf", "g-nan", "g-inf", "rabi-nan", "rabi-inf"])
+def test_non_finite_inputs_are_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_sweep_rejects_bad_inputs():

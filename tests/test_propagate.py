@@ -12,10 +12,14 @@ from coldstore import (
     Geometry,
     IntegrationError,
     ModeSet,
+    StateSpace,
     apply_field,
     apply_hamiltonian,
     bosonic_to_joint,
+    enumerate_basis,
     enumerate_sector,
+    estimate_basis_size,
+    estimate_sector_size,
     evolve_exact_atoms,
     exact_vs_analytic_deviation,
     RampSchedule,
@@ -30,7 +34,6 @@ from coldstore import (
 from coldstore import propagate
 from coldstore.eit import apply_control_coupling, sweep_time_step
 from coldstore.propagate import (
-    SPARSE_MIN_DIM,
     SparseOperator,
     ket_to_vector,
     sector_operator,
@@ -68,12 +71,40 @@ def random_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def test_sector_operator_picks_dense_below_the_crossover():
-    apply_fn, space, basis = transfer_sector(8, 3)       # 93 states
-    assert len(basis) < SPARSE_MIN_DIM
-    dense = sector_operator(apply_fn, space, basis)
-    assert isinstance(dense, np.ndarray)
-    assert np.array_equal(dense, operator_matrix(apply_fn, space, basis))
+def test_sector_operator_is_sparse_at_every_size():
+    for n_atoms, quanta, dim in ((1, 1, 2), (4, 1, 5), (8, 3, 93)):
+        apply_fn, space, basis = transfer_sector(n_atoms, quanta)
+        assert len(basis) == dim
+        op = sector_operator(apply_fn, space, basis)
+        assert isinstance(op, SparseOperator) and op.shape == (dim, dim)
+        assert np.array_equal(op.toarray(),
+                              operator_matrix(apply_fn, space, basis))
+
+
+def test_size_estimates_count_the_enumerated_labels():
+    # every cap binds somewhere on this grid: n_exc_max and a_max below N,
+    # a mode capped at 0, photon_cap 0 and below the sum of the mode caps
+    spaces = []
+    for n_atoms in (1, 3, 5):
+        for n_exc_max in sorted({1, min(2, n_atoms), n_atoms}):
+            for a_max in sorted({1, n_exc_max}):
+                for caps in ((), (2,), (1, 3), (2, 0, 1)):
+                    for photon_cap in (None, 0, sum(caps) - 1):
+                        if photon_cap == -1:
+                            continue
+                        spaces.append(StateSpace(
+                            n_atoms, n_exc_max, a_max,
+                            tuple(0.1 * i for i in range(len(caps))), caps,
+                            photon_cap))
+    assert len(spaces) == 121
+    for space in spaces:
+        for totals in ([0], [1], [2, 4], range(7)):
+            assert estimate_sector_size(space, totals) == \
+                len(enumerate_sector(space, totals)), (space, totals)
+        assert estimate_basis_size(space) == len(enumerate_basis(space))
+        for estimate_or_enumerate in (estimate_sector_size, enumerate_sector):
+            with pytest.raises(ValueError, match="negative"):
+                estimate_or_enumerate(space, [2, -1])
 
 
 def test_sparse_transfer_operator_matches_dense_oracle():
@@ -290,7 +321,8 @@ def test_step_grid_rejects_bad_arguments(t, dt_max):
 
 @pytest.fixture(scope="module")
 def sweep_problem():
-    """The sweep's 17-state sector with its real control schedule:
+    """The sweep's 17-state sector as dense operator_matrix forms, with its
+    real control schedule:
     N=8, one quantum, duration_coupling 5, control clamped at 50 g sqrt(N),
     25,000 steps; the stage-by-stage reference sampled at every step."""
     params = EitParams(Geometry.lattice(8, 0.5),
@@ -298,9 +330,9 @@ def sweep_problem():
                        1.0, rabi=0.0)
     space = joint_space(params, 1)
     basis = enumerate_sector(space, [1])
-    h0 = sector_operator(lambda k: apply_hamiltonian(k, params, rabi=0.0),
+    h0 = operator_matrix(lambda k: apply_hamiltonian(k, params, rabi=0.0),
                          space, basis)
-    h1 = sector_operator(lambda k: apply_control_coupling(k, params),
+    h1 = operator_matrix(lambda k: apply_control_coupling(k, params),
                          space, basis)
     cc = params.collective_coupling
     ramp = RampSchedule(0.0, math.pi / 2, 5.0 / cc)
@@ -566,7 +598,8 @@ def test_krylov_power_keeps_the_sample_schedule(sample_every):
 @pytest.mark.parametrize("sparse", [False, True])
 def test_control_free_rk4_returns_psi_exactly_when_nothing_moves(sparse):
     apply_fn, space, basis = transfer_sector(16 if sparse else 8, 3)
-    h = sector_operator(apply_fn, space, basis)
+    h = (sector_operator if sparse else operator_matrix)(apply_fn, space,
+                                                         basis)
     assert isinstance(h, SparseOperator) == sparse
     dim = h.shape[0]
     zero = SparseOperator([], [], [], dim) if sparse else np.zeros((dim, dim))

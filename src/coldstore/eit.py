@@ -93,20 +93,24 @@ def joint_space(params: EitParams, n_quanta: int | None = None,
     defaults to the full quanta budget: a photon can convert to an
     a-excitation, and with several quanta more than one can).
     """
-    n = params.n_atoms
     if n_quanta is None:
         n_quanta = params.modes.fock_cap
+    return _joint_space(params.n_atoms, params.modes.detunings, n_quanta,
+                        a_max)
+
+
+def _joint_space(n_atoms: int, detunings, n_quanta: int,
+                 a_max: int | None = None) -> StateSpace:
+    """:func:`joint_space` from the counts alone, with no geometry built."""
     if n_quanta < 0:
         raise ValueError("n_quanta must be nonnegative")
-    n_exc = min(n_quanta, n)
-    if a_max is None:
-        a_max = n_exc
+    n_exc = min(n_quanta, n_atoms)
     return StateSpace(
-        n_atoms=n,
+        n_atoms=n_atoms,
         n_exc_max=n_exc,
-        a_max=a_max,
-        modes=tuple(params.modes.detunings),
-        mode_caps=(n_quanta,) * len(params.modes.detunings),
+        a_max=n_exc if a_max is None else a_max,
+        modes=tuple(detunings),
+        mode_caps=(n_quanta,) * len(detunings),
         photon_cap=n_quanta,
     )
 
@@ -449,8 +453,8 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
             f"{norm_drift_tol:g}), got norm {norm!r}")
     if rabi_max is None:
         rabi_max = DEFAULT_RABI_CAP_FACTOR * params.collective_coupling
-    if rabi_max <= 0:
-        raise ValueError("rabi_max must be positive")
+    if not rabi_max > 0:  # NaN fails this too; infinity passes (clamp off)
+        raise ValueError(f"rabi_max must be positive, got {rabi_max!r}")
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 

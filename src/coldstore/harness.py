@@ -1,9 +1,13 @@
 """Scenario runner: validated JSON configs in, machine-parseable reports out.
 
-Each scenario maps to a fixed bundle of checks against closed-form values,
-brute-force oracles, or convergence expectations.  Reports are deterministic
-for a given (config, seed, artifact version) triple: ``Report.canonical_json``
-excludes the runtime so byte-identical reruns byte-compare equal.
+Each scenario yields check units ``(name, size, fn)`` against closed-form
+values, brute-force oracles, or convergence expectations.  ``fn()`` returns
+the unit's record(s); ``size``, known from the config alone, is the label
+count of the largest basis the unit enumerates.  ``run`` and each ``scan``
+point run their units in one loop, where a unit that raises becomes one
+``error`` record; ``scan`` first refuses any point whose largest unit is over
+the budget.  ``Report.canonical_json`` excludes the runtime, so reports of
+one (config, seed, artifact version) triple byte-compare equal.
 
 Provenance tags on every check record where its expected value comes from:
 ``analytic`` (closed-form coefficient or identity), ``oracle`` (independent
@@ -13,13 +17,14 @@ brute-force computation), ``trivial`` (definition echo / bookkeeping).
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .errors import BudgetExceededError, ConfigError
 from .eit import (
     EitParams,
     RampSchedule,
+    _joint_space,
     adiabatic_sweep,
     dark_state,
     joint_space,
@@ -163,18 +169,20 @@ def check_report(name, actual, provenance="trivial", detail=""):
     return _record(name, "report", actual, 0.0, 0.0, provenance, detail)
 
 
-def _guarded(checks: list, name: str, fn: Callable[[], object]) -> None:
-    """Run one independent check unit; record a failure instead of aborting."""
-    try:
-        out = fn()
-    except Exception as exc:  # recorded per-check by design
-        checks.append(_record(name, "error", math.nan, 0.0, 0.0, "trivial",
-                              detail=f"{type(exc).__name__}: {exc}"))
-        return
-    if isinstance(out, CheckRecord):
-        checks.append(out)
-    else:
-        checks.extend(out)
+Unit = tuple[str, int, Callable[[], CheckRecord | list[CheckRecord]]]
+
+
+def _run_units(units: Iterable[Unit]) -> list[CheckRecord]:
+    """Run check units in order; a unit that raises becomes one error record."""
+    checks: list[CheckRecord] = []
+    for name, _size, fn in units:
+        try:
+            out = fn()
+        except Exception as exc:  # recorded per unit by design
+            out = _record(name, "error", math.nan, 0.0, 0.0, "trivial",
+                          detail=f"{type(exc).__name__}: {exc}")
+        checks.extend([out] if isinstance(out, CheckRecord) else out)
+    return checks
 
 
 @dataclass
@@ -405,12 +413,18 @@ def _ladder_unit(cfg, n_atoms) -> list[CheckRecord]:
     ]
 
 
-def _run_verify_ladder(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _atom_range_units(cfg, name, unit) -> Iterator[Unit]:
+    """One unit ``unit(cfg, N)`` per N in the config's range, sized as the
+    storage states up to n_max quanta and one raising step above them."""
     for n_atoms in range(cfg["n_atoms_min"], cfg["n_atoms_max"] + 1):
-        _guarded(checks, f"ladder identities N={n_atoms}",
-                 lambda n_atoms=n_atoms: _ladder_unit(cfg, n_atoms))
-    return checks
+        top = min(cfg["n_max"] + 1, n_atoms)
+        yield (f"{name} N={n_atoms}",
+               sum(math.comb(n_atoms, r) for r in range(top + 1)),
+               lambda n_atoms=n_atoms: unit(cfg, n_atoms))
+
+
+def _run_verify_ladder(cfg) -> Iterator[Unit]:
+    return _atom_range_units(cfg, "ladder identities", _ladder_unit)
 
 
 # -- scenario: verify-dicke --------------------------------------------------
@@ -456,12 +470,8 @@ def _dicke_unit(cfg, n_atoms) -> list[CheckRecord]:
     ]
 
 
-def _run_verify_dicke(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    for n_atoms in range(cfg["n_atoms_min"], cfg["n_atoms_max"] + 1):
-        _guarded(checks, f"collective-spin eigenpairs N={n_atoms}",
-                 lambda n_atoms=n_atoms: _dicke_unit(cfg, n_atoms))
-    return checks
+def _run_verify_dicke(cfg) -> Iterator[Unit]:
+    return _atom_range_units(cfg, "collective-spin eigenpairs", _dicke_unit)
 
 
 # -- scenario: commutator-scan ----------------------------------------------
@@ -480,17 +490,19 @@ _COMMUTATOR_SCHEMA = {
 }
 
 
-def _run_commutator_scan(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _run_commutator_scan(cfg) -> Iterator[Unit]:
     n = cfg["n_atoms"]
     d = cfg["spacing"]
-    geom = Geometry.lattice(n, d)
-    space = atomic_space(n, 1)
-    vac = vacuum(space)
+    size = n + 1  # atomic_space(n, 1): the vacuum and n single excitations
     rng = _rng(cfg)
     k_max = cfg["max_kd"] / d
 
+    @functools.cache  # by the first unit: a scan sizes all units first
+    def lattice():
+        return Geometry.lattice(n, d), vacuum(atomic_space(n, 1))
+
     def identity_pair(i, k, kp):
+        geom, vac = lattice()
         elem = sigma_commutator_element(geom, k, kp, vac, vac)
         expected = phase_sum(geom, kp - k) / n
         closed = lattice_phase_sum_closed(n, kp - k, d) / n
@@ -505,8 +517,8 @@ def _run_commutator_scan(cfg) -> list[CheckRecord]:
 
     for i in range(cfg["n_pairs"]):
         k, kp = rng.uniform(0.0, k_max, size=2)
-        _guarded(checks, f"commutator identity pair {i}",
-                 lambda i=i, k=k, kp=kp: identity_pair(i, float(k), float(kp)))
+        yield (f"commutator identity pair {i}", size,
+               lambda i=i, k=k, kp=kp: identity_pair(i, float(k), float(kp)))
 
     base_k = cfg["base_kd"] / d
 
@@ -527,9 +539,10 @@ def _run_commutator_scan(cfg) -> list[CheckRecord]:
             detail=f"envelope below {cfg['distant_bound']:g} for |dk|L in "
                    f"[{lo:.1f}, {hi:.1f}] (mod {2 * math.pi * n:.1f})")
 
-    _guarded(checks, "aliasing-free window", window)
+    yield "aliasing-free window", 0, window
 
     def distant_point(dkl):
+        geom, vac = lattice()
         kp = base_k + dkl / geom.length
         elem = sigma_commutator_element(geom, base_k, kp, vac, vac)
         return check_le(
@@ -541,9 +554,8 @@ def _run_commutator_scan(cfg) -> list[CheckRecord]:
     for dkl in cfg["dk_length_grid"]:
         if dkl < cfg["min_dk_length"]:
             continue
-        _guarded(checks, f"distant-mode commutator at |dk|L={dkl:g}",
-                 lambda dkl=dkl: distant_point(dkl))
-    return checks
+        yield (f"distant-mode commutator at |dk|L={dkl:g}", size,
+               lambda dkl=dkl: distant_point(dkl))
 
 
 # -- scenario: mode-conditions -----------------------------------------------
@@ -561,13 +573,12 @@ _MODE_SCHEMA = {
 }
 
 
-def _run_mode_conditions(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    _guarded(checks, "resolvable mode spacing", lambda: check_abs(
+def _run_mode_conditions(cfg) -> Iterator[Unit]:
+    yield "resolvable mode spacing", 0, lambda: check_abs(
         "resolvable mode spacing lambda^2/(2 pi L)",
         mode_spacing_estimate(cfg["wavelength"], cfg["length"]),
         cfg["expected_spacing"], cfg["spacing_tolerance"], "oracle",
-        detail=f"wavelength={cfg['wavelength']:g}, length={cfg['length']:g}"))
+        detail=f"wavelength={cfg['wavelength']:g}, length={cfg['length']:g}")
 
     def condition_records():
         n = cfg["n_atoms"]
@@ -597,8 +608,9 @@ def _run_mode_conditions(cfg) -> list[CheckRecord]:
                 p.residual, "oracle"))
         return recs
 
-    _guarded(checks, "collective-description conditions", condition_records)
-    return checks
+    # counts the lattice's N positions; no label basis is built
+    yield ("collective-description conditions", cfg["n_atoms"],
+           condition_records)
 
 
 # -- scenario: dark-residual --------------------------------------------------
@@ -629,22 +641,23 @@ def _dark_params(cfg, n_atoms, theta, fock_cap) -> EitParams:
     return EitParams(geom, modes, cfg["g"], rabi)
 
 
-def _run_dark_residual(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _run_dark_residual(cfg) -> Iterator[Unit]:
+    def size(n_atoms, n):
+        # no geometry, no Rabi frequency: theta = 0 must fail in its unit only
+        return estimate_basis_size(_joint_space(n_atoms, (cfg["q"],), n))
+
     for n_atoms in cfg["n_atoms_list"]:
         for n in cfg["n_list"]:
             for theta in cfg["thetas"]:
-                def unit(n_atoms=n_atoms, n=n, theta=theta):
+                name = (f"exact dark-state residual N={n_atoms}, n={n}, "
+                        f"theta={theta:.4f}")
+                def unit(name=name, n_atoms=n_atoms, n=n, theta=theta):
                     params = _dark_params(cfg, n_atoms, theta, fock_cap=n)
                     res = null_eigenvalue_residual(params, n, cfg["q"],
                                                    form="exact")
-                    return check_le(
-                        f"exact dark-state residual N={n_atoms}, n={n}, "
-                        f"theta={theta:.4f}",
-                        res, cfg["exact_tolerance"], "analytic")
-                _guarded(checks,
-                         f"exact dark-state residual N={n_atoms}, n={n}, "
-                         f"theta={theta:.4f}", unit)
+                    return check_le(name, res, cfg["exact_tolerance"],
+                                    "analytic")
+                yield name, size(n_atoms, n), unit
 
     def approx_unit():
         n = cfg["approx_n"]
@@ -666,8 +679,9 @@ def _run_dark_residual(cfg) -> list[CheckRecord]:
                 detail=f"{ra:.6e} -> {rb:.6e}"))
         return recs
 
-    _guarded(checks, "approximate-form residual convergence", approx_unit)
-    return checks
+    yield ("approximate-form residual convergence",
+           max(size(n_atoms, cfg["approx_n"])
+               for n_atoms in cfg["approx_n_atoms"]), approx_unit)
 
 
 # -- scenario: adiabatic-sweep -------------------------------------------------
@@ -704,26 +718,28 @@ def _sweep_setup(cfg):
     return params, space, initial
 
 
-def _sweep_once(cfg, duration_coupling):
-    params, space, initial = _sweep_setup(cfg)
-    ramp = RampSchedule(0.0, math.pi / 2.0,
-                        duration_coupling / params.collective_coupling,
-                        shape=cfg["shape"])
-    traj = adiabatic_sweep(
-        initial, params, ramp,
-        rabi_max=cfg["rabi_cap_factor"] * params.collective_coupling,
-        record_every=cfg["record_every"] or None,
-        norm_drift_tol=cfg["norm_drift_tolerance"])
-    target = dark_state(params, cfg["n_quanta"], cfg["q"], form="exact",
-                        space=space, theta=math.pi / 2.0)
-    return traj, fidelity(traj.final_state, target)
+def _run_adiabatic_sweep(cfg) -> Iterator[Unit]:
+    setup = functools.cache(lambda: _sweep_setup(cfg))  # one for both sweeps
+    size = estimate_sector_size(
+        _joint_space(cfg["n_atoms"], (cfg["q"],), cfg["n_quanta"]),
+        [cfg["n_quanta"]])
 
-
-def _run_adiabatic_sweep(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+    def sweep(duration_coupling):
+        params, space, initial = setup()
+        ramp = RampSchedule(0.0, math.pi / 2.0,
+                            duration_coupling / params.collective_coupling,
+                            shape=cfg["shape"])
+        traj = adiabatic_sweep(
+            initial, params, ramp,
+            rabi_max=cfg["rabi_cap_factor"] * params.collective_coupling,
+            record_every=cfg["record_every"] or None,
+            norm_drift_tol=cfg["norm_drift_tolerance"])
+        target = dark_state(params, cfg["n_quanta"], cfg["q"], form="exact",
+                            space=space, theta=math.pi / 2.0)
+        return traj, fidelity(traj.final_state, target)
 
     def slow_unit():
-        traj, fid = _sweep_once(cfg, cfg["duration_coupling"])
+        traj, fid = sweep(cfg["duration_coupling"])
         if cfg["trajectory_out"]:
             traj.to_csv(cfg["trajectory_out"])
         return [
@@ -744,16 +760,15 @@ def _run_adiabatic_sweep(cfg) -> list[CheckRecord]:
         ]
 
     def fast_unit():
-        traj, fid = _sweep_once(cfg, cfg["fast_duration_coupling"])
+        traj, fid = sweep(cfg["fast_duration_coupling"])
         return check_le(
             f"fast-sweep fidelity stays low (T*coupling="
             f"{cfg['fast_duration_coupling']:g})",
             fid, cfg["fast_max_fidelity"], "analytic",
             detail=f"norm drift {traj.norm_drift:.2e}")
 
-    _guarded(checks, "slow adiabatic sweep", slow_unit)
-    _guarded(checks, "fast sweep contrast", fast_unit)
-    return checks
+    yield "slow adiabatic sweep", size, slow_unit
+    yield "fast sweep contrast", size, fast_unit
 
 
 # -- scenario: dynamic-transfer ------------------------------------------------
@@ -771,8 +786,8 @@ _TRANSFER_SCHEMA = {
 }
 
 
-def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _run_dynamic_transfer(cfg) -> Iterator[Unit]:
+    # only the finite-N deviation enumerates labels; the rest have size 0
     tol = cfg["checkpoint_tolerance"]
 
     def single_quantum():
@@ -787,7 +802,7 @@ def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
         return check_le("single-quantum amplitudes (cos, -i sin)",
                         worst, tol, "analytic")
 
-    _guarded(checks, "single-quantum amplitudes", single_quantum)
+    yield "single-quantum amplitudes", 0, single_quantum
 
     def checkpoints(m):
         state = BosonicState.fock(m, 0)
@@ -811,8 +826,7 @@ def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
         return recs
 
     for m in range(1, cfg["m_max"] + 1):
-        _guarded(checks, f"rotation checkpoints m={m}",
-                 lambda m=m: checkpoints(m))
+        yield f"rotation checkpoints m={m}", 0, lambda m=m: checkpoints(m)
 
     def mixed_sign():
         state = BosonicState.fock(1, 2)
@@ -823,7 +837,7 @@ def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
             "sign flip at half period for mixed occupation (m=1, n=2)",
             float(np.linalg.norm(half - expected)), tol, "analytic")
 
-    _guarded(checks, "mixed-occupation sign flip", mixed_sign)
+    yield "mixed-occupation sign flip", 0, mixed_sign
 
     def numeric_crosscheck():
         rng = _rng(cfg)
@@ -839,7 +853,7 @@ def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
             float(np.linalg.norm(a.amplitudes - b.amplitudes)),
             cfg["numeric_tolerance"], "oracle")
 
-    _guarded(checks, "numeric cross-check", numeric_crosscheck)
+    yield "numeric cross-check", 0, numeric_crosscheck
 
     def finite_n_deviation():
         m = cfg["deviation_m"]
@@ -864,7 +878,10 @@ def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
                 detail=f"{devs[i - 1]:.6e} -> {devs[i]:.6e}"))
         return recs
 
-    _guarded(checks, "finite-N deviation trend", finite_n_deviation)
+    m = cfg["deviation_m"]
+    yield ("finite-N deviation trend", estimate_sector_size(
+        transfer_space(max(cfg["n_atoms_list"]), m, cfg["wavevector"]), [m]),
+        finite_n_deviation)
 
     def purity_extrema():
         grid = np.linspace(0.0, math.pi / 2.0, cfg["purity_grid"] + 1)
@@ -888,8 +905,7 @@ def _run_dynamic_transfer(cfg) -> list[CheckRecord]:
                            f"location is asserted for m >= 2"))
         return recs
 
-    _guarded(checks, "entanglement extremum", purity_extrema)
-    return checks
+    yield "entanglement extremum", 0, purity_extrema
 
 
 # -- scenario: swap ------------------------------------------------------------
@@ -907,9 +923,10 @@ def _random_side(rng, max_quanta) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _run_swap(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _run_swap(cfg) -> Iterator[Unit]:
     rng = _rng(cfg)
+    # field-by-atom amplitude pairs of the largest product a trial can draw
+    size = (cfg["max_quanta"] + 1) ** 2
     for trial in range(cfg["n_trials"]):
         f = _random_side(rng, cfg["max_quanta"])
         a = _random_side(rng, cfg["max_quanta"])
@@ -926,8 +943,7 @@ def _run_swap(cfg) -> list[CheckRecord]:
                            f"atom quanta {len(a) - 1}"))
             return recs
 
-        _guarded(checks, f"swap checkpoints trial {trial}", unit)
-    return checks
+        yield f"swap checkpoints trial {trial}", size, unit
 
 
 # -- scenario: normalization-audit ---------------------------------------------
@@ -946,25 +962,22 @@ _AUDIT_SCHEMA = {
 }
 
 
-def _run_normalization_audit(cfg) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    k = cfg["wavevector"]
+def _route_unit(cfg, n_atoms) -> CheckRecord:
+    geom = Geometry.lattice(n_atoms, cfg["spacing"])
+    worst = 1.0
+    for n in range(1, min(cfg["n_max"], n_atoms) + 1):
+        spec = StorageSpec(geom, ((cfg["wavevector"], n),))
+        direct = storage_direct(spec)
+        laddered, _raw = storage_ladder(spec)
+        worst = min(worst, fidelity(direct, laddered))
+    return check_ge(
+        f"construction-route equivalence, N={n_atoms}",
+        worst, 1.0 - cfg["route_tolerance"], "oracle")
 
-    def route_unit(n_atoms):
-        geom = Geometry.lattice(n_atoms, cfg["spacing"])
-        worst = 1.0
-        for n in range(1, min(cfg["n_max"], n_atoms) + 1):
-            spec = StorageSpec(geom, ((k, n),))
-            direct = storage_direct(spec)
-            laddered, _raw = storage_ladder(spec)
-            worst = min(worst, fidelity(direct, laddered))
-        return check_ge(
-            f"construction-route equivalence, N={n_atoms}",
-            worst, 1.0 - cfg["route_tolerance"], "oracle")
 
-    for n_atoms in range(cfg["n_atoms_min"], cfg["n_atoms_max"] + 1):
-        _guarded(checks, f"construction-route equivalence N={n_atoms}",
-                 lambda n_atoms=n_atoms: route_unit(n_atoms))
+def _run_normalization_audit(cfg) -> Iterator[Unit]:
+    yield from _atom_range_units(cfg, "construction-route equivalence",
+                                 _route_unit)
 
     def audit_unit(occ):
         n_atoms = cfg["audit_n_atoms"]
@@ -992,17 +1005,17 @@ def _run_normalization_audit(cfg) -> list[CheckRecord]:
         ]
 
     for occ in cfg["audit_occupancies"]:
-        _guarded(checks,
-                 f"normalization audit occupancies {tuple(occ)}",
-                 lambda occ=occ: audit_unit(occ))
-    return checks
+        # the brute-force oracle sums over ordered placements twice
+        placements = math.perm(cfg["audit_n_atoms"], sum(occ))
+        yield (f"normalization audit occupancies {tuple(occ)}",
+               placements * placements, lambda occ=occ: audit_unit(occ))
 
 
 # -- registry ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Scenario:
-    runner: Callable[[dict], list[CheckRecord]]
+    runner: Callable[[dict], Iterable[Unit]]
     schema: Mapping[str, Field]
     description: str
 
@@ -1044,7 +1057,7 @@ def run(scenario: str, config: Mapping | None = None,
     _check_format(fmt)
     cfg = validate_config(scenario, config)
     start = time.perf_counter()
-    checks = SCENARIOS[scenario].runner(cfg)
+    checks = _run_units(SCENARIOS[scenario].runner(cfg))
     report = Report(scenario=scenario, config=cfg, checks=tuple(checks),
                     runtime_seconds=time.perf_counter() - start)
     if out_dir is not None:
@@ -1070,44 +1083,6 @@ def _write_report(report: Report, out_dir, fmt: str, stem: str) -> None:
 
 # "scenario", "grid" and "base" are checked in validate_scan_config
 _SCAN_FIELDS = {**_COMMON_FIELDS, "budget": Field(500_000, lo=1)}
-
-
-def _estimate_cost(scenario: str, cfg: dict) -> int:
-    """Coarse upper bound on the largest basis this point will enumerate."""
-    if scenario == "adiabatic-sweep":
-        params, space, _initial = _sweep_setup(cfg)
-        return estimate_sector_size(space, [cfg["n_quanta"]])
-    if scenario == "dynamic-transfer":
-        n_atoms = max(cfg["n_atoms_list"])
-        total = cfg["deviation_m"]
-        return estimate_sector_size(
-            transfer_space(n_atoms, total, cfg["wavevector"]), [total])
-    if scenario == "dark-residual":
-        n_atoms = max(max(cfg["n_atoms_list"]), max(cfg["approx_n_atoms"]))
-        n = max(max(cfg["n_list"]), cfg["approx_n"])
-        geom = Geometry.lattice(n_atoms, cfg["spacing"])
-        modes = ModeSet(cfg["k_signal"], cfg["k_control"], (cfg["q"],),
-                        cfg["transition"], fock_cap=n)
-        params = EitParams(geom, modes, cfg["g"], rabi=1.0)
-        return estimate_basis_size(joint_space(params, n))
-    if scenario in ("verify-ladder", "verify-dicke", "normalization-audit"):
-        n_atoms = cfg["n_atoms_max"]
-        n = min(cfg["n_max"] + 1, n_atoms)
-        size = sum(math.comb(n_atoms, r) for r in range(n + 1))
-        if scenario == "normalization-audit":
-            # the brute-force oracle sums over ordered placements twice
-            ff = 1
-            for i in range(sum(max(cfg["audit_occupancies"], key=sum))):
-                ff *= cfg["audit_n_atoms"] - i
-            size = max(size, ff * ff)
-        return size
-    if scenario == "commutator-scan":
-        return cfg["n_atoms"] + 1
-    if scenario == "mode-conditions":
-        return cfg["n_atoms"]
-    if scenario == "swap":
-        return (cfg["max_quanta"] + 1) ** 2
-    raise ConfigError([f"unknown scenario {scenario!r}"])
 
 
 def validate_scan_config(config: Mapping | None) -> dict:
@@ -1162,9 +1137,9 @@ def scan_points(cfg: dict) -> list[dict]:
     return points
 
 
-def _scan_worker(args) -> list[CheckRecord]:
-    scenario, point_cfg = args
-    return SCENARIOS[scenario].runner(point_cfg)
+def _scan_worker(scenario: str, point_cfg: dict) -> list[CheckRecord]:
+    # units are closures, so only (scenario, config) crosses to a worker
+    return _run_units(SCENARIOS[scenario].runner(point_cfg))
 
 
 def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
@@ -1186,8 +1161,9 @@ def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
     if violations:
         raise ConfigError(violations)
 
-    for i, (point, pcfg) in enumerate(zip(points, validated)):
-        est = _estimate_cost(scenario, pcfg)
+    units = [list(SCENARIOS[scenario].runner(pcfg)) for pcfg in validated]
+    for i, (point, point_units) in enumerate(zip(points, units)):
+        est = max(size for _name, size, _fn in point_units)
         if est > cfg["budget"]:
             raise BudgetExceededError(
                 f"point {i} {point['overrides']} has estimated basis size "
@@ -1195,15 +1171,15 @@ def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
                 f"'budget' or shrink the grid")
 
     start = time.perf_counter()
-    work = [(scenario, pcfg) for pcfg in validated]
-    if jobs > 1 and len(work) > 1:
+    if jobs > 1 and len(units) > 1:
         # imported here: it costs ~18 ms of every ``import coldstore``
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_worker, work))
+            results = list(pool.map(_scan_worker,
+                                    [scenario] * len(validated), validated))
     else:
-        results = [_scan_worker(w) for w in work]
+        results = [_run_units(point_units) for point_units in units]
 
     checks: list[CheckRecord] = []
     rows = []

@@ -374,3 +374,16 @@ def test_sweep_rejects_bad_inputs():
         adiabatic_sweep(initial, params, ramp, rabi_max=-1.0)
     with pytest.raises(ValueError, match="record_every"):
         adiabatic_sweep(initial, params, ramp, record_every=0)
+
+
+def test_sweep_names_a_nan_rabi_max_and_takes_an_infinite_one():
+    params = make_params(4, fock_cap=1, rabi=0.0)
+    initial = with_field_occupation(vacuum(joint_space(params, 1)), (1,))
+    ramp = RampSchedule(0.0, math.pi / 2, duration=1.0)
+    with pytest.raises(ValueError, match="rabi_max"):
+        adiabatic_sweep(initial, params, ramp, rabi_max=math.nan)
+    # an infinite cap switches the clamp off; from theta = 0.3 the control
+    # g sqrt(N) cot(theta) stays finite
+    ramp = RampSchedule(0.3, math.pi / 2, duration=1.0)
+    traj = adiabatic_sweep(initial, params, ramp, rabi_max=math.inf)
+    assert traj.norm_drift <= 1e-8

@@ -143,6 +143,71 @@ def test_scan_budget_guard():
     assert "budget" in str(err.value)
 
 
+# label count of the largest check unit at each scenario's defaults
+DEFAULT_ESTIMATES = {
+    "verify-ladder": 794, "verify-dicke": 386, "commutator-scan": 65,
+    "mode-conditions": 100_000, "dark-residual": 1_539,
+    "adiabatic-sweep": 17, "dynamic-transfer": 137, "swap": 16,
+    "normalization-audit": 112_896,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_scan_estimates_every_default_point(scenario):
+    key, field = sorted(SCENARIOS[scenario].schema.items())[0]
+    cfg = {"scenario": scenario, "budget": 1, "grid": {key: [field.default]}}
+    with pytest.raises(BudgetExceededError) as err:
+        scan(cfg)
+    assert (f"estimated basis size {DEFAULT_ESTIMATES[scenario]}, over the "
+            f"configured budget 1;") in str(err.value)
+
+
+def test_scan_refuses_before_any_unit_runs(monkeypatch):
+    ran = []
+    units = SCENARIOS["dark-residual"].runner
+
+    def recording(cfg):
+        for name, size, _fn in units(cfg):
+            yield name, size, lambda name=name: ran.append(name) or []
+
+    monkeypatch.setitem(SCENARIOS, "dark-residual", dataclasses.replace(
+        SCENARIOS["dark-residual"], runner=recording))
+    # point 0 is at the budget (1,539, its approximate-form unit); point 1's
+    # exact N=8, n=3 unit (2,308 labels) is over it
+    with pytest.raises(BudgetExceededError, match="point 1 .* 2308, over"):
+        scan({"scenario": "dark-residual", "budget": 1_539,
+              "grid": {"n_list": [[1], [3]]}})
+    assert ran == []
+
+
+def test_a_unit_that_raises_is_one_error_record_and_the_rest_run():
+    cfg = {"thetas": [0.0, 0.5], "n_atoms_list": [4], "n_list": [1]}
+    report = run("dark-residual", cfg)
+    error, *rest = report.checks
+    assert error.name == "exact dark-state residual N=4, n=1, theta=0.0000"
+    assert error.comparison == "error"
+    assert error.passed is False
+    assert math.isnan(error.actual)
+    assert error.provenance == "trivial"
+    assert error.detail == "ZeroDivisionError: float division by zero"
+    assert [c.name for c in rest] == [
+        "exact dark-state residual N=4, n=1, theta=0.5000",
+        "approximate-form residual N=8",
+        "approximate-form residual N=16",
+        "approximate-form residual decreases N=8 -> N=16",
+    ]
+    assert all(c.passed for c in rest)
+    assert report.all_passed is False
+    # the same point twice, so that jobs=2 takes the process pool
+    scanned = scan({"scenario": "dark-residual",
+                    "base": {"n_atoms_list": [4], "n_list": [1]},
+                    "grid": {"thetas": [[0.0, 0.5], [0.0, 0.5]]}}, jobs=2)
+    prefixed = [dataclasses.replace(c, name=f"[thetas=[0.0, 0.5]] {c.name}")
+                for c in report.checks]
+    assert [c.to_dict() for c in scanned.checks] == \
+        [c.to_dict() for c in prefixed] * 2
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"n_trials": 2}')

@@ -535,6 +535,8 @@ def transfer_sector_24():
 @pytest.mark.parametrize("initial", ["fock", "random"])
 def test_krylov_power_matches_the_stage_loop_on_the_24_atom_sector(
         transfer_sector_24, k, initial):
+    """The control-free (I + D0)^k RK4 path against the stage loop; the
+    name is kept from the Krylov power that path replaced."""
     sectors, (dt, n_steps) = transfer_sector_24
     h, fock = sectors[k]
     assert isinstance(h, SparseOperator) and h.shape == (2325, 2325)
@@ -546,7 +548,7 @@ def test_krylov_power_matches_the_stage_loop_on_the_24_atom_sector(
                     rtol=0, atol=1e-12)
 
 
-def test_krylov_power_matches_the_stage_loop_on_the_two_boson_model():
+def test_control_free_rk4_power_matches_the_stage_loop_on_the_two_boson_model():
     h = _two_boson_hamiltonian(4, 4, 1.3)
     dt, n_steps = step_grid(0.9 / 1.3, _transfer_step(1.3, 4))
     psi0 = random_vector(np.random.default_rng(12), h.shape[0])
@@ -555,7 +557,7 @@ def test_krylov_power_matches_the_stage_loop_on_the_two_boson_model():
                     rtol=0, atol=1e-12)
 
 
-def test_krylov_power_matches_the_stage_loop_off_hermitian():
+def test_control_free_rk4_power_matches_the_stage_loop_off_hermitian():
     rng = np.random.default_rng(13)
     h = (rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))) / 8.0
     h -= 0.5j * np.eye(60)
@@ -578,7 +580,7 @@ def test_control_free_rk4_matches_the_stage_loop_at_rho_t_79():
 
 
 @pytest.mark.parametrize("sample_every", [100, 97, 2000])
-def test_krylov_power_keeps_the_sample_schedule(sample_every):
+def test_control_free_rk4_power_keeps_the_sample_schedule(sample_every):
     apply_fn, space, basis = transfer_sector(16, 3)
     h = sector_operator(apply_fn, space, basis)
     psi0 = random_vector(np.random.default_rng(15), len(basis))

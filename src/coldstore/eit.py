@@ -399,30 +399,105 @@ class Trajectory:
                 w.writerow([f"{v:.12g}" for v in row])
 
 
-def dark_manifold_weight(psi: np.ndarray, params: EitParams,
-                         space: StateSpace, index: dict,
-                         totals: list[int],
-                         theta: float | None = None) -> float:
-    """Total population of the instantaneous dark manifold.
+# Gram eigenvalues below this fraction of the largest are dropped from the
+# projection: rounding in the Gram matrix (about 1e-16) would dominate them.
+_GRAM_RTOL = 1e-10
 
-    Sums |<D|psi>|^2 over the exact dark states of every mode-occupancy
-    pattern within the given total quantum numbers.  Distinct patterns have
-    distinct quasiparticle content, so the family is orthogonal and the sum
-    is a genuine projection weight.  ``theta`` overrides the mixing angle
-    implied by ``params.rabi``.
+
+@dataclass(frozen=True)
+class DarkManifold:
+    """The theta-free parts of a sector's exact dark states.
+
+    a_q^dag and S_q^dag = sigma^dag(k_eff(q)) commute, so the unnormalized
+    dark state of an occupancy pattern p with q_p quanta,
+    prod_q (cos(theta) a_q^dag - sin(theta) S_q^dag)^{n_q} / sqrt(n_q!) |0>,
+    equals sum_M cos^{q_p - M}(theta) sin^M(theta) w_{p,M}.  Row r of
+    ``bras`` is one conjugated w_{p,M} on the sector basis, ``gram`` holds
+    <w_r|w_r'>, row r has powers ``cos_powers[r]`` and ``sin_powers[r]``, and
+    ``members[r, p]`` is 1 where row r belongs to pattern p.
     """
-    qs = params.modes.detunings
-    weight = 0.0
+
+    bras: np.ndarray
+    gram: np.ndarray
+    cos_powers: np.ndarray
+    sin_powers: np.ndarray
+    members: np.ndarray
+
+
+def _dark_polynomial(params: EitParams, space: StateSpace,
+                     occupancy: tuple[int, ...]) -> list[SparseKet]:
+    """w_M, M = 0..q: the coefficient of cos^{q-M} sin^M in the unnormalized
+    dark state of one occupancy pattern.  Each polariton factor maps
+    w_M -> a^dag w_M - S^dag w_{M-1}, which builds the binomial
+    coefficients of every mode's ladder (Pascal's rule)."""
+    coeffs = [vacuum(space)]
+    scale = 1.0
+    for q, n_q in zip(params.modes.detunings, occupancy):
+        mode_idx = space.mode_index(q)
+        k_eff = params.modes.k_eff(q)
+        for _ in range(n_q):
+            photon = [apply_field(w, mode_idx, dagger=True) for w in coeffs]
+            atom = [apply_sigma(w, params.geometry, k_eff, dagger=True)
+                    for w in coeffs]
+            coeffs = ([photon[0]] + [p - a for p, a in zip(photon[1:], atom)]
+                      + [-atom[-1]])
+        scale *= math.factorial(n_q)
+    return [w * (1.0 / math.sqrt(scale)) for w in coeffs]
+
+
+def dark_manifold(params: EitParams, space: StateSpace, index: dict,
+                  totals: list[int]) -> DarkManifold:
+    """The dark manifold of every mode-occupancy pattern within the given
+    total quantum numbers, on the sector basis ``index``."""
+    n_modes = len(params.modes.detunings)
+    patterns = [occ for q_total in totals
+                for occ in _field_occupations((q_total,) * n_modes, q_total)]
+    rows, cos_powers, sin_powers, owner = [], [], [], []
+    for p, occ in enumerate(patterns):
+        coeffs = _dark_polynomial(params, space, occ)
+        for m, w in enumerate(coeffs):
+            rows.append(ket_to_vector(w, index))
+            cos_powers.append(len(coeffs) - 1 - m)
+            sin_powers.append(m)
+            owner.append(p)
+    bras = np.conj(np.array(rows))
+    members = np.zeros((len(rows), len(patterns)))
+    members[np.arange(len(rows)), owner] = 1.0
+    return DarkManifold(bras=bras, gram=bras @ bras.conj().T,
+                        cos_powers=np.array(cos_powers, dtype=float),
+                        sin_powers=np.array(sin_powers, dtype=float),
+                        members=members)
+
+
+def dark_manifold_weight(psi: np.ndarray, manifold: DarkManifold,
+                         theta: float) -> float:
+    """Population of the instantaneous dark manifold at mixing angle theta.
+
+    The projection weight of ``psi`` onto the span of the exact dark states
+    D_p of ``manifold``'s patterns, b^H G^+ b / <psi|psi> with
+    b_p = <D_p|psi> and G_pp' = <D_p|D_p'>.  Patterns of different totals
+    are orthogonal; patterns of one total overlap when their modes' spin
+    waves do, so G need not be diagonal, and it is singular where two
+    patterns share a dark state.  The cost is one product of ``psi`` with
+    the manifold's rows and, for several patterns, one small
+    eigendecomposition of G.
+    """
     nn = float(np.vdot(psi, psi).real)
     if nn == 0.0:
         return 0.0
-    for q_total in totals:
-        for occ in _field_occupations((q_total,) * len(qs), q_total):
-            dark = multimode_dark_state(
-                params, dict(zip(qs, occ)), space=space, theta=theta)
-            dvec = ket_to_vector(dark, index)
-            weight += abs(np.vdot(dvec, psi)) ** 2
-    return weight / nn
+    t = (math.cos(theta) ** manifold.cos_powers
+         * math.sin(theta) ** manifold.sin_powers)
+    overlaps = manifold.bras @ psi
+    if manifold.members.shape[1] == 1:  # one pattern: |<D|psi>|^2 / <D|D>
+        norm_sq = float(t @ manifold.gram.real @ t)
+        if not norm_sq > 0:
+            return 0.0
+        return float(abs(t @ overlaps) ** 2 / norm_sq) / nn
+    a = manifold.members * t[:, None]
+    lam, u = np.linalg.eigh(a.T @ manifold.gram @ a)
+    keep = lam > _GRAM_RTOL * max(lam[-1], 0.0)
+    along = u[:, keep].conj().T @ (a.T @ overlaps)
+    return float(np.sum(np.abs(along) ** 2 / lam[keep])) / nn
 
 
 def sweep_time_step(params: EitParams, rabi_peak: float) -> float:
@@ -438,7 +513,11 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
 
     The initial ket fixes the conserved quantum-number sector(s); the
     Hamiltonian is cached on that sector as H_static + Omega(t) * H_control
-    and integrated with fixed-step RK4.  The initial ket must have unit norm
+    and integrated with fixed-step RK4.  The sector's dark manifold is built
+    beside it once (:func:`dark_manifold`), so the dark-manifold weight of
+    each sample is one small product at that sample's theta_eff.  An
+    infinite ``rabi_max`` is refused when the ramp reaches theta = 0, where
+    the control would be unbounded.  The initial ket must have unit norm
     to within ``norm_drift_tol``; a norm drift beyond it aborts with a
     diagnostic (the step was too coarse).
     """
@@ -453,7 +532,7 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
             f"{norm_drift_tol:g}), got norm {norm!r}")
     if rabi_max is None:
         rabi_max = DEFAULT_RABI_CAP_FACTOR * params.collective_coupling
-    if not rabi_max > 0:  # NaN fails this too; infinity passes (clamp off)
+    if not rabi_max > 0:  # NaN fails this too; infinity turns the clamp off
         raise ValueError(f"rabi_max must be positive, got {rabi_max!r}")
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
@@ -461,6 +540,10 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     theta_min = min(ramp.theta_start, ramp.theta_end)
     rabi_peak = float(control_amplitude(params.collective_coupling,
                                         theta_min, rabi_max))
+    if rabi_peak == math.inf:
+        raise ValueError(
+            f"rabi_max = inf cannot realize theta = {theta_min!r}: a ramp "
+            f"that reaches theta = 0 needs a finite rabi_max")
     dt, n_steps = step_grid(ramp.duration, sweep_time_step(params, rabi_peak))
 
     totals = present_totals(initial)
@@ -470,6 +553,7 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         lambda k: apply_hamiltonian(k, params, rabi=0.0), space, basis)
     h_control = sector_operator(
         lambda k: apply_control_coupling(k, params), space, basis)
+    manifold = dark_manifold(params, space, index, totals)
 
     # only the control amplitudes on the half-step grid outlive this line
     control = np.asarray(control_amplitude(
@@ -500,8 +584,7 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         samples["rabi"].append(rabi_t)
         samples["theta"].append(theta_eff)
         samples["norm"].append(nrm)
-        samples["dark"].append(dark_manifold_weight(
-            psi, params, space, index, totals, theta=theta_eff))
+        samples["dark"].append(dark_manifold_weight(psi, manifold, theta_eff))
         samples["photon"].append(float(photon_diag @ w))
         samples["cpop"].append(float(cpop_diag @ w))
 

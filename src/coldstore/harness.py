@@ -348,6 +348,20 @@ def validate_config(scenario: str, config: Mapping | None) -> dict:
     if _is_int(lo) and _is_int(hi) and lo > hi:
         violations.append(
             f"n_atoms_min: must be <= n_atoms_max (got {lo!r} > {hi!r})")
+    # a lattice of N atoms at spacing d is N d long, and that must be finite
+    spacing = out.get("spacing")
+    counts = [n for key, v in out.items() if "n_atoms" in key
+              for n in (v if isinstance(v, list) else [v]) if _is_int(n)]
+    if counts and spacing is not None and not any(
+            v.startswith("spacing:") for v in violations):
+        try:
+            length = max(counts) * float(spacing)
+        except OverflowError:  # an integer beyond the float range
+            length = math.inf
+        if math.isinf(length):
+            violations.append(
+                f"spacing: {max(counts)} atoms at this spacing overflow the "
+                f"lattice length (got {spacing!r})")
     if violations:
         raise ConfigError(violations)
     return out

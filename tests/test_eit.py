@@ -37,7 +37,7 @@ from coldstore import (
 )
 
 from coldstore import eit
-from coldstore.propagate import SparseOperator
+from coldstore.propagate import SparseOperator, ket_to_vector
 from oracles import dense_rho
 
 
@@ -387,3 +387,79 @@ def test_sweep_names_a_nan_rabi_max_and_takes_an_infinite_one():
     ramp = RampSchedule(0.3, math.pi / 2, duration=1.0)
     traj = adiabatic_sweep(initial, params, ramp, rabi_max=math.inf)
     assert traj.norm_drift <= 1e-8
+
+
+def test_sweep_refuses_an_infinite_rabi_max_on_a_ramp_to_theta_zero():
+    params = make_params(4, fock_cap=1, rabi=0.0)
+    initial = with_field_occupation(vacuum(joint_space(params, 1)), (1,))
+    # theta = 0 needs an unbounded control, so no step size resolves it
+    for ramp in (RampSchedule(0.0, math.pi / 2, duration=1.0),
+                 RampSchedule(math.pi / 2, 0.0, duration=1.0)):
+        with pytest.raises(ValueError,
+                           match=r"rabi_max = inf cannot realize theta = 0"):
+            adiabatic_sweep(initial, params, ramp, rabi_max=math.inf)
+
+
+def _sector_index(space, totals):
+    return {label: i for i, label in enumerate(enumerate_sector(space, totals))}
+
+
+def _random_vector(rng, dim):
+    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
+@pytest.mark.parametrize("geometry", ["lattice", "uniform_random"])
+@pytest.mark.parametrize("totals", [[1], [2], [3], [1, 2]],
+                         ids=["1", "2", "3", "1+2"])
+def test_dark_manifold_weight_matches_the_dark_state_oracle(geometry, totals):
+    if geometry == "lattice":
+        geom = Geometry.lattice(5, 0.5)
+    else:
+        geom = Geometry.uniform_random(5, 2.5, seed=3)
+    modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=max(totals))
+    params = EitParams(geom, modes, 1.0, rabi=1.0)
+    space = joint_space(params, max(totals))
+    index = _sector_index(space, totals)
+    manifold = eit.dark_manifold(params, space, index, totals)
+    rng = np.random.default_rng(11)
+    for theta in (0.0, 1e-3, 0.4, 1.1, math.pi / 2):
+        # one mode: one dark state per total, and distinct totals are
+        # orthogonal, so the weight is a plain sum over the family
+        darks = [ket_to_vector(multimode_dark_state(
+            params, {0.0: n}, space=space, theta=theta), index)
+            for n in totals]
+        near_dark = sum(_random_vector(rng, 1)[0] * d for d in darks)
+        for psi in (_random_vector(rng, len(index)),
+                    near_dark + 0.2 * _random_vector(rng, len(index))):
+            expected = (sum(abs(np.vdot(d, psi)) ** 2 for d in darks)
+                        / np.vdot(psi, psi).real)
+            assert eit.dark_manifold_weight(psi, manifold, theta) \
+                == pytest.approx(expected, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("detunings, theta", [
+    # the spin waves at k_eff(0) and k_eff(0.3) overlap on 8 atoms
+    ((0.0, 0.3), 0.3), ((0.0, 0.3), math.pi / 2),
+    # k_eff(0) and k_eff(2 pi) agree modulo 2 pi / spacing: at theta = pi/2
+    # both patterns have one dark state and the family is degenerate
+    ((0.0, 2 * math.pi), 0.3), ((0.0, 2 * math.pi), math.pi / 2),
+], ids=["overlap-0.3", "overlap-pi/2", "degenerate-0.3", "degenerate-pi/2"])
+def test_dark_manifold_weight_is_a_projection_when_patterns_overlap(
+        detunings, theta):
+    modes = ModeSet(1.0, 0.4, detunings, "raman", fock_cap=1)
+    params = EitParams(Geometry.lattice(8, 1.0), modes, 0.8, rabi=1.0)
+    space = joint_space(params, 1)
+    index = _sector_index(space, [1])
+    manifold = eit.dark_manifold(params, space, index, [1])
+    darks = [ket_to_vector(multimode_dark_state(
+        params, {q: 1}, space=space, theta=theta), index) for q in detunings]
+    assert abs(np.vdot(darks[0], darks[1])) > 0.05
+    for dark in darks:
+        assert eit.dark_manifold_weight(dark, manifold, theta) \
+            == pytest.approx(1.0, rel=0, abs=1e-12)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        c = _random_vector(rng, 2)
+        psi = (c[0] * darks[0] + c[1] * darks[1]
+               + 0.01 * _random_vector(rng, len(darks[0])))
+        assert eit.dark_manifold_weight(psi, manifold, theta) <= 1.0 + 1e-12

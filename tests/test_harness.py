@@ -49,6 +49,21 @@ def test_validate_config_rejects_wrong_schema_version():
         validate_config("does-not-exist", None)
 
 
+@pytest.mark.parametrize("scenario", [
+    name for name, sc in SCENARIOS.items() if "spacing" in sc.schema])
+def test_a_spacing_that_overflows_the_lattice_is_refused(monkeypatch,
+                                                         scenario):
+    ran = []
+    monkeypatch.setitem(SCENARIOS, scenario, dataclasses.replace(
+        SCENARIOS[scenario], runner=lambda cfg: ran.append(cfg) or iter(())))
+    # (N - 1) * 1e308 is infinite for every default atom count N >= 3
+    with pytest.raises(ConfigError,
+                       match=r"spacing: \d+ atoms at this spacing overflow"):
+        run(scenario, {"spacing": 1e308})
+    assert ran == []
+    assert validate_config(scenario, {"spacing": 1e300})["spacing"] == 1e300
+
+
 def test_run_swap_passes_and_reports():
     report = run("swap", {"n_trials": 2})
     assert isinstance(report, Report)

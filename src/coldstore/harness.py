@@ -348,6 +348,12 @@ def validate_config(scenario: str, config: Mapping | None) -> dict:
     if _is_int(lo) and _is_int(hi) and lo > hi:
         violations.append(
             f"n_atoms_min: must be <= n_atoms_max (got {lo!r} > {hi!r})")
+    # each storage quantum needs its own atom: (S^dag)^n |0> = 0 for n > N
+    quanta, atoms = out.get("n_quanta"), out.get("n_atoms")
+    if _is_int(quanta) and _is_int(atoms) and quanta > atoms:
+        violations.append(
+            f"n_quanta: must be <= n_atoms, since each storage quantum needs "
+            f"its own atom (got {quanta!r} > {atoms!r})")
     # a lattice of N atoms at spacing d is N d long, and that must be finite
     spacing = out.get("spacing")
     counts = [n for key, v in out.items() if "n_atoms" in key

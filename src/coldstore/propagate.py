@@ -24,15 +24,15 @@ result is lifted back to the sector at every sample.
 
 One step is psi <- psi + D psi, where the increment D is a fixed polynomial
 in the step's three control samples; its 12 coefficient matrices are built
-once per call, and every D of a block of steps comes out of one matrix
-product.  Up to ``COMPOSE_MAX_DIM`` states the increments of a stretch
-between two samples (or of each block, if the stretch holds more than
-``STEP_BLOCK_BYTES`` of them) are composed pairwise into one increment E,
-a product tree of batched matmuls, and applied as the one matvec psi <-
-psi + E psi; above it each step is its own matvec.  Without a control D is
-its u-independent term D0, constant, so the k steps between two samples
-are the one power (I + D0)^k.  Each of these applies the map of
-stage-by-stage RK4, up to rounding.
+once per call, and the D of a block of steps come out of one real GEMM
+against the block's monomials.  Up to ``COMPOSE_MAX_DIM`` states the
+increments of a stretch between two samples (or of each block, if the
+stretch holds more than ``STEP_BLOCK_BYTES`` of them) are composed into one
+increment E by a product tree along a trailing step axis and applied as the
+one matvec psi <- psi + E psi; above it each step is its own matvec.
+Without a control D is its u-independent term D0, constant, so the k steps
+between two samples are the one power (I + D0)^k.  Each of these applies
+the map of stage-by-stage RK4, up to rounding.
 """
 
 from __future__ import annotations
@@ -315,31 +315,31 @@ def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
 # Measured as controlled rk4_propagate calls of 20,000 steps sampled every
 # 625 and every 2,500 steps on random Hermitian h0 and h1, composing against
 # stepping, interleaved, best of 7 (2-core Xeon VM, Python 3.11, numpy 2.4,
-# OpenBLAS with 2 threads): composing took 0.3x the time at 3 states and
-# 0.4-0.55x at 6 to 8; from 9 to 13 states the ratio went from 0.7 to 1.2
-# between runs and sizes (1.3-1.8 at 10), and from 14 states on it was 1.2
-# to 1.8.  The sweep's closures of 1, 2, 3 and 4 quanta have 3, 6, 10 and
-# 15 states; on the 10- and 15-state ones composing took 1.2-1.7x as long.
-COMPOSE_MAX_DIM = 8
+# OpenBLAS): composing took 0.1-0.2x the time at 2 and 3 states (the sweep's
+# one-quantum closure), 0.5-0.85x at 6 (two quanta), 0.7-1.0x at 7, 0.85-1.5x
+# at 8 and 1.4-3.5x from 9 to 12 states (three quanta close on 10).
+COMPOSE_MAX_DIM = 7
 
 
 def _compose(steps: np.ndarray) -> np.ndarray:
-    """Increment E of a stack of step increments D_n, earliest first, with
-    I + E the product of the I + D_n, the later step on the left.
-
-    Adjacent pairs are composed with one batched matmul per level,
-    E <- E_early + E_late + E_late E_early, until one is left; a level of odd
-    length is padded with a zero increment, which composes exactly.  Like
-    the D_n, E leaves the identity out.
+    """Increment E of a stack of step increments D_n, (n, dim, dim) and
+    earliest first, with I + E the product of the I + D_n, the later step on
+    the left; like the D_n, E leaves the identity out.  The stack is copied
+    with its step axis last, and each tree level composes all adjacent pairs
+    at once, E <- E_early + E_late + E_late E_early, as the dim products
+    E_late[:, j] E_early[j] elementwise along that axis; an odd last
+    increment carries over to the next level.
     """
-    while len(steps) > 1:
-        if len(steps) % 2:
-            steps = np.concatenate((steps, np.zeros_like(steps[:1])))
-        early, late = steps[0::2], steps[1::2]
-        steps = late @ early
-        steps += early
-        steps += late
-    return steps[0]
+    lanes = steps.transpose(1, 2, 0).copy()
+    while lanes.shape[-1] > 1:
+        early, late = lanes[..., :-1:2], lanes[..., 1::2]
+        pairs = early + late
+        for j in range(len(lanes)):
+            pairs += late[:, j, None] * early[None, j]
+        if lanes.shape[-1] % 2:
+            pairs = np.concatenate((pairs, lanes[..., -1:]), axis=-1)
+        lanes = pairs
+    return lanes[..., 0]
 
 
 def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
@@ -350,9 +350,10 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
     Each stretch up to the next stop is cut into equal blocks of at most
     ``STEP_BLOCK_BYTES`` of step matrices, so no block straddles a sample
     and every stretch of equal length does the same work.  The stops are
-    those of the sample schedule, so the first stretch is the longest.  Up
-    to ``COMPOSE_MAX_DIM`` states a block is composed into one increment
-    and applied with one matvec; above it each step is applied in turn.
+    those of the sample schedule, so the first stretch is the longest.  A
+    block's increments D_n are one real GEMM of its monomials, held [a, b,
+    c, step], against the 12 coefficient matrices; up to COMPOSE_MAX_DIM
+    states they are composed and applied with one matvec, else in turn.
     """
     if not stops:
         return
@@ -361,24 +362,23 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
     terms = terms.view(float)      # real GEMM on (re, im) pairs
     max_block = max(1, STEP_BLOCK_BYTES // (16 * dim * dim))
     block = np.empty((min(max_block, stops[0]), terms.shape[1]))
-    # monomials u1^a um^b u0^c, indexed [step, a, b, c] as _STEP_MONOMIALS
-    monomials = np.empty((len(block), 2, 3, 2))
+    # monomials u1^a um^b u0^c as _STEP_MONOMIALS; u^0 = 1 is never written
+    monomials = np.ones((2, 3, 2, len(block)))
     start = 0
     for stop in stops:
         n_blocks = -(-(stop - start) // max_block)
         edges = [start + (stop - start) * i // n_blocks
                  for i in range(n_blocks + 1)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            mono = monomials[:hi - lo]
-            mono[:, 0, 0, 0] = 1.0
-            mono[:, 0, 0, 1] = u[2 * lo:2 * hi:2]
-            mono[:, 0, 1] = mono[:, 0, 0] * u[2 * lo + 1:2 * hi + 1:2, None]
-            mono[:, 0, 2] = mono[:, 0, 1] * u[2 * lo + 1:2 * hi + 1:2, None]
-            mono[:, 1] = mono[:, 0] * u[2 * lo + 2:2 * hi + 2:2, None, None]
-            steps = np.matmul(mono.reshape(hi - lo, -1), terms,
+            mono = monomials[..., :hi - lo]
+            mono[0, 0, 1] = u[2 * lo:2 * hi:2]
+            mono[0, 1] = mono[0, 0] * u[2 * lo + 1:2 * hi + 1:2]
+            mono[0, 2] = mono[0, 1] * u[2 * lo + 1:2 * hi + 1:2]
+            mono[1] = mono[0] * u[2 * lo + 2:2 * hi + 2:2]
+            steps = np.matmul(mono.reshape(-1, hi - lo).T, terms,
                               out=block[:hi - lo])
             steps = steps.view(complex).reshape(-1, dim, dim)
-            if dim <= COMPOSE_MAX_DIM:
+            if dim <= COMPOSE_MAX_DIM and len(steps) > 1:
                 steps = _compose(steps)[None]
             for d_n in steps:
                 psi += d_n @ psi

@@ -64,6 +64,21 @@ def test_a_spacing_that_overflows_the_lattice_is_refused(monkeypatch,
     assert validate_config(scenario, {"spacing": 1e300})["spacing"] == 1e300
 
 
+def test_more_storage_quanta_than_atoms_are_refused(monkeypatch):
+    # three storage quanta cannot sit on two atoms: the sweep's target dark
+    # state would be the zero vector
+    ran = []
+    monkeypatch.setitem(SCENARIOS, "adiabatic-sweep", dataclasses.replace(
+        SCENARIOS["adiabatic-sweep"],
+        runner=lambda cfg: ran.append(cfg) or iter(())))
+    with pytest.raises(ConfigError,
+                       match=r"n_quanta: must be <= n_atoms.*\(got 3 > 2\)"):
+        run("adiabatic-sweep", {"n_atoms": 2, "n_quanta": 3})
+    assert ran == []
+    cfg = validate_config("adiabatic-sweep", {"n_atoms": 2, "n_quanta": 2})
+    assert (cfg["n_atoms"], cfg["n_quanta"]) == (2, 2)
+
+
 def test_run_swap_passes_and_reports():
     report = run("swap", {"n_trials": 2})
     assert isinstance(report, Report)

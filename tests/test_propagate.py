@@ -400,6 +400,26 @@ def test_composed_stretches_match_the_stage_loop_oracle(sweep_problem,
     assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 625, 1000])
+@pytest.mark.parametrize("dim", [1, 3, 6, 8])
+def test_compose_matches_the_sequential_product(dim, n):
+    # random non-commuting increments of RK4-step size, around the composed
+    # sizes; the reference multiplies the I + D_n in turn, the later step on
+    # the left, held as increments so I is never rounded
+    rng = np.random.default_rng(100 * dim + n)
+    steps = 1e-3 * (rng.normal(size=(n, dim, dim))
+                    + 1j * rng.normal(size=(n, dim, dim)))
+    composed = propagate._compose(steps)
+    if n == 1:
+        assert np.array_equal(composed, steps[0])
+    expected = np.zeros((dim, dim), dtype=complex)
+    for d_n in steps:
+        expected = d_n + expected + d_n @ expected
+    assert composed.shape == (dim, dim)
+    assert np.abs(composed - expected).max() <= \
+        1e-13 * np.abs(expected).max()
+
+
 def test_controlled_rk4_with_a_zero_step_returns_psi_exactly(sweep_problem):
     h0, h1, psi0, _dt, n_steps, control, _reference = sweep_problem
     rng = np.random.default_rng(18)

@@ -30,15 +30,16 @@ def _build_parser() -> ArgumentParser:
                         help="directory to write the report into")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for scan points")
         sp.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report file format (default json)")
 
     for kind, scenario in SCENARIOS.items():
         add_common(sub.add_parser(kind, help=scenario.description))
-    add_common(sub.add_parser(
-        "scan", help="run one scenario over a Cartesian parameter grid"))
+    scan_parser = sub.add_parser(
+        "scan", help="run one scenario over a Cartesian parameter grid")
+    add_common(scan_parser)
+    scan_parser.add_argument("--jobs", type=int, default=1,
+                             help="worker processes for scan points")
     return parser
 
 
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.command == "scan":
             report = scan(config, out_dir=args.out, fmt=args.format,
-                          jobs=max(1, args.jobs))
+                          jobs=args.jobs)
         else:
             report = run(args.command, config, out_dir=args.out,
                          fmt=args.format)

@@ -945,11 +945,12 @@ def _random_side(rng, max_quanta) -> np.ndarray:
 
 def _run_swap(cfg) -> Iterator[Unit]:
     rng = _rng(cfg)
-    # field-by-atom amplitude pairs of the largest product a trial can draw
-    size = (cfg["max_quanta"] + 1) ** 2
     for trial in range(cfg["n_trials"]):
         f = _random_side(rng, cfg["max_quanta"])
         a = _random_side(rng, cfg["max_quanta"])
+        # amplitudes of the (field, atom) grid BosonicState.from_product
+        # builds for this product: one row and column per total quantum
+        size = (len(f) + len(a) - 1) ** 2
 
         def unit(trial=trial, f=f, a=a):
             report = swap_check(f, a)
@@ -1164,8 +1165,13 @@ def _scan_worker(scenario: str, point_cfg: dict) -> list[CheckRecord]:
 
 def scan(config: Mapping | None, out_dir=None, fmt: str = "json",
          jobs: int = 1) -> Report:
-    """Run one scenario over a parameter grid; per-point rows, ordered."""
+    """Run one scenario over a parameter grid; per-point rows, ordered.
+
+    ``jobs`` worker processes run the points; 1 runs them in this process.
+    """
     _check_format(fmt)
+    if not (_is_int(jobs) and jobs >= 1):
+        raise ConfigError([f"jobs: must be an integer >= 1 (got {jobs!r})"])
     cfg = validate_scan_config(config)
     scenario = cfg["scenario"]
     points = scan_points(cfg)

@@ -9,8 +9,8 @@ everywhere else), and integrate with a fixed-step 4th-order Runge-Kutta
 scheme.  No matrix over the full Hilbert space is ever formed.  Sector
 dimensions range from a few states to thousands (2,325 for 24 atoms with
 three quanta), so :func:`sector_operator` holds every sector operator as a
-:class:`SparseOperator` of its non-zero entries, never as a dense dim^2
-matrix.
+:class:`SparseOperator`, the sum of its (row, column, amplitude) triplets,
+never as a dense dim^2 matrix.
 
 :func:`rk4_propagate` first closes psi under h0 (and h1): each new
 direction h v is orthogonalized against the space so far (classical
@@ -145,25 +145,27 @@ def vector_to_ket(space: StateSpace, basis: Sequence[JointLabel],
 
 
 class SparseOperator:
-    """A square operator held as its non-zero entries, sorted by row.
+    """A square operator held as (row, column, amplitude) triplets, in the
+    order given; the operator is the sum of its entries, so a (row, column)
+    pair given twice counts twice.
 
     ``op @ v`` gathers ``v`` at the entries' columns, multiplies by the
-    amplitudes and sums each row's run with ``np.add.reduceat``; rows
-    without entries stay 0.  Within a row the entries keep the order they
-    were given in.  Raises ``ValueError`` unless ``rows``, ``cols`` and
-    ``amps`` are 1-D of one length and every index lies in [0, dim).
+    amplitudes and sums them into their rows with ``np.bincount`` (real and
+    imaginary parts apart); ``toarray()`` sums the same entries with
+    ``np.add.at``.  Rows without entries are 0.  Raises ``ValueError``
+    unless ``rows``, ``cols`` and ``amps`` are 1-D of one length and every
+    index lies in [0, dim).
     """
 
-    __slots__ = ("shape", "_rows", "_cols", "_amps", "_row_ids",
-                 "_row_starts")
+    __slots__ = ("shape", "_rows", "_cols", "_amps")
 
     def __init__(self, rows, cols, amps, dim: int):
         dim = _integer("dim", dim)
         if dim < 0:
             raise ValueError(f"dim must be nonnegative, got {dim}")
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        amps = np.asarray(amps, dtype=complex)
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        amps = np.array(amps, dtype=complex)
         if not (rows.ndim == cols.ndim == amps.ndim == 1
                 and len(rows) == len(cols) == len(amps)):
             raise ValueError(
@@ -174,13 +176,8 @@ class SparseOperator:
                 raise ValueError(
                     f"{name} indices must lie in [0, {dim}), got "
                     f"{index.min()} to {index.max()}")
-        order = np.argsort(rows, kind="stable")
         self.shape = (dim, dim)
-        self._rows = rows[order]
-        self._cols = cols[order]
-        self._amps = amps[order]
-        self._row_ids, self._row_starts = np.unique(self._rows,
-                                                    return_index=True)
+        self._rows, self._cols, self._amps = rows, cols, amps
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -188,18 +185,14 @@ class SparseOperator:
             raise ValueError(
                 f"operator of shape {self.shape} cannot act on a vector of "
                 f"shape {v.shape}")
-        if not self._amps.size:
-            return np.zeros(self.shape[0], dtype=complex)
-        sums = np.add.reduceat(self._amps * v[self._cols], self._row_starts)
-        if len(sums) == self.shape[0]:
-            return sums
-        out = np.zeros(self.shape[0], dtype=complex)
-        out[self._row_ids] = sums
-        return out
+        terms = self._amps * v[self._cols]
+        dim = self.shape[0]
+        return (np.bincount(self._rows, terms.real, dim)
+                + 1j * np.bincount(self._rows, terms.imag, dim))
 
     def toarray(self) -> np.ndarray:
         mat = np.zeros(self.shape, dtype=complex)
-        mat[self._rows, self._cols] = self._amps
+        np.add.at(mat, (self._rows, self._cols), self._amps)
         return mat
 
 
@@ -256,13 +249,11 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 
 
 # Bytes of step matrices D_n the compiled controlled step forms at once
-# (dim^2 complex entries each: 7,281 steps of the sweep's 3-state closure,
-# 226 of a 17-state space; composing a block allocates about as much again).
-# Measured when the step loop ran on the sweep's full 17-state sector, over
-# its 250,000-step schedule with interleaved repeats (2-core Xeon VM,
-# Python 3.11, numpy 2.4, OpenBLAS): 64 KiB blocks were slower, 256 KiB to
-# 4 MiB agreed within the run-to-run spread, and the traced peak grows with
-# the block (1.2 MB at 1 MiB, 3.2 MB at 4 MiB).
+# (dim^2 complex entries each, 226 steps of a 17-state space; composing a
+# block allocates about as much again).  A block of the sweep's 3-state
+# closure holds 7,281 steps, more than one of its sample stretches (2,500
+# steps at default, 626 at duration_coupling 50), so blocks split only
+# unsampled or very long stretches.
 STEP_BLOCK_BYTES = 1 << 20
 
 # Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.

@@ -161,16 +161,21 @@ def _two_boson_hamiltonian(photon_cap: int, excitation_cap: int,
 
 def _transfer_step(rabi: float, quanta: int) -> float:
     """Largest RK4 step for Omega-scale transfer: 0.005 / (|Omega| max(1, quanta))."""
+    if not math.isfinite(rabi):
+        raise ValueError(f"rabi must be finite, got {rabi}")
     return 0.005 / (abs(rabi) * max(1, quanta)) if rabi else math.inf
 
 
 def evolve_numeric(state: BosonicState, rabi: float, t: float) -> BosonicState:
-    """Fixed-step integration of the ideal two-boson model (cross-check)."""
+    """Fixed-step integration of the ideal two-boson model (cross-check).
+
+    Raises ``ValueError`` unless ``rabi`` is finite.
+    """
     total = state.max_quanta()
     if total > min(state.photon_cap, state.excitation_cap):
         raise FockOverflowError("grid too small for the quanta present")
-    h = _two_boson_hamiltonian(state.photon_cap, state.excitation_cap, rabi)
     dt, n_steps = step_grid(t, _transfer_step(rabi, total))
+    h = _two_boson_hamiltonian(state.photon_cap, state.excitation_cap, rabi)
     vec = state.amplitudes.reshape(-1)
     out = rk4_propagate(h, vec, dt, n_steps)
     return BosonicState(out.reshape(state.amplitudes.shape))
@@ -312,12 +317,14 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
 
     The non-ideal reference against :func:`evolve_analytic`: collective
     raising loses sqrt(1 - n/N) factors that the bosonic idealization
-    ignores, so the two drift apart at order n/N.
+    ignores, so the two drift apart at order n/N.  Raises ``ValueError``
+    unless ``rabi`` is finite, even at ``t = 0``.
     """
     space = initial.space
     if space.n_modes != 1:
         raise ValueError("transfer dynamics tracks exactly one field mode")
     totals = present_totals(initial)
+    dt_max = _transfer_step(rabi, max(totals, default=0))
     if t == 0.0 or not totals:
         return initial
     basis = enumerate_sector(space, totals)
@@ -325,7 +332,7 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
     h = sector_operator(
         lambda ket: _apply_transfer_hamiltonian(ket, geometry, k, rabi),
         space, basis)
-    dt, n_steps = step_grid(t, _transfer_step(rabi, max(totals)))
+    dt, n_steps = step_grid(t, dt_max)
     psi = rk4_propagate(h, ket_to_vector(initial, index), dt, n_steps)
     drift = abs(float(np.linalg.norm(psi)) - initial.norm())
     if drift > norm_drift_tol:

@@ -165,6 +165,13 @@ def test_scan_validates_every_point_up_front():
         scan({"scenario": "swap", "grid": {}, "surprise": 1})
 
 
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", True])
+def test_scan_refuses_a_bad_job_count(jobs):
+    with pytest.raises(ConfigError) as err:
+        scan({"scenario": "swap", "grid": {"n_trials": [1]}}, jobs=jobs)
+    assert "jobs" in str(err.value)
+
+
 def test_scan_budget_guard():
     cfg = {"scenario": "adiabatic-sweep", "budget": 10,
            "grid": {"n_atoms": [8]}}
@@ -177,7 +184,7 @@ def test_scan_budget_guard():
 DEFAULT_ESTIMATES = {
     "verify-ladder": 794, "verify-dicke": 386, "commutator-scan": 65,
     "mode-conditions": 100_000, "dark-residual": 1_539,
-    "adiabatic-sweep": 17, "dynamic-transfer": 137, "swap": 16,
+    "adiabatic-sweep": 17, "dynamic-transfer": 137, "swap": 36,
     "normalization-audit": 112_896,
 }
 
@@ -290,6 +297,18 @@ def test_cli_seed_override(tmp_path):
     payload = json.loads(next(p for p in tmp_path.iterdir()
                               if p.suffix == ".json").read_text())
     assert payload["config"]["seed"] == 11
+
+
+def test_cli_jobs_is_a_scan_option(tmp_path):
+    # a scenario subcommand runs in one process and has no --jobs
+    proc = cli("swap", "--jobs", "2")
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stderr
+    cfg = tmp_path / "scan.json"
+    cfg.write_text('{"scenario": "swap", "grid": {"n_trials": [1]}}')
+    proc = cli("scan", "--config", str(cfg), "--jobs", "0")
+    assert proc.returncode == 2
+    assert "jobs" in proc.stderr
 
 
 # One accepted and one rejected value per rule kind, as

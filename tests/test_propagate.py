@@ -169,6 +169,11 @@ def test_sparse_operator_with_empty_rows_and_no_entries():
     assert np.array_equal(empty.toarray(), np.zeros((4, 4)))
     assert np.array_equal(empty @ np.ones(4), np.zeros(4))
 
+    # a (row, column) pair given twice counts twice, in @ and in toarray()
+    twice = SparseOperator([0, 0, 1], [1, 1, 0], [1.0, 2.0, 5.0], 2)
+    assert np.array_equal(twice.toarray(), [[0, 3], [5, 0]])
+    assert np.array_equal(twice @ np.ones(2), [3, 5])
+
 
 def test_photon_number_leaves_the_rows_of_photonless_states_empty():
     # a^dag a on the 697 states of N=16, 3 quanta: only the 137 states

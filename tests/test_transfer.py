@@ -23,6 +23,7 @@ from coldstore import (
     transfer_curve,
     write_transfer_csv,
 )
+from coldstore import transfer
 
 from oracles import expm_evolve, two_boson_hamiltonian
 
@@ -213,6 +214,29 @@ def test_exact_atoms_identity_at_t_zero():
     joint = bosonic_to_joint(state, geom)
     evolved = evolve_exact_atoms(joint, rabi=1.0, t=0.0, geometry=geom)
     assert fidelity(evolved, joint) == pytest.approx(1.0, abs=1e-12)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built before rabi was checked")
+
+
+@pytest.mark.parametrize("rabi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evolve", ["exact_atoms", "numeric"])
+def test_transfer_evolutions_refuse_a_non_finite_rabi(monkeypatch, evolve,
+                                                      rabi):
+    # nothing may be enumerated or assembled before rabi is refused
+    for name in ("enumerate_sector", "sector_operator",
+                 "_two_boson_hamiltonian"):
+        monkeypatch.setattr(transfer, name, _refuse)
+    state = BosonicState.fock(1, 1)
+    geom = Geometry.lattice(4, 0.5)
+    joint = bosonic_to_joint(state, geom)
+    for t in (0.0, 0.7):
+        with pytest.raises(ValueError, match="rabi"):
+            if evolve == "numeric":
+                evolve_numeric(state, rabi, t)
+            else:
+                evolve_exact_atoms(joint, rabi, t, geom)
 
 
 def test_exact_atoms_deviation_shrinks_with_n():

@@ -3,24 +3,28 @@
 The interaction Hamiltonians used here conserve the total quantum number
 (photons + storage excitations + excited-level atoms), so time evolution
 never leaves the sector(s) the initial state starts in.  These helpers
-enumerate exactly those sectors, compile the Hamiltonian restricted to them
-once (column by column, from the same on-the-fly operator expansion used
-everywhere else), and integrate with a fixed-step 4th-order Runge-Kutta
-scheme.  No matrix over the full Hilbert space is ever formed.  Sector
-dimensions range from a few states to thousands (2,325 for 24 atoms with
-three quanta), so :func:`sector_operator` holds every sector operator as a
-:class:`SparseOperator`, the sum of its (row, column, amplitude) triplets,
-never as a dense dim^2 matrix.
+enumerate exactly those sectors, restrict the Hamiltonian to them and
+integrate with a fixed-step 4th-order Runge-Kutta scheme.  No matrix over
+the full Hilbert space is ever formed.  Sector dimensions range from a few
+states to thousands (2,325 for 24 atoms with three quanta).  A
+:class:`SectorAction` is the restriction without a matrix: ``h @ v`` applies
+the on-the-fly operator expansion used everywhere else to the one ket of
+``v``.  :func:`sector_operator` assembles the same restriction column by
+column, ``h @ e_j``, into a :class:`SparseOperator`, the sum of its (row,
+column, amplitude) triplets, never a dense dim^2 matrix.
 
 :func:`rk4_propagate` first closes psi under h0 (and h1): each new
 direction h v is orthogonalized against the space so far (classical
 Gram-Schmidt, done twice) and kept unless it is rounding.  The storage
 states are symmetric, so that space is tiny: the 17-state sweep sector of
 one quantum reduces to 3 states, the 129-state one of two quanta to 6, the
-2,325-state transfer sector of 24 atoms to 4.  A closure larger than
-``REACHABLE_MAX_DIM`` states is refused with a budget error, so there is no
-second path.  The RK4 core runs on the small dense V^dag h V, and the
-result is lifted back to the sector at every sample.
+2,325-state transfer sector of 24 atoms to 4.  The closure applies each
+operator once per row, so the evolutions hand it a :class:`SectorAction`
+and never assemble the sector: 4 applications at 24 atoms where the
+columns take 2,325.  A closure larger than ``REACHABLE_MAX_DIM`` states is
+refused with a budget error, so there is no second path.  The RK4 core runs
+on the small dense V^dag h V, and the result is lifted back to the sector
+at every sample.
 
 One step is psi <- psi + D psi, where the increment D is a fixed polynomial
 in the step's three control samples; its 12 coefficient matrices are built
@@ -196,30 +200,65 @@ class SparseOperator:
         return mat
 
 
+class SectorAction:
+    """Matrix-free restriction of an operator to the enumerated basis.
+
+    ``op @ v`` turns ``v`` into one ket over ``basis`` (every nonzero entry
+    kept, however small), applies ``apply_fn`` to it once and reads the
+    image back as a vector.  Raises ``ValueError`` unless ``v`` has shape
+    ``(len(basis),)``, and :class:`IntegrationError` if the image has a
+    component outside the basis: a restriction must be exact, never a silent
+    truncation.
+    """
+
+    __slots__ = ("shape", "_apply_fn", "_space", "_basis", "_index")
+
+    def __init__(self, apply_fn: Callable[[SparseKet], SparseKet],
+                 space: StateSpace, basis: Sequence[JointLabel]):
+        self.shape = (len(basis), len(basis))
+        self._apply_fn, self._space, self._basis = apply_fn, space, basis
+        self._index = {label: i for i, label in enumerate(basis)}
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v)
+        if v.shape != self.shape[1:]:
+            raise ValueError(
+                f"operator of shape {self.shape} cannot act on a vector of "
+                f"shape {v.shape}")
+        ket = SparseKet(self._space,
+                        {self._basis[i]: v[i] for i in np.flatnonzero(v)},
+                        drop_tol=0.0, _checked=True)
+        return ket_to_vector(self._apply_fn(ket), self._index)
+
+
+# What rk4_propagate accepts for h0 and h1: ``.shape`` and ``@`` on a vector.
+SquareOperator = np.ndarray | SparseOperator | SectorAction
+
+
 def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
                     space: StateSpace, basis: Sequence[JointLabel],
                     ) -> SparseOperator:
-    """Restriction of an operator to the enumerated basis, column by column.
+    """Restriction of an operator to the enumerated basis, assembled from the
+    columns ``op @ e_j`` of its :class:`SectorAction`.
 
-    Raises if the operator maps any basis label outside the basis: a
-    restriction must be exact, never a silent truncation.
+    Raises like the action if the operator maps any basis label outside the
+    basis.
     """
-    index = {label: i for i, label in enumerate(basis)}
+    action = SectorAction(apply_fn, space, basis)
+    dim = len(basis)
+    unit = np.zeros(dim, dtype=complex)
     rows: list[int] = []
     cols: list[int] = []
     amps: list[complex] = []
-    for j, label in enumerate(basis):
-        column = apply_fn(SparseKet(space, {label: 1.0}, _checked=True))
-        for out_label, amp in column.raw().items():
-            i = index.get(out_label)
-            if i is None:
-                raise IntegrationError(
-                    f"operator maps {label} to {out_label}, which is outside "
-                    f"the enumerated sector; widen the caps or the totals")
-            rows.append(i)
-            cols.append(j)
-            amps.append(amp)
-    return SparseOperator(rows, cols, amps, len(basis))
+    for j in range(dim):
+        unit[j] = 1.0
+        column = action @ unit
+        unit[j] = 0.0
+        nonzero = np.flatnonzero(column)
+        rows.extend(nonzero)
+        cols.extend([j] * len(nonzero))
+        amps.extend(column[nonzero])
+    return SparseOperator(rows, cols, amps, dim)
 
 
 def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
@@ -390,7 +429,7 @@ REACHABLE_MAX_DIM = 512
 REACHABLE_TOL = 1e-13
 
 
-def _reachable_subspace(ops: Sequence[np.ndarray | SparseOperator],
+def _reachable_subspace(ops: Sequence[SquareOperator],
                         psi: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(V, [V^dag h V for h in ops]): orthonormal rows V spanning the closure
     of ``psi`` under ``ops``.
@@ -438,9 +477,9 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
+def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
                   dt: float, n_steps: int,
-                  h1: np.ndarray | SparseOperator | None = None,
+                  h1: SquareOperator | None = None,
                   control: np.ndarray | float | None = None,
                   sample_every: int = 1,
                   on_sample: Callable[[int, float, np.ndarray], None] | None = None,
@@ -448,10 +487,11 @@ def rk4_propagate(h0: np.ndarray | SparseOperator, psi0: np.ndarray,
     """Integrate i d/dt psi = (h0 + u(t) h1) psi with fixed-step RK4.
 
     ``h0`` and ``h1`` may be any square operators with ``.shape`` and ``@``
-    on a vector: the :class:`SparseOperator` that :func:`sector_operator`
-    builds for every sector, or a dense array such as that of
-    :func:`operator_matrix`; ``h1`` must have the shape of ``h0`` and
-    ``psi0`` the shape ``(h0.shape[0],)``.
+    on a vector: the :class:`SectorAction` that the evolutions pass, the
+    :class:`SparseOperator` of :func:`sector_operator`, or a dense array
+    such as that of :func:`operator_matrix`.  Each is applied once per row
+    of the closure and never again.  ``h1`` must have the shape of ``h0``
+    and ``psi0`` the shape ``(h0.shape[0],)``.
     ``control`` supplies u: a scalar for constant control, or an array of
     length 2*n_steps + 1 sampled on the half-step grid t_0, t_0 + dt/2, ...
     It is an error to give ``control`` without ``h1``.

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from .errors import ZeroNormError
 from .geometry import Geometry
 from .operators import apply_sigma
-from .states import JointLabel, SparseKet, StateSpace, atomic_space, normalize
+from .states import (
+    AtomConfig,
+    JointLabel,
+    SparseKet,
+    StateSpace,
+    atomic_space,
+    normalize,
+)
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,10 @@ def vacuum(space: StateSpace) -> SparseKet:
 def with_field_occupation(ket: SparseKet, occupations) -> SparseKet:
     """Set the field slots of every entry (product construction helper)."""
     occ = tuple(occupations)
-    out = {}
-    for label, amp in ket.raw().items():
-        new = JointLabel(occ, label.atoms)
-        ket.space.check_label(new)
-        out[new] = amp
-    return SparseKet(ket.space, out, _checked=True)
+    ket.space.label(field=occ)      # the atoms of each entry are already valid
+    return SparseKet(ket.space, {JointLabel(occ, label.atoms): amp
+                                 for label, amp in ket.raw().items()},
+                     _checked=True)
 
 
 def falling_factorial(n: int, k: int) -> float:
@@ -121,9 +126,18 @@ def _distinct_assignments(items):
 
 
 def _direct_entries(spec: StorageSpec, space: StateSpace):
-    """Label -> amplitude map of the explicitly enumerated storage state."""
+    """Label -> amplitude map of the explicitly enumerated storage state.
+
+    Raises ``ValueError`` unless the geometry has the atoms of ``space``, and
+    like :meth:`StateSpace.check_label` if n excitations break its caps;
+    every label then lies in the space, so none is checked on its own.
+    """
     geom = spec.geometry
     n = spec.n_total
+    if geom.n_atoms != space.n_atoms:
+        raise ValueError(
+            f"geometry has {geom.n_atoms} atoms, space has {space.n_atoms}")
+    field = space.label(c_sites=range(n)).field     # the caps, checked once
     mode_multiset = []
     for k, m in spec.modes:
         mode_multiset.extend([k] * m)
@@ -137,7 +151,8 @@ def _direct_entries(spec: StorageSpec, space: StateSpace):
             for idx, k in zip(combo, pattern):
                 phase += k * geom.positions[idx]
             total += complex(math.cos(phase), math.sin(phase))
-        entries[space.label(c_sites=combo)] = alpha * total
+        atoms = AtomConfig(space.n_atoms, combo)
+        entries[JointLabel(field, atoms)] = alpha * total
     return entries
 
 

@@ -1,4 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# Property tests explore fresh random examples locally.  In CI (GitHub
+# Actions sets CI) they draw the same examples on every run, so a red CI run
+# reproduces locally with HYPOTHESIS_PROFILE=ci.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get(
+    "HYPOTHESIS_PROFILE", "ci" if os.environ.get("CI") else "default"))
 
 # test_acceptance.py registers one line per criterion here; the terminal
 # summary hook prints them after the run so the pass/fail lines are visible

@@ -2,10 +2,10 @@
 
 Lattices and uniform random draws of 3 to 7 atoms, at most 3 quanta and a
 random wavevector: every sector operator equals its conjugate transpose,
-its sparse product agrees with its dense matrix, and transfer dynamics run
-with -Omega after Omega return the initial ket.  Each check holds for any
-geometry and wavevector, so it reaches phases that a lattice at k = 0 never
-exercises.
+its sparse product and its matrix-free action agree with its dense matrix,
+and transfer dynamics run with -Omega after Omega return the initial ket.
+Each check holds for any geometry and wavevector, so it reaches phases that
+a lattice at k = 0 never exercises.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from coldstore import (
     transfer_space,
 )
 from coldstore.eit import apply_control_coupling
-from coldstore.propagate import sector_operator
+from coldstore.propagate import SectorAction, sector_operator
 from coldstore.transfer import _apply_transfer_hamiltonian
 
 
@@ -64,11 +64,14 @@ def sweep_hamiltonians(geom, k_signal, k_control, n_quanta):
 def check_sector_operators(apply_fns, space, basis, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    unit = v / np.linalg.norm(v)
     for apply_fn in apply_fns:
         dense = operator_matrix(apply_fn, space, basis)
         assert np.array_equal(dense, dense.conj().T)
         sparse = sector_operator(apply_fn, space, basis)
         assert_allclose(sparse @ v, dense @ v, rtol=0, atol=1e-13)
+        action = SectorAction(apply_fn, space, basis)
+        assert_allclose(action @ unit, dense @ unit, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=20, deadline=None)

@@ -34,6 +34,7 @@ from coldstore import (
 from coldstore import propagate
 from coldstore.eit import apply_control_coupling, sweep_time_step
 from coldstore.propagate import (
+    SectorAction,
     SparseOperator,
     ket_to_vector,
     sector_operator,
@@ -211,20 +212,41 @@ def test_zero_operator_on_the_sparse_path():
 def test_label_outside_the_sector_raises_on_both_paths(n_atoms):
     space = transfer_space(n_atoms, 3)
     basis = enumerate_sector(space, [3])
+    lower = lambda ket: apply_field(ket, 0)
     with pytest.raises(IntegrationError, match="outside"):
-        sector_operator(lambda ket: apply_field(ket, 0), space, basis)
+        sector_operator(lower, space, basis)
+    action = SectorAction(lower, space, basis)
+    with pytest.raises(IntegrationError, match="outside"):
+        action @ random_vector(np.random.default_rng(n_atoms), len(basis))
+
+
+def test_sector_action_acts_on_every_nonzero_entry():
+    # entries far below the ket drop tolerance still reach apply_fn
+    _apply_fn, space, basis = transfer_sector(4, 3)
+    action = SectorAction(lambda ket: 1e6 * ket, space, basis)
+    v = 1e-18 * random_vector(np.random.default_rng(3), len(basis))
+    assert_allclose(action @ v, 1e6 * v, rtol=1e-15, atol=0)
+
+
+def test_sector_action_refuses_a_vector_of_another_shape():
+    action = SectorAction(*transfer_sector(4, 3))
+    assert action.shape == (15, 15)
+    for shape in [(14,), (16,), (15, 1), (1, 15), ()]:
+        with pytest.raises(ValueError, match="shape"):
+            action @ np.ones(shape)
 
 
 def test_large_transfer_sector_never_forms_a_dense_matrix(monkeypatch):
-    original = operator_matrix
-
+    # nor assembles the sector: the evolution acts on the closure's rows
     def refuse(*args, **kwargs):
-        raise AssertionError("dense operator_matrix called")
+        raise AssertionError("sector operator assembled")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("coldstore") and \
-                vars(module).get("operator_matrix") is original:
-            monkeypatch.setattr(module, "operator_matrix", refuse)
+    for original in (operator_matrix, sector_operator):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("coldstore") and \
+                    vars(module).get(original.__name__) is original:
+                monkeypatch.setattr(module, original.__name__, refuse)
+    assert propagate.sector_operator is not sector_operator
     dev = exact_vs_analytic_deviation(BosonicState.fock(3, 0),
                                       Geometry.lattice(24, 0.5), rabi=1.0,
                                       t=math.pi / 2)
@@ -640,13 +662,13 @@ def test_control_free_rk4_returns_psi_exactly_when_nothing_moves(sparse):
 
 def test_24_atom_transfer_costs_a_few_matvecs(monkeypatch):
     calls = []
-    original = SparseOperator.__matmul__
+    original = SectorAction.__matmul__
 
     def counted(self, v):
         calls.append(self.shape)
         return original(self, v)
 
-    monkeypatch.setattr(SparseOperator, "__matmul__", counted)
+    monkeypatch.setattr(SectorAction, "__matmul__", counted)
     dev = exact_vs_analytic_deviation(BosonicState.fock(3, 0),
                                       Geometry.lattice(24, 0.5), rabi=1.0,
                                       t=math.pi / 2)

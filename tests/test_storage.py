@@ -6,10 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coldstore import (
+    FockOverflowError,
     Geometry,
+    SectorOverflowError,
+    SpaceMismatchError,
     StateSpace,
     StorageSpec,
     asymptotic_coefficient,
+    atomic_space,
     build_storage,
     fidelity,
     ladder_prefactor,
@@ -153,3 +157,29 @@ def test_with_field_occupation():
         assert label.field == (2,)
     assert sorted(l.atoms for l in dressed.labels()) == \
         sorted(l.atoms for l in bare.labels())
+
+
+@pytest.mark.parametrize("n_atoms", [2, 4])
+def test_both_routes_refuse_a_space_of_other_atoms(n_atoms):
+    spec = StorageSpec(Geometry.lattice(n_atoms, 0.5), ((0.0, 1),))
+    for build in (storage_direct, storage_ladder):
+        with pytest.raises(ValueError,
+                           match=f"geometry has {n_atoms} atoms, space has 3"):
+            build(spec, space=atomic_space(3, 1))
+
+
+def test_direct_route_refuses_more_excitations_than_the_space_caps():
+    spec = StorageSpec(Geometry.lattice(4, 0.5), ((0.0, 2),))
+    with pytest.raises(SectorOverflowError):
+        storage_direct(spec, space=atomic_space(4, 1))
+
+
+def test_with_field_occupation_checks_the_new_field():
+    space = StateSpace(n_atoms=3, n_exc_max=1, modes=(0.5,), mode_caps=(2,),
+                       photon_cap=2)
+    bare = storage_direct(StorageSpec(Geometry.lattice(3), ((0.5, 1),)),
+                          space=space)
+    with pytest.raises(FockOverflowError):
+        with_field_occupation(bare, (3,))
+    with pytest.raises(SpaceMismatchError):
+        with_field_occupation(bare, (1, 0))

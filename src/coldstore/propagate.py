@@ -9,9 +9,10 @@ the full Hilbert space is ever formed.  Sector dimensions range from a few
 states to thousands (2,325 for 24 atoms with three quanta).  A
 :class:`SectorAction` is the restriction without a matrix: ``h @ v`` applies
 the on-the-fly operator expansion used everywhere else to the one ket of
-``v``.  :func:`sector_operator` assembles the same restriction column by
-column, ``h @ e_j``, into a :class:`SparseOperator`, the sum of its (row,
-column, amplitude) triplets, never a dense dim^2 matrix.
+``v``.  :func:`sector_operator` assembles the same restriction from the
+action's image of each basis label, the column ``h @ e_j``, into a
+:class:`SparseOperator`, the sum of its (row, column, amplitude) triplets,
+never a dense dim^2 matrix.
 
 :func:`rk4_propagate` first closes psi under h0 (and h1): each new
 direction h v is orthogonalized against the space so far (classical
@@ -203,12 +204,14 @@ class SparseOperator:
 class SectorAction:
     """Matrix-free restriction of an operator to the enumerated basis.
 
-    ``op @ v`` turns ``v`` into one ket over ``basis`` (every nonzero entry
-    kept, however small), applies ``apply_fn`` to it once and reads the
-    image back as a vector.  Raises ``ValueError`` unless ``v`` has shape
-    ``(len(basis),)``, and :class:`IntegrationError` if the image has a
-    component outside the basis: a restriction must be exact, never a silent
-    truncation.
+    ``op @ v`` turns ``v`` into one ket over ``basis``, every nonzero entry
+    kept however small, applies ``apply_fn`` to it once and reads the image
+    back as a vector.  The image keeps the package's ket drop tolerance
+    (amplitudes at or below 1e-15 are dropped), so only a normalized ``v``
+    gets its image to relative accuracy.  Raises ``ValueError`` unless
+    ``v`` has shape ``(len(basis),)``, and :class:`IntegrationError` if the
+    image has a component outside the basis: a restriction must be exact,
+    never a silent truncation.
     """
 
     __slots__ = ("shape", "_apply_fn", "_space", "_basis", "_index")
@@ -219,6 +222,20 @@ class SectorAction:
         self._apply_fn, self._space, self._basis = apply_fn, space, basis
         self._index = {label: i for i, label in enumerate(basis)}
 
+    def _image(self, ket: SparseKet,
+               source) -> tuple[list[int], list[complex]]:
+        """Basis indices and amplitudes of ``apply_fn(ket)``."""
+        image = self._apply_fn(ket).raw()
+        rows = []
+        for label in image:
+            i = self._index.get(label)
+            if i is None:
+                raise IntegrationError(
+                    f"operator maps {source} to {label}, which is outside "
+                    f"the enumerated sector; widen the caps or the totals")
+            rows.append(i)
+        return rows, list(image.values())
+
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         if v.shape != self.shape[1:]:
@@ -228,7 +245,10 @@ class SectorAction:
         ket = SparseKet(self._space,
                         {self._basis[i]: v[i] for i in np.flatnonzero(v)},
                         drop_tol=0.0, _checked=True)
-        return ket_to_vector(self._apply_fn(ket), self._index)
+        rows, amps = self._image(ket, "a sector state")
+        out = np.zeros(self.shape[0], dtype=complex)
+        out[rows] = amps
+        return out
 
 
 # What rk4_propagate accepts for h0 and h1: ``.shape`` and ``@`` on a vector.
@@ -239,26 +259,23 @@ def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
                     space: StateSpace, basis: Sequence[JointLabel],
                     ) -> SparseOperator:
     """Restriction of an operator to the enumerated basis, assembled from the
-    columns ``op @ e_j`` of its :class:`SectorAction`.
+    images of the basis labels under its :class:`SectorAction`, the columns
+    ``op @ e_j`` without their zeros.
 
-    Raises like the action if the operator maps any basis label outside the
-    basis.
+    Raises like the action, naming the label, if the operator maps any basis
+    label outside the basis.
     """
     action = SectorAction(apply_fn, space, basis)
-    dim = len(basis)
-    unit = np.zeros(dim, dtype=complex)
     rows: list[int] = []
     cols: list[int] = []
     amps: list[complex] = []
-    for j in range(dim):
-        unit[j] = 1.0
-        column = action @ unit
-        unit[j] = 0.0
-        nonzero = np.flatnonzero(column)
-        rows.extend(nonzero)
-        cols.extend([j] * len(nonzero))
-        amps.extend(column[nonzero])
-    return SparseOperator(rows, cols, amps, dim)
+    for j, label in enumerate(basis):
+        column_rows, column_amps = action._image(
+            SparseKet(space, {label: 1.0}, _checked=True), label)
+        rows.extend(column_rows)
+        cols.extend([j] * len(column_rows))
+        amps.extend(column_amps)
+    return SparseOperator(rows, cols, amps, len(basis))
 
 
 def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],

@@ -5,10 +5,10 @@ from hypothesis import settings
 
 # Property tests explore fresh random examples locally.  In CI (GitHub
 # Actions sets CI) they draw the same examples on every run, so a red CI run
-# reproduces locally with HYPOTHESIS_PROFILE=ci.
+# reproduces locally with ``pytest --hypothesis-profile=ci``.
 settings.register_profile("ci", derandomize=True)
-settings.load_profile(os.environ.get(
-    "HYPOTHESIS_PROFILE", "ci" if os.environ.get("CI") else "default"))
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # test_acceptance.py registers one line per criterion here; the terminal
 # summary hook prints them after the run so the pass/fail lines are visible

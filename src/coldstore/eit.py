@@ -32,12 +32,12 @@ from .errors import IntegrationError, NotNormalizedError, SpaceMismatchError
 from .geometry import Geometry, ModeSet
 from .operators import apply_field, apply_rho_ab, apply_rho_ac, apply_sigma
 from .propagate import (
-    SectorAction,
     _field_occupations,
     enumerate_sector,
     ket_to_vector,
     present_totals,
     rk4_propagate,
+    sector_operator,
     step_grid,
     vector_to_ket,
 )
@@ -549,9 +549,9 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     totals = present_totals(initial)
     basis = enumerate_sector(space, totals)
     index = {label: i for i, label in enumerate(basis)}
-    h_static = SectorAction(
+    h_static = sector_operator(
         lambda k: apply_hamiltonian(k, params, rabi=0.0), space, basis)
-    h_control = SectorAction(
+    h_control = sector_operator(
         lambda k: apply_control_coupling(k, params), space, basis)
     manifold = dark_manifold(params, space, index, totals)
 

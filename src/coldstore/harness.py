@@ -330,6 +330,13 @@ def _copied(values) -> list:
     return [_copied(x) if isinstance(x, list) else x for x in values]
 
 
+# (quanta key, atoms key) pairs checked by validate_config; a list of atom
+# counts binds at its smallest, a list of occupancy patterns at its largest
+# total
+_QUANTA_ON_ATOMS = (("n_quanta", "n_atoms"), ("deviation_m", "n_atoms_list"),
+                    ("approx_n", "approx_n_atoms"),
+                    ("audit_occupancies", "audit_n_atoms"))
+
 _COMMON_FIELDS = {
     "schema_version": Field(SCHEMA_VERSION, options=(SCHEMA_VERSION,)),
     "seed": Field(None, lo=0),
@@ -348,18 +355,33 @@ def validate_config(scenario: str, config: Mapping | None) -> dict:
     if _is_int(lo) and _is_int(hi) and lo > hi:
         violations.append(
             f"n_atoms_min: must be <= n_atoms_max (got {lo!r} > {hi!r})")
+    def valid(*keys):
+        return all(key in out and not any(v.startswith(f"{key}:")
+                                          for v in violations) for key in keys)
+
     # each storage quantum needs its own atom: (S^dag)^n |0> = 0 for n > N
-    quanta, atoms = out.get("n_quanta"), out.get("n_atoms")
-    if _is_int(quanta) and _is_int(atoms) and quanta > atoms:
-        violations.append(
-            f"n_quanta: must be <= n_atoms, since each storage quantum needs "
-            f"its own atom (got {quanta!r} > {atoms!r})")
+    for q_key, n_key in _QUANTA_ON_ATOMS:
+        if valid(q_key, n_key):
+            quanta, atoms = out[q_key], out[n_key]
+            quanta = max(map(sum, quanta)) if isinstance(quanta, list) \
+                else quanta
+            atoms = min(atoms) if isinstance(atoms, list) else atoms
+            if quanta > atoms:
+                violations.append(
+                    f"{q_key}: must be <= {n_key}, since each storage quantum "
+                    f"needs its own atom (got {quanta!r} > {atoms!r})")
+    # an occupancy pattern fills one mode per wavevector, and modes differ
+    if valid("audit_occupancies", "audit_wavevectors"):
+        width, ks = len(out["audit_occupancies"][0]), out["audit_wavevectors"]
+        if len(set(ks[:width])) < width:
+            violations.append(
+                f"audit_wavevectors: the {width} modes of audit_occupancies "
+                f"need distinct wavevectors (got {ks!r})")
     # a lattice of N atoms at spacing d is N d long, and that must be finite
-    spacing = out.get("spacing")
     counts = [n for key, v in out.items() if "n_atoms" in key
               for n in (v if isinstance(v, list) else [v]) if _is_int(n)]
-    if counts and spacing is not None and not any(
-            v.startswith("spacing:") for v in violations):
+    if counts and valid("spacing"):
+        spacing = out["spacing"]
         try:
             length = max(counts) * float(spacing)
         except OverflowError:  # an integer beyond the float range
@@ -638,7 +660,9 @@ def _run_mode_conditions(cfg) -> Iterator[Unit]:
 _DARK_SCHEMA = {
     "n_atoms_list": Field([4, 8], lo=2),
     "n_list": Field([1, 2], lo=1),
-    "thetas": Field([math.pi / 6, math.pi / 4, math.pi / 3]),
+    # Omega = g sqrt(N) / tan(theta) is finite and nonnegative on (0, pi/2]
+    "thetas": Field([math.pi / 6, math.pi / 4, math.pi / 3], positive=True,
+                    hi=math.pi / 2),
     "g": Field(1.0, positive=True),
     "spacing": Field(0.5, positive=True),
     "k_signal": Field(1.9),
@@ -648,7 +672,7 @@ _DARK_SCHEMA = {
     "exact_tolerance": Field(1e-10, positive=True),
     "approx_n_atoms": Field([8, 16], min_len=2, lo=2),
     "approx_n": Field(2, lo=1),
-    "approx_theta": Field(math.pi / 4),
+    "approx_theta": Field(math.pi / 4, positive=True, hi=math.pi / 2),
 }
 
 

@@ -6,26 +6,25 @@ never leaves the sector(s) the initial state starts in.  These helpers
 enumerate exactly those sectors, restrict the Hamiltonian to them and
 integrate with a fixed-step 4th-order Runge-Kutta scheme.  No matrix over
 the full Hilbert space is ever formed.  Sector dimensions range from a few
-states to thousands (2,325 for 24 atoms with three quanta).  A
-:class:`SectorAction` is the restriction without a matrix: ``h @ v`` applies
-the on-the-fly operator expansion used everywhere else to the one ket of
-``v``.  :func:`sector_operator` assembles the same restriction from the
-action's image of each basis label, the column ``h @ e_j``, into a
-:class:`SparseOperator`, the sum of its (row, column, amplitude) triplets,
-never a dense dim^2 matrix.
+states to thousands (2,325 for 24 atoms with three quanta).
+:func:`sector_operator` compiles the restriction once: it encodes the whole
+basis as one :class:`~coldstore.operators.CodedKet`, one column per label,
+applies the Hamiltonian to it in one pass of the operator kernels and keeps
+the image as a :class:`SparseOperator`, the sum of its (row, column,
+amplitude) triplets, never a dense dim^2 matrix.
 
 :func:`rk4_propagate` first closes psi under h0 (and h1): each new
 direction h v is orthogonalized against the space so far (classical
 Gram-Schmidt, done twice) and kept unless it is rounding.  The storage
 states are symmetric, so that space is tiny: the 17-state sweep sector of
 one quantum reduces to 3 states, the 129-state one of two quanta to 6, the
-2,325-state transfer sector of 24 atoms to 4.  The closure applies each
-operator once per row, so the evolutions hand it a :class:`SectorAction`
-and never assemble the sector: 4 applications at 24 atoms where the
-columns take 2,325.  A closure larger than ``REACHABLE_MAX_DIM`` states is
-refused with a budget error, so there is no second path.  The RK4 core runs
-on the small dense V^dag h V, and the result is lifted back to the sector
-at every sample.
+2,325-state transfer sector of 24 atoms to 4.  Each closure row costs one
+``bincount`` matvec per operator.  The closure certifies itself: the part
+of h V outside the span of V, computed from the images it already holds,
+must be rounding, or the call is refused.  A closure larger than
+``REACHABLE_MAX_DIM`` states is refused with a budget error, so there is no
+second path.  The RK4 core runs on the small dense V^dag h V, and the
+result is lifted back to the sector at every sample.
 
 One step is psi <- psi + D psi, where the increment D is a fixed polynomial
 in the step's three control samples; its 12 coefficient matrices are built
@@ -50,6 +49,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, IntegrationError
+from .operators import CodedKet
 from .states import AtomConfig, JointLabel, SparseKet, StateSpace
 
 
@@ -159,7 +159,8 @@ class SparseOperator:
     imaginary parts apart); ``toarray()`` sums the same entries with
     ``np.add.at``.  Rows without entries are 0.  Raises ``ValueError``
     unless ``rows``, ``cols`` and ``amps`` are 1-D of one length and every
-    index lies in [0, dim).
+    index lies in [0, dim).  Arrays already of the right type are held, not
+    copied.
     """
 
     __slots__ = ("shape", "_rows", "_cols", "_amps")
@@ -168,9 +169,9 @@ class SparseOperator:
         dim = _integer("dim", dim)
         if dim < 0:
             raise ValueError(f"dim must be nonnegative, got {dim}")
-        rows = np.array(rows, dtype=np.intp)
-        cols = np.array(cols, dtype=np.intp)
-        amps = np.array(amps, dtype=complex)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        amps = np.asarray(amps, dtype=complex)
         if not (rows.ndim == cols.ndim == amps.ndim == 1
                 and len(rows) == len(cols) == len(amps)):
             raise ValueError(
@@ -190,7 +191,8 @@ class SparseOperator:
             raise ValueError(
                 f"operator of shape {self.shape} cannot act on a vector of "
                 f"shape {v.shape}")
-        terms = self._amps * v[self._cols]
+        terms = v.astype(complex)[self._cols]
+        terms *= self._amps
         dim = self.shape[0]
         return (np.bincount(self._rows, terms.real, dim)
                 + 1j * np.bincount(self._rows, terms.imag, dim))
@@ -201,92 +203,58 @@ class SparseOperator:
         return mat
 
 
-class SectorAction:
-    """Matrix-free restriction of an operator to the enumerated basis.
-
-    ``op @ v`` turns ``v`` into one ket over ``basis``, every nonzero entry
-    kept however small, applies ``apply_fn`` to it once and reads the image
-    back as a vector.  The image keeps the package's ket drop tolerance
-    (amplitudes at or below 1e-15 are dropped), so only a normalized ``v``
-    gets its image to relative accuracy.  Raises ``ValueError`` unless
-    ``v`` has shape ``(len(basis),)``, and :class:`IntegrationError` if the
-    image has a component outside the basis: a restriction must be exact,
-    never a silent truncation.
-    """
-
-    __slots__ = ("shape", "_apply_fn", "_space", "_basis", "_index")
-
-    def __init__(self, apply_fn: Callable[[SparseKet], SparseKet],
-                 space: StateSpace, basis: Sequence[JointLabel]):
-        self.shape = (len(basis), len(basis))
-        self._apply_fn, self._space, self._basis = apply_fn, space, basis
-        self._index = {label: i for i, label in enumerate(basis)}
-
-    def _image(self, ket: SparseKet,
-               source) -> tuple[list[int], list[complex]]:
-        """Basis indices and amplitudes of ``apply_fn(ket)``."""
-        image = self._apply_fn(ket).raw()
-        rows = []
-        for label in image:
-            i = self._index.get(label)
-            if i is None:
-                raise IntegrationError(
-                    f"operator maps {source} to {label}, which is outside "
-                    f"the enumerated sector; widen the caps or the totals")
-            rows.append(i)
-        return rows, list(image.values())
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape != self.shape[1:]:
-            raise ValueError(
-                f"operator of shape {self.shape} cannot act on a vector of "
-                f"shape {v.shape}")
-        ket = SparseKet(self._space,
-                        {self._basis[i]: v[i] for i in np.flatnonzero(v)},
-                        drop_tol=0.0, _checked=True)
-        rows, amps = self._image(ket, "a sector state")
-        out = np.zeros(self.shape[0], dtype=complex)
-        out[rows] = amps
-        return out
-
-
 # What rk4_propagate accepts for h0 and h1: ``.shape`` and ``@`` on a vector.
-SquareOperator = np.ndarray | SparseOperator | SectorAction
+SquareOperator = np.ndarray | SparseOperator
 
 
 def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
                     space: StateSpace, basis: Sequence[JointLabel],
                     ) -> SparseOperator:
-    """Restriction of an operator to the enumerated basis, assembled from the
-    images of the basis labels under its :class:`SectorAction`, the columns
-    ``op @ e_j`` without their zeros.
+    """Restriction of an operator to the enumerated basis, compiled once.
 
-    Raises like the action, naming the label, if the operator maps any basis
-    label outside the basis.
+    The basis becomes one :class:`CodedKet` with column i = label i, and
+    ``apply_fn`` runs once on it: the ``apply_*`` operators and ket
+    arithmetic act on every column at once.  Each image entry is looked up
+    in the basis, which gives the (row, column, amplitude) triplets.
+    Raises :class:`IntegrationError`, naming the label, if the operator
+    maps any basis label outside the basis: a restriction must be exact,
+    never a silent truncation.
     """
-    action = SectorAction(apply_fn, space, basis)
-    rows: list[int] = []
-    cols: list[int] = []
-    amps: list[complex] = []
-    for j, label in enumerate(basis):
-        column_rows, column_amps = action._image(
-            SparseKet(space, {label: 1.0}, _checked=True), label)
-        rows.extend(column_rows)
-        cols.extend([j] * len(column_rows))
-        amps.extend(column_amps)
-    return SparseOperator(rows, cols, amps, len(basis))
+    dim = len(basis)
+    columns = CodedKet.encode(space, basis, np.ones(dim), np.arange(
+        dim, dtype=np.min_scalar_type(dim)), dim)
+    image = apply_fn(columns)
+    rows = image.find(columns)
+    if (rows < 0).any():
+        bad = int(np.argmax(rows < 0))
+        raise IntegrationError(
+            f"operator maps {basis[image.cols[bad]]} to "
+            f"{image.labels()[bad]}, which is outside the enumerated "
+            f"sector; widen the caps or the totals")
+    return SparseOperator(rows, image.cols, image.amps, dim)
 
 
 def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
                     space: StateSpace,
                     basis: Sequence[JointLabel]) -> np.ndarray:
-    """Dense restriction of an operator to the enumerated basis, the
-    ``toarray()`` of :func:`sector_operator`.
+    """Dense restriction of an operator to the enumerated basis, the test
+    reference for :func:`sector_operator`: column j is the SparseKet image
+    of basis label j.
 
     Raises like :func:`sector_operator` if the operator leaves the basis.
     """
-    return sector_operator(apply_fn, space, basis).toarray()
+    index = {label: i for i, label in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for j, source in enumerate(basis):
+        image = apply_fn(SparseKet(space, {source: 1.0}, _checked=True))
+        for label, amp in image.raw().items():
+            i = index.get(label)
+            if i is None:
+                raise IntegrationError(
+                    f"operator maps {source} to {label}, which is outside "
+                    f"the enumerated sector; widen the caps or the totals")
+            mat[i, j] = amp
+    return mat
 
 
 def step_grid(t: float, dt_max: float) -> tuple[float, int]:
@@ -444,6 +412,10 @@ REACHABLE_MAX_DIM = 512
 # states close on the same few states at 1e-14 and at 1e-13, but at 1e-14
 # a random state in the 24-atom transfer sector keeps 14 states, not 9.
 REACHABLE_TOL = 1e-13
+# The part of h V outside the span of V, relative to |h V| (Frobenius), above
+# which a closure is refused as not invariant.  Measured at 6e-16 to 4e-15 on
+# the transfer closures and 1e-16 on the sweep's.
+REACHABLE_LEAK_TOL = 1e-12
 
 
 def _reachable_subspace(ops: Sequence[SquareOperator],
@@ -456,7 +428,9 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
     rows so far (classical Gram-Schmidt, done twice) becomes a new row
     unless its norm is at most ``REACHABLE_TOL`` times the largest |h v| of
     that operator.  Raises :class:`BudgetExceededError` when the closure
-    needs more than ``REACHABLE_MAX_DIM`` rows.
+    needs more than ``REACHABLE_MAX_DIM`` rows, and :class:`IntegrationError`
+    when the images h V it holds leave the span of V by more than
+    ``REACHABLE_LEAK_TOL`` of |h V|.
     """
     dim = psi.shape[0]
     norm = np.linalg.norm(psi)
@@ -484,7 +458,18 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
             m += 1
         j += 1
     basis = basis[:m]
-    return basis, [basis.conj() @ np.array(image).T for image in images]
+    reduced = []
+    for image in map(np.array, images):
+        block = basis.conj() @ image.T
+        scale = float(np.linalg.norm(image))
+        image -= block.T @ basis
+        leak = float(np.linalg.norm(image))
+        if leak > REACHABLE_LEAK_TOL * scale:
+            raise IntegrationError(
+                f"the closure of psi0 ({m} states) is not invariant: "
+                f"{leak:.3g} of |h V| = {scale:.3g} leaves its span")
+        reduced.append(block)
+    return basis, reduced
 
 
 def _integer(name: str, value) -> int:
@@ -504,10 +489,10 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     """Integrate i d/dt psi = (h0 + u(t) h1) psi with fixed-step RK4.
 
     ``h0`` and ``h1`` may be any square operators with ``.shape`` and ``@``
-    on a vector: the :class:`SectorAction` that the evolutions pass, the
-    :class:`SparseOperator` of :func:`sector_operator`, or a dense array
-    such as that of :func:`operator_matrix`.  Each is applied once per row
-    of the closure and never again.  ``h1`` must have the shape of ``h0``
+    on a vector: the :class:`SparseOperator` of :func:`sector_operator`
+    that the evolutions pass, or a dense array such as that of
+    :func:`operator_matrix`.  Each is applied once per row of the closure
+    and never again.  ``h1`` must have the shape of ``h0``
     and ``psi0`` the shape ``(h0.shape[0],)``.
     ``control`` supplies u: a scalar for constant control, or an array of
     length 2*n_steps + 1 sampled on the half-step grid t_0, t_0 + dt/2, ...
@@ -519,7 +504,8 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
 
     Every call runs on the subspace reachable from ``psi0`` (its closure
     under ``h0`` and ``h1``, refused with :class:`BudgetExceededError` above
-    ``REACHABLE_MAX_DIM`` states), with the small dense V^dag h V.  A
+    ``REACHABLE_MAX_DIM`` states and with :class:`IntegrationError` if it
+    leaks), with the small dense V^dag h V.  A
     controlled call forms the increment of each step from its control
     samples, block by block; up to ``COMPOSE_MAX_DIM`` states it composes
     the steps between two samples into one increment and applies that with

@@ -282,6 +282,8 @@ class SparseKet:
                 f"incompatible spaces: {self.space} vs {other.space}")
 
     def __add__(self, other: "SparseKet") -> "SparseKet":
+        if not isinstance(other, SparseKet):
+            return NotImplemented
         self._require_same_space(other)
         out = dict(self._entries)
         for label, amp in other._entries.items():
@@ -289,6 +291,8 @@ class SparseKet:
         return SparseKet(self.space, out, _checked=True)
 
     def __sub__(self, other: "SparseKet") -> "SparseKet":
+        if not isinstance(other, SparseKet):
+            return NotImplemented
         self._require_same_space(other)
         out = dict(self._entries)
         for label, amp in other._entries.items():

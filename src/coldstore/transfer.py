@@ -34,11 +34,11 @@ from .errors import (
 from .geometry import Geometry
 from .operators import apply_field, apply_sigma
 from .propagate import (
-    SectorAction,
     enumerate_sector,
     ket_to_vector,
     present_totals,
     rk4_propagate,
+    sector_operator,
     step_grid,
     vector_to_ket,
 )
@@ -329,7 +329,7 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
         return initial
     basis = enumerate_sector(space, totals)
     index = {label: i for i, label in enumerate(basis)}
-    h = SectorAction(
+    h = sector_operator(
         lambda ket: _apply_transfer_hamiltonian(ket, geometry, k, rabi),
         space, basis)
     dt, n_steps = step_grid(t, dt_max)

@@ -37,7 +37,7 @@ from coldstore import (
 )
 
 from coldstore import eit
-from coldstore.propagate import SectorAction, ket_to_vector
+from coldstore.propagate import ket_to_vector, sector_operator
 from oracles import dense_rho
 
 
@@ -286,14 +286,14 @@ def test_dense_sweep_matches_the_sweep_on_the_stage_loop(monkeypatch):
     ramp = RampSchedule(0.0, math.pi / 2, duration=2.0 / cc)
     compiled = adiabatic_sweep(initial, params, ramp, rabi_max=50.0 * cc)
 
-    assert eit.SectorAction is SectorAction
+    assert eit.sector_operator is sector_operator
     dense = []
 
     def as_dense(*args):
         dense.append(operator_matrix(*args))
         return dense[-1]
 
-    monkeypatch.setattr(eit, "SectorAction", as_dense)
+    monkeypatch.setattr(eit, "sector_operator", as_dense)
     staged = adiabatic_sweep(initial, params, ramp, rabi_max=50.0 * cc)
     assert [h.shape for h in dense] == [(17, 17)] * 2
     assert (compiled.dt, compiled.n_steps) == (staged.dt, staged.n_steps)

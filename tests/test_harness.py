@@ -14,6 +14,7 @@ from coldstore import (
     scan,
     validate_config,
 )
+from coldstore import harness
 from coldstore.harness import (
     SCENARIOS,
     load_config,
@@ -77,6 +78,37 @@ def test_more_storage_quanta_than_atoms_are_refused(monkeypatch):
     assert ran == []
     cfg = validate_config("adiabatic-sweep", {"n_atoms": 2, "n_quanta": 2})
     assert (cfg["n_atoms"], cfg["n_quanta"]) == (2, 2)
+
+
+@pytest.mark.parametrize("scenario, refused, accepted, message", [
+    ("dynamic-transfer", {"n_atoms_list": [2, 3], "deviation_m": 3},
+     {"n_atoms_list": [3, 4], "deviation_m": 3},
+     r"deviation_m: must be <= n_atoms_list.*\(got 3 > 2\)"),
+    ("dark-residual", {"approx_n_atoms": [2, 3], "approx_n": 4},
+     {"approx_n_atoms": [4, 5], "approx_n": 4},
+     r"approx_n: must be <= approx_n_atoms.*\(got 4 > 2\)"),
+    ("normalization-audit",
+     {"audit_n_atoms": 2, "audit_occupancies": [[3, 1]]},
+     {"audit_n_atoms": 4, "audit_occupancies": [[3, 1]]},
+     r"audit_occupancies: must be <= audit_n_atoms.*\(got 4 > 2\)"),
+    ("normalization-audit", {"audit_wavevectors": [1.3, 1.3]},
+     {"audit_wavevectors": [1.3, 2.9, 1.3]},
+     r"audit_wavevectors: the 2 modes of audit_occupancies need distinct"),
+    ("dark-residual", {"thetas": [0.0]}, {"thetas": [math.pi / 2]},
+     r"thetas: each element must be positive"),
+    ("dark-residual", {"approx_theta": 0.0}, {"approx_theta": 1e-3},
+     r"approx_theta: must be positive"),
+])
+def test_configs_that_would_end_in_an_error_record_are_refused(
+        monkeypatch, scenario, refused, accepted, message):
+    ran = []
+    monkeypatch.setitem(SCENARIOS, scenario, dataclasses.replace(
+        SCENARIOS[scenario], runner=lambda cfg: ran.append(cfg) or iter(())))
+    with pytest.raises(ConfigError, match=message):
+        run(scenario, refused)
+    assert ran == []
+    run(scenario, accepted)
+    assert len(ran) == 1
 
 
 def test_run_swap_passes_and_reports():
@@ -217,11 +249,21 @@ def test_scan_refuses_before_any_unit_runs(monkeypatch):
     assert ran == []
 
 
-def test_a_unit_that_raises_is_one_error_record_and_the_rest_run():
-    cfg = {"thetas": [0.0, 0.5], "n_atoms_list": [4], "n_list": [1]}
+def test_a_unit_that_raises_is_one_error_record_and_the_rest_run(
+        monkeypatch):
+    # every accepted config runs clean, so one unit is made to fail; the
+    # process pool's workers are forked and inherit the patch
+    dark_params = harness._dark_params
+
+    def failing(cfg, n_atoms, theta, fock_cap):
+        return 1.0 / 0.0 if theta == 0.25 else dark_params(
+            cfg, n_atoms, theta, fock_cap)
+
+    monkeypatch.setattr(harness, "_dark_params", failing)
+    cfg = {"thetas": [0.25, 0.5], "n_atoms_list": [4], "n_list": [1]}
     report = run("dark-residual", cfg)
     error, *rest = report.checks
-    assert error.name == "exact dark-state residual N=4, n=1, theta=0.0000"
+    assert error.name == "exact dark-state residual N=4, n=1, theta=0.2500"
     assert error.comparison == "error"
     assert error.passed is False
     assert math.isnan(error.actual)
@@ -238,8 +280,8 @@ def test_a_unit_that_raises_is_one_error_record_and_the_rest_run():
     # the same point twice, so that jobs=2 takes the process pool
     scanned = scan({"scenario": "dark-residual",
                     "base": {"n_atoms_list": [4], "n_list": [1]},
-                    "grid": {"thetas": [[0.0, 0.5], [0.0, 0.5]]}}, jobs=2)
-    prefixed = [dataclasses.replace(c, name=f"[thetas=[0.0, 0.5]] {c.name}")
+                    "grid": {"thetas": [[0.25, 0.5], [0.25, 0.5]]}}, jobs=2)
+    prefixed = [dataclasses.replace(c, name=f"[thetas=[0.25, 0.5]] {c.name}")
                 for c in report.checks]
     assert [c.to_dict() for c in scanned.checks] == \
         [c.to_dict() for c in prefixed] * 2

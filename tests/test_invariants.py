@@ -1,11 +1,13 @@
-"""Properties that need no oracle, over small random geometries.
+"""Properties that need no oracle, or only the dense ones, over small random
+geometries.
 
-Lattices and uniform random draws of 3 to 7 atoms, at most 3 quanta and a
-random wavevector: every sector operator equals its conjugate transpose,
-its sparse product and its matrix-free action agree with its dense matrix,
-and transfer dynamics run with -Omega after Omega return the initial ket.
-Each check holds for any geometry and wavevector, so it reaches phases that
-a lattice at k = 0 never exercises.
+Lattices and uniform random draws of 3 to 8 atoms, at most 3 quanta and a
+random wavevector: every collective operator matches its dense oracle on a
+random ket and refuses a ket at the caps, every sector operator equals its
+conjugate transpose and its column-by-column dense matrix, transfer dynamics
+run with -Omega after Omega return the initial ket, and permuting the atoms
+changes no deviation.  Each check holds for any geometry and wavevector, so
+it reaches phases that a lattice at k = 0 never exercises.
 """
 
 import numpy as np
@@ -13,27 +15,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import pytest
+
 from coldstore import (
     BosonicState,
     EitParams,
+    FockOverflowError,
     Geometry,
+    IntegrationError,
     ModeSet,
+    SectorOverflowError,
+    SparseKet,
+    StateSpace,
+    apply_field,
     apply_hamiltonian,
+    apply_population,
+    apply_sigma,
+    atomic_space,
     bosonic_to_joint,
     enumerate_sector,
     evolve_exact_atoms,
+    exact_vs_analytic_deviation,
     joint_space,
     operator_matrix,
+    phase_sum,
+    sigma_commutator_element,
     transfer_space,
 )
 from coldstore.eit import apply_control_coupling
-from coldstore.propagate import SectorAction, sector_operator
+from coldstore.operators import apply_rho_ab, apply_rho_ac
+from coldstore.propagate import sector_operator
 from coldstore.transfer import _apply_transfer_hamiltonian
+
+from oracles import (
+    bc_ket_to_dense,
+    dense_population,
+    dense_rho,
+    dense_sigma,
+    three_level_ket_to_dense,
+)
 
 
 @st.composite
-def geometries(draw):
-    n_atoms = draw(st.integers(min_value=3, max_value=7))
+def geometries(draw, max_atoms=7):
+    n_atoms = draw(st.integers(min_value=3, max_value=max_atoms))
     if draw(st.booleans()):
         return Geometry.lattice(n_atoms, draw(st.floats(0.1, 2.0)))
     return Geometry.uniform_random(n_atoms, draw(st.floats(0.5, 10.0)),
@@ -64,14 +89,108 @@ def sweep_hamiltonians(geom, k_signal, k_control, n_quanta):
 def check_sector_operators(apply_fns, space, basis, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    unit = v / np.linalg.norm(v)
     for apply_fn in apply_fns:
         dense = operator_matrix(apply_fn, space, basis)
         assert np.array_equal(dense, dense.conj().T)
         sparse = sector_operator(apply_fn, space, basis)
+        assert np.array_equal(sparse.toarray(), dense)
         assert_allclose(sparse @ v, dense @ v, rtol=0, atol=1e-13)
-        action = SectorAction(apply_fn, space, basis)
-        assert_allclose(action @ unit, dense @ unit, rtol=0, atol=1e-13)
+
+
+def random_ket(space, labels, rng):
+    """Random amplitudes on a random nonempty subset of ``labels``."""
+    keep = rng.random(len(labels)) < 0.5
+    keep[rng.integers(len(labels))] = True
+    amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    return SparseKet(space, {label: amp for label, amp, kept
+                             in zip(labels, amps, keep) if kept})
+
+
+@settings(max_examples=20, deadline=None)
+@given(geometries(max_atoms=8), wavevectors, quanta, seeds)
+def test_storage_transitions_match_the_two_level_oracle(geom, k, n_quanta,
+                                                        seed):
+    n_atoms = geom.n_atoms
+    space = atomic_space(n_atoms, min(n_atoms, n_quanta + 1))
+    ket = random_ket(space, enumerate_sector(space, range(n_quanta + 1)),
+                     np.random.default_rng(seed))
+    v = bc_ket_to_dense(ket)
+    lower = dense_sigma(geom.positions, k)
+    for image, expected in (
+            (apply_sigma(ket, geom, k), lower @ v),
+            (apply_sigma(ket, geom, k, dagger=True), lower.conj().T @ v),
+            (apply_population(ket, "b"), dense_population(n_atoms, "b") @ v),
+            (apply_population(ket, "c"), dense_population(n_atoms, "c") @ v)):
+        assert_allclose(bc_ket_to_dense(image), expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(geometries(max_atoms=6), wavevectors, quanta, seeds)
+def test_level_transitions_match_the_three_level_oracle(geom, k, n_quanta,
+                                                        seed):
+    n_atoms, z = geom.n_atoms, geom.positions
+    cap = min(n_atoms, n_quanta + 1)
+    space = atomic_space(n_atoms, cap, a_max=cap)
+    ket = random_ket(space, enumerate_sector(space, range(n_quanta + 1)),
+                     np.random.default_rng(seed))
+    v = three_level_ket_to_dense(ket)
+    cases = [(apply_sigma(ket, geom, k),
+              np.sqrt(n_atoms) * dense_rho(z, -k, "c", "b")),
+             (apply_sigma(ket, geom, k, dagger=True),
+              np.sqrt(n_atoms) * dense_rho(z, k, "b", "c"))]
+    for apply_fn, low, high in ((apply_rho_ab, "b", "a"),
+                                (apply_rho_ac, "c", "a")):
+        cases.append((apply_fn(ket, geom, k), dense_rho(z, k, low, high)))
+        cases.append((apply_fn(ket, geom, k, dagger=True),
+                      dense_rho(z, -k, high, low)))
+    for level in "bca":   # (1/N) sum_j |l_j><l_j| counts the level over N
+        cases.append((apply_population(ket, level),
+                      n_atoms * dense_rho(z, 0.0, level, level)))
+    for image, oracle in cases:
+        assert_allclose(three_level_ket_to_dense(image), oracle @ v,
+                        rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(geometries(max_atoms=8), quanta, seeds)
+def test_field_ladder_moves_each_amplitude_by_the_fock_factor(geom, n_quanta,
+                                                             seed):
+    space = transfer_space(geom.n_atoms, n_quanta)
+    ket = random_ket(space, enumerate_sector(space, range(n_quanta)),
+                     np.random.default_rng(seed))
+    raised = apply_field(ket, 0, dagger=True)
+    lowered = apply_field(ket, 0)
+    assert len(raised) == len(ket)
+    for (field, atoms), amp in ket.items():
+        (m,) = field
+        assert raised.amplitude(((m + 1,), atoms)) == amp * np.sqrt(m + 1)
+        if m:
+            assert lowered.amplitude(((m - 1,), atoms)) == amp * np.sqrt(m)
+    assert len(lowered) == sum(1 for label in ket.labels() if label.field[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(geometries(max_atoms=8), wavevectors, quanta)
+def test_kets_at_the_caps_raise_as_before(geom, k, n_quanta):
+    n_exc = min(n_quanta, geom.n_atoms - 1)   # leaves an atom in b
+    space = StateSpace(geom.n_atoms, n_exc, a_max=1, modes=(0.0,),
+                       mode_caps=(2,))
+    full = space.label(c_sites=range(n_exc), field=(2,))
+    ket = SparseKet.basis_state(space, full)
+    sector = r"would exceed the sector caps"
+    with pytest.raises(SectorOverflowError, match=sector):
+        apply_sigma(ket, geom, k, dagger=True)
+    with pytest.raises(SectorOverflowError, match=sector):
+        apply_rho_ab(ket, geom, k)
+    with pytest.raises(SectorOverflowError, match=sector):
+        sector_operator(lambda x: apply_sigma(x, geom, k, dagger=True),
+                        space, [full])
+    with pytest.raises(FockOverflowError, match="exceeds its Fock cap"):
+        apply_field(ket, 0, dagger=True)
+    if n_exc >= 2:      # one atom in c, one in a, a at its cap
+        at_a_cap = space.label(c_sites=[0], a_sites=[1])
+        with pytest.raises(SectorOverflowError, match=sector):
+            apply_rho_ac(SparseKet.basis_state(space, at_a_cap), geom, k)
 
 
 @settings(max_examples=20, deadline=None)
@@ -103,3 +222,40 @@ def test_transfer_run_backwards_returns_the_initial_ket(geom, k, n_quanta,
     forward = evolve_exact_atoms(initial, rabi, t, geom, k)
     back = evolve_exact_atoms(forward, -rabi, t, geom, k)
     assert (back - initial).norm() <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(geometries(), wavevectors, quanta, seeds)
+def test_permuting_the_atoms_leaves_the_transfer_deviation(geom, k, n_quanta,
+                                                           seed):
+    order = np.random.default_rng(seed).permutation(geom.n_atoms)
+    permuted = Geometry(tuple(geom.positions[j] for j in order), geom.length,
+                        geom.spacing)
+    state = BosonicState.fock(n_quanta, 0)
+    devs = [exact_vs_analytic_deviation(state, g, 1.0, np.pi / 2, k)
+            for g in (geom, permuted)]
+    assert abs(devs[1] - devs[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("n_exc_max", [1, 9])
+def test_collective_operators_beyond_64_atoms(n_exc_max):
+    # more atoms than one 64-bit occupancy word would hold; at 9 excitations
+    # a label's 9 site digits of radix 131 need two 63-bit sort keys
+    n_atoms = 130
+    geom = Geometry.lattice(n_atoms, 0.5)
+    space = atomic_space(n_atoms, n_exc_max)
+    vac = SparseKet.basis_state(space, space.label())
+    for k, k_prime in ((0.3, -1.1), (2.0, 2.5), (1.7, 1.7)):
+        element = sigma_commutator_element(geom, k, k_prime, vac, vac)
+        expected = phase_sum(geom, k_prime - k) / n_atoms
+        assert abs(element - expected) <= 1e-12
+    basis = enumerate_sector(space, [1])
+
+    def hop(ket):
+        return apply_sigma(apply_sigma(ket, geom, 0.9), geom, 0.9, dagger=True)
+
+    assert np.array_equal(sector_operator(hop, space, basis).toarray(),
+                          operator_matrix(hop, space, basis))
+    # images that differ from a basis label only in the first site
+    with pytest.raises(IntegrationError, match="outside"):
+        sector_operator(hop, space, basis[:65])

@@ -34,7 +34,6 @@ from coldstore import (
 from coldstore import propagate
 from coldstore.eit import apply_control_coupling, sweep_time_step
 from coldstore.propagate import (
-    SectorAction,
     SparseOperator,
     ket_to_vector,
     sector_operator,
@@ -213,45 +212,51 @@ def test_label_outside_the_sector_raises_on_both_paths(n_atoms):
     space = transfer_space(n_atoms, 3)
     basis = enumerate_sector(space, [3])
     lower = lambda ket: apply_field(ket, 0)
-    with pytest.raises(IntegrationError,
-                       match=r"maps \|.*outside.*widen the caps or the totals"):
-        sector_operator(lower, space, basis)
-    action = SectorAction(lower, space, basis)
-    with pytest.raises(IntegrationError,
-                       match="outside.*widen the caps or the totals"):
-        action @ random_vector(np.random.default_rng(n_atoms), len(basis))
+    message = r"maps \|.*outside.*widen the caps or the totals"
+    for build in (sector_operator, operator_matrix):
+        with pytest.raises(IntegrationError, match=message):
+            build(lower, space, basis)
 
 
-def test_sector_action_acts_on_every_nonzero_entry():
-    # entries far below the ket drop tolerance still reach apply_fn
+def test_sector_operator_acts_on_every_nonzero_entry():
+    # entries far below the ket drop tolerance are still multiplied
     _apply_fn, space, basis = transfer_sector(4, 3)
-    action = SectorAction(lambda ket: 1e6 * ket, space, basis)
+    op = sector_operator(lambda ket: 1e6 * ket, space, basis)
     v = 1e-18 * random_vector(np.random.default_rng(3), len(basis))
-    assert_allclose(action @ v, 1e6 * v, rtol=1e-15, atol=0)
+    assert_allclose(op @ v, 1e6 * v, rtol=1e-15, atol=0)
 
 
-def test_sector_action_refuses_a_vector_of_another_shape():
-    action = SectorAction(*transfer_sector(4, 3))
-    assert action.shape == (15, 15)
+def test_sector_operator_refuses_a_vector_of_another_shape():
+    op = sector_operator(*transfer_sector(4, 3))
+    assert op.shape == (15, 15)
     for shape in [(14,), (16,), (15, 1), (1, 15), ()]:
         with pytest.raises(ValueError, match="shape"):
-            action @ np.ones(shape)
+            op @ np.ones(shape)
 
 
 def test_large_transfer_sector_never_forms_a_dense_matrix(monkeypatch):
-    # nor assembles the sector: the evolution acts on the closure's rows
+    # the evolution compiles the sector once, into its 13,296 triplets
     def refuse(*args, **kwargs):
-        raise AssertionError("sector operator assembled")
+        raise AssertionError("dense sector matrix formed")
 
-    for original in (operator_matrix, sector_operator):
+    compiled = []
+
+    def recorded(*args):
+        compiled.append(sector_operator(*args))
+        return compiled[-1]
+
+    for original, stand_in in ((operator_matrix, refuse),
+                               (sector_operator, recorded)):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("coldstore") and \
                     vars(module).get(original.__name__) is original:
-                monkeypatch.setattr(module, original.__name__, refuse)
-    assert propagate.sector_operator is not sector_operator
+                monkeypatch.setattr(module, original.__name__, stand_in)
+    assert propagate.operator_matrix is not operator_matrix
     dev = exact_vs_analytic_deviation(BosonicState.fock(3, 0),
                                       Geometry.lattice(24, 0.5), rabi=1.0,
                                       t=math.pi / 2)
+    assert [(h.shape, h._amps.size) for h in compiled] == \
+        [((2325, 2325), 13_296)]
     assert dev == pytest.approx(0.0689078768544164, rel=0, abs=1e-8)
 
 
@@ -547,6 +552,20 @@ def test_a_reachable_space_above_the_cap_is_refused():
     assert seen == [0, 0]
 
 
+def test_a_closure_that_drops_a_needed_direction_is_refused(monkeypatch):
+    # at REACHABLE_TOL = 1 every new direction counts as rounding, so the
+    # closure of |3 photons> keeps one row and h V leaves its span
+    apply_fn, space, basis = transfer_sector(8, 3)
+    h = sector_operator(apply_fn, space, basis)
+    psi0 = np.zeros(len(basis), dtype=complex)
+    psi0[basis.index(space.label(field=(3,)))] = 1.0
+    assert np.array_equal(rk4_propagate(h, psi0, 0.1, 0), psi0)
+    monkeypatch.setattr(propagate, "REACHABLE_TOL", 1.0)
+    with pytest.raises(IntegrationError,
+                       match=r"closure of psi0 \(1 states\) is not invariant"):
+        rk4_propagate(h, psi0, 0.01, 10)
+
+
 class _NoControl:
     """h1 = 0 for the stage-loop oracle, with no dim^2 array behind it."""
 
@@ -664,13 +683,13 @@ def test_control_free_rk4_returns_psi_exactly_when_nothing_moves(sparse):
 
 def test_24_atom_transfer_costs_a_few_matvecs(monkeypatch):
     calls = []
-    original = SectorAction.__matmul__
+    original = SparseOperator.__matmul__
 
     def counted(self, v):
         calls.append(self.shape)
         return original(self, v)
 
-    monkeypatch.setattr(SectorAction, "__matmul__", counted)
+    monkeypatch.setattr(SparseOperator, "__matmul__", counted)
     dev = exact_vs_analytic_deviation(BosonicState.fock(3, 0),
                                       Geometry.lattice(24, 0.5), rabi=1.0,
                                       t=math.pi / 2)

@@ -225,7 +225,7 @@ def _refuse(*args, **kwargs):
 def test_transfer_evolutions_refuse_a_non_finite_rabi(monkeypatch, evolve,
                                                       rabi):
     # nothing may be enumerated or assembled before rabi is refused
-    for name in ("enumerate_sector", "SectorAction",
+    for name in ("enumerate_sector", "sector_operator",
                  "_two_boson_hamiltonian"):
         monkeypatch.setattr(transfer, name, _refuse)
     state = BosonicState.fock(1, 1)

@@ -32,6 +32,7 @@ from .errors import IntegrationError, NotNormalizedError, SpaceMismatchError
 from .geometry import Geometry, ModeSet
 from .operators import apply_field, apply_rho_ab, apply_rho_ac, apply_sigma
 from .propagate import (
+    _SCHEDULE_CHUNK_BYTES,
     _field_occupations,
     enumerate_sector,
     ket_to_vector,
@@ -333,7 +334,7 @@ class RampSchedule:
                 raise ValueError("mixing angles must lie in [0, pi/2]")
 
     def theta(self, t):
-        # in place on one fresh array: a sweep asks for 2 * n_steps + 1 times
+        # in place: the returned array is the only one of t's length
         out = np.array(t, dtype=float)
         np.divide(out, self.duration, out=out)
         np.clip(out, 0.0, 1.0, out=out)
@@ -355,7 +356,7 @@ def control_amplitude(collective_coupling: float, theta, rabi_max: float):
     actually realized is atan2(g sqrt(N), Omega_clamped).
     """
     th = np.asarray(theta, dtype=float)
-    # in place on two arrays: a sweep asks for 2 * n_steps + 1 angles
+    # in place: sin, two masks and the result are all of theta's length
     sin = np.sin(th, out=np.empty(th.shape))
     out = np.cos(th, out=np.empty(th.shape))
     vertical = ~(sin > 1e-12)
@@ -519,7 +520,9 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     infinite ``rabi_max`` is refused when the ramp reaches theta = 0, where
     the control would be unbounded.  The initial ket must have unit norm
     to within ``norm_drift_tol``; a norm drift beyond it aborts with a
-    diagnostic (the step was too coarse).
+    diagnostic (the step was too coarse).  Memory: the sector's vectors and
+    operators, one control array of 16 B per step, and one chunk of schedule
+    temporaries while that array is filled.
     """
     space = initial.space
     _check_space(params, space)
@@ -555,11 +558,16 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         lambda k: apply_control_coupling(k, params), space, basis)
     manifold = dark_manifold(params, space, index, totals)
 
-    # only the control amplitudes on the half-step grid outlive this line
-    control = np.asarray(control_amplitude(
-        params.collective_coupling,
-        ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
-        rabi_max))
+    # chunk by chunk, at the times of np.linspace(0, T, 2 n_steps + 1) exactly
+    control = np.empty(2 * n_steps + 1)
+    half_step = ramp.duration / (2 * n_steps)
+    chunk = _SCHEDULE_CHUNK_BYTES // control.itemsize
+    for lo in range(0, len(control), chunk):
+        t = np.arange(lo, min(lo + chunk, len(control))) * half_step
+        if lo + len(t) == len(control):
+            t[-1] = ramp.duration
+        control[lo:lo + len(t)] = control_amplitude(
+            params.collective_coupling, ramp.theta(t), rabi_max)
 
     photon_diag = np.array([sum(l.field) for l in basis], dtype=float)
     cpop_diag = np.array([l.atoms.n_c for l in basis], dtype=float)

@@ -663,7 +663,8 @@ _DARK_SCHEMA = {
     # Omega = g sqrt(N) / tan(theta) is finite and nonnegative on (0, pi/2]
     "thetas": Field([math.pi / 6, math.pi / 4, math.pi / 3], positive=True,
                     hi=math.pi / 2),
-    "g": Field(1.0, positive=True),
+    # SparseKet.norm squares amplitudes of order g N: inf once g N > 1e154
+    "g": Field(1.0, positive=True, hi=1e100),
     "spacing": Field(0.5, positive=True),
     "k_signal": Field(1.9),
     "k_control": Field(0.7),
@@ -823,7 +824,8 @@ _TRANSFER_SCHEMA = {
     "numeric_tolerance": Field(1e-8, positive=True),
     "n_atoms_list": Field([4, 8, 16], min_len=2, lo=2),
     "deviation_m": Field(2, lo=1),
-    "rabi": Field(1.0, positive=True),
+    # only rabi t matters; the closure squares rabi N: inf once rabi N > 1e154
+    "rabi": Field(1.0, positive=True, hi=1e100),
     "spacing": Field(0.5, positive=True),
     "wavevector": Field(0.0),
     "purity_grid": Field(64, lo=8),

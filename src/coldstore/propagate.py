@@ -19,12 +19,13 @@ Gram-Schmidt, done twice) and kept unless it is rounding.  The storage
 states are symmetric, so that space is tiny: the 17-state sweep sector of
 one quantum reduces to 3 states, the 129-state one of two quanta to 6, the
 2,325-state transfer sector of 24 atoms to 4.  Each closure row costs one
-``bincount`` matvec per operator.  The closure certifies itself: the part
-of h V outside the span of V, computed from the images it already holds,
-must be rounding, or the call is refused.  A closure larger than
-``REACHABLE_MAX_DIM`` states is refused with a budget error, so there is no
-second path.  The RK4 core runs on the small dense V^dag h V, and the
-result is lifted back to the sector at every sample.
+``bincount`` matvec per operator, and its rows grow by doubling, so memory
+follows the closure, not the cap.  The closure certifies itself: every |h v|
+must be finite, and the part of h V outside the span of V, computed from the
+images it already holds, must be rounding, or the call is refused.  A
+closure larger than ``REACHABLE_MAX_DIM`` states is refused with a budget
+error, so there is no second path.  The RK4 core runs on the small dense
+V^dag h V, and the result is lifted back to the sector at every sample.
 
 One step is psi <- psi + D psi, where the increment D is a fixed polynomial
 in the step's three control samples; its 12 coefficient matrices are built
@@ -36,7 +37,8 @@ increment E by a product tree along a trailing step axis and applied as the
 one matvec psi <- psi + E psi; above it each step is its own matvec.
 Without a control D is its u-independent term D0, constant, so the k steps
 between two samples are the one power (I + D0)^k.  Each of these applies
-the map of stage-by-stage RK4, up to rounding.
+the map of stage-by-stage RK4, up to rounding.  A constant control is a
+read-only broadcast view, never an array as long as the step count.
 """
 
 from __future__ import annotations
@@ -279,6 +281,8 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 # steps at default, 626 at duration_coupling 50), so blocks split only
 # unsampled or very long stretches.
 STEP_BLOCK_BYTES = 1 << 20
+# Bytes of each temporary in one chunk of eit.adiabatic_sweep's schedule.
+_SCHEDULE_CHUNK_BYTES = 1 << 18
 
 # Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.
 _STEP_MONOMIALS = [(a, b, c) for a in (0, 1) for b in (0, 1, 2)
@@ -429,12 +433,12 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
     unless its norm is at most ``REACHABLE_TOL`` times the largest |h v| of
     that operator.  Raises :class:`BudgetExceededError` when the closure
     needs more than ``REACHABLE_MAX_DIM`` rows, and :class:`IntegrationError`
-    when the images h V it holds leave the span of V by more than
-    ``REACHABLE_LEAK_TOL`` of |h V|.
+    when an |h v| is not finite or the images h V it holds leave the span of
+    V by more than ``REACHABLE_LEAK_TOL`` of |h V|.
     """
     dim = psi.shape[0]
     norm = np.linalg.norm(psi)
-    basis = np.empty((max(1, min(dim, REACHABLE_MAX_DIM)), dim), dtype=complex)
+    basis = np.empty((1, dim), dtype=complex)
     basis[0] = psi / norm if norm else psi
     images: list[list[np.ndarray]] = [[] for _ in ops]
     scales = [0.0] * len(ops)
@@ -443,7 +447,11 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
         for i, h in enumerate(ops):
             w = h @ basis[j]
             images[i].append(w)
-            scales[i] = max(scales[i], float(np.linalg.norm(w)))
+            with np.errstate(over="ignore"):
+                scale = float(np.linalg.norm(w))
+            if not math.isfinite(scale):
+                raise IntegrationError(f"|h v| of closure row {j} is {scale}")
+            scales[i] = max(scales[i], scale)
             for _ in range(2):
                 w = w - (basis[:m].conj() @ w) @ basis[:m]
             beta = float(np.linalg.norm(w))
@@ -454,6 +462,9 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
                     f"the space reachable from psi0 has more than "
                     f"REACHABLE_MAX_DIM = {REACHABLE_MAX_DIM} of the {dim} "
                     f"states of the sector; refusing to propagate it")
+            if m == len(basis):     # double the rows; copy only those in use
+                grown = np.empty((min(2 * m, REACHABLE_MAX_DIM), dim), complex)
+                grown[:m], basis = basis, grown
             basis[m] = w / beta
             m += 1
         j += 1
@@ -494,8 +505,9 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     :func:`operator_matrix`.  Each is applied once per row of the closure
     and never again.  ``h1`` must have the shape of ``h0``
     and ``psi0`` the shape ``(h0.shape[0],)``.
-    ``control`` supplies u: a scalar for constant control, or an array of
-    length 2*n_steps + 1 sampled on the half-step grid t_0, t_0 + dt/2, ...
+    ``control`` supplies u: a scalar for constant control, held as a
+    read-only broadcast view, or an array of length 2*n_steps + 1 sampled on
+    the half-step grid t_0, t_0 + dt/2, ...
     It is an error to give ``control`` without ``h1``.
     ``on_sample(step, t, psi)`` is invoked at step 0, every ``sample_every``
     steps (at least 1), and at the final step.
@@ -503,9 +515,10 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     and ``dt``, ``psi0`` and ``control`` finite.
 
     Every call runs on the subspace reachable from ``psi0`` (its closure
-    under ``h0`` and ``h1``, refused with :class:`BudgetExceededError` above
-    ``REACHABLE_MAX_DIM`` states and with :class:`IntegrationError` if it
-    leaks), with the small dense V^dag h V.  A
+    under ``h0`` and ``h1``, its rows grown by doubling; refused with
+    :class:`BudgetExceededError` above ``REACHABLE_MAX_DIM`` states and with
+    :class:`IntegrationError` if an |h v| is not finite or the closure leaks),
+    with the small dense V^dag h V.  A
     controlled call forms the increment of each step from its control
     samples, block by block; up to ``COMPOSE_MAX_DIM`` states it composes
     the steps between two samples into one increment and applies that with
@@ -539,13 +552,15 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
         if control is not None:
             raise ValueError("control given without a control operator h1")
     elif np.isscalar(control) or control is None:
-        u = np.full(2 * n_steps + 1, 0.0 if control is None else float(control))
+        u = np.broadcast_to(0.0 if control is None else float(control),
+                            (2 * n_steps + 1,))
     else:
         u = np.asarray(control, dtype=float)
         if u.shape != (2 * n_steps + 1,):
             raise ValueError(
                 f"control array must have length {2*n_steps+1}, got {u.shape}")
-    if h1 is not None and not np.isfinite(u).all():
+    # min and max allocate nothing of u's length; a NaN makes both NaN
+    if h1 is not None and not np.isfinite([u.min(), u.max()]).all():
         raise ValueError("control must be finite, got a NaN or infinite value")
 
     if on_sample is None:

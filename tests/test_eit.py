@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,11 @@ from coldstore import (
 )
 
 from coldstore import eit
-from coldstore.propagate import ket_to_vector, sector_operator
+from coldstore.propagate import (
+    _SCHEDULE_CHUNK_BYTES,
+    ket_to_vector,
+    sector_operator,
+)
 from oracles import dense_rho
 
 
@@ -304,6 +309,68 @@ def test_dense_sweep_matches_the_sweep_on_the_stage_loop(monkeypatch):
         assert a.shape == b.shape == (401,)
         assert_allclose(a, b, rtol=0, atol=1e-13, err_msg=name)
     assert (compiled.final_state - staged.final_state).norm() <= 1e-13
+
+
+def _one_photon(n_atoms):
+    params = make_params(n_atoms, fock_cap=1, rabi=0.0)
+    return params, with_field_occupation(vacuum(joint_space(params, 1)), (1,))
+
+
+# half-steps in one chunk of the sweep's schedule
+_CHUNK = _SCHEDULE_CHUNK_BYTES // 8
+
+
+@pytest.mark.parametrize("n_steps", [_CHUNK // 2 - 1, _CHUNK // 2,
+                                     _CHUNK // 2 + 1])
+@pytest.mark.parametrize("shape", ["linear", "smooth-cosine"])
+@pytest.mark.parametrize("theta_start, theta_end, cap", [
+    (0.0, math.pi / 2, 50.0), (math.pi / 2, 0.3, 50.0),
+    (0.3, math.pi / 2, math.inf)], ids=["storage", "reversed", "no-clamp"])
+def test_the_chunked_schedule_equals_the_one_shot_expression(
+        monkeypatch, n_steps, shape, theta_start, theta_end, cap):
+    params, initial = _one_photon(4)
+    cc = params.collective_coupling
+    rabi_max = cap * cc
+    dt_max = eit.sweep_time_step(params, control_amplitude(
+        cc, min(theta_start, theta_end), rabi_max))
+    ramp = RampSchedule(theta_start, theta_end,
+                        duration=(n_steps - 0.5) * dt_max, shape=shape)
+    seen = {}
+
+    def capture(h0, psi0, dt, n_steps, h1=None, control=None, **kwargs):
+        seen.update(n_steps=n_steps, control=control)
+        return psi0
+
+    monkeypatch.setattr(eit, "rk4_propagate", capture)
+    adiabatic_sweep(initial, params, ramp, rabi_max=rabi_max)
+    assert seen["n_steps"] == n_steps
+    times = np.linspace(0.0, ramp.duration, 2 * n_steps + 1)
+    assert np.array_equal(seen["control"], control_amplitude(
+        cc, ramp.theta(times), rabi_max))
+
+
+def test_sweep_memory_grows_by_the_control_array_alone():
+    params, initial = _one_photon(4)
+    cc = params.collective_coupling
+
+    def ramp(duration_coupling):
+        return RampSchedule(0.0, math.pi / 2, duration=duration_coupling / cc)
+
+    def traced_peak(duration_coupling):
+        tracemalloc.start()
+        try:
+            n_steps = adiabatic_sweep(initial, params,
+                                      ramp(duration_coupling)).n_steps
+            return n_steps, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    adiabatic_sweep(initial, params, ramp(1.0))     # lazy set-up untraced
+    # 20,000 steps already fill every chunk of the schedule
+    n_short, short = traced_peak(4.0)
+    n_long, long = traced_peak(16.0)
+    assert (n_short, n_long) == (20_000, 80_000)
+    assert long - short <= 16 * (n_long - n_short) + 256 * 1024
 
 
 def test_short_sweep_stores_the_photon(tmp_path):

@@ -98,6 +98,9 @@ def test_more_storage_quanta_than_atoms_are_refused(monkeypatch):
      r"thetas: each element must be positive"),
     ("dark-residual", {"approx_theta": 0.0}, {"approx_theta": 1e-3},
      r"approx_theta: must be positive"),
+    ("dark-residual", {"g": 1e200}, {"g": 1e100}, r"g: must be <= 1e\+100"),
+    ("dynamic-transfer", {"rabi": 1e300}, {"rabi": 1e100},
+     r"rabi: must be <= 1e\+100"),
 ])
 def test_configs_that_would_end_in_an_error_record_are_refused(
         monkeypatch, scenario, refused, accepted, message):
@@ -109,6 +112,17 @@ def test_configs_that_would_end_in_an_error_record_are_refused(
     assert ran == []
     run(scenario, accepted)
     assert len(ran) == 1
+
+
+@pytest.mark.parametrize("scenario, config", [
+    ("dark-residual", {"g": 1e100, "n_atoms_list": [4], "n_list": [2]}),
+    ("dynamic-transfer", {"rabi": 1e100, "n_atoms_list": [4, 8]}),
+])
+def test_the_largest_accepted_coupling_runs_without_an_error(scenario, config):
+    # the checks may fail at this scale (their tolerances are absolute), but
+    # no unit may raise or warn
+    report = run(scenario, config)
+    assert [c.detail for c in report.checks if c.comparison == "error"] == []
 
 
 def test_run_swap_passes_and_reports():

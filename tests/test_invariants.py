@@ -6,8 +6,11 @@ random wavevector: every collective operator matches its dense oracle on a
 random ket and refuses a ket at the caps, every sector operator equals its
 conjugate transpose and its column-by-column dense matrix, transfer dynamics
 run with -Omega after Omega return the initial ket, and permuting the atoms
-changes no deviation.  Each check holds for any geometry and wavevector, so
-it reaches phases that a lattice at k = 0 never exercises.
+changes no deviation.  An exact dark state has dark-manifold weight 1 at
+every mixing angle, and sweeps and transfer dynamics keep the weight of each
+total quantum number (photons + c + a).  Each check holds for any geometry
+and wavevector, so it reaches phases that a lattice at k = 0 never
+exercises.
 """
 
 import numpy as np
@@ -24,15 +27,18 @@ from coldstore import (
     Geometry,
     IntegrationError,
     ModeSet,
+    RampSchedule,
     SectorOverflowError,
     SparseKet,
     StateSpace,
+    adiabatic_sweep,
     apply_field,
     apply_hamiltonian,
     apply_population,
     apply_sigma,
     atomic_space,
     bosonic_to_joint,
+    dark_state,
     enumerate_sector,
     evolve_exact_atoms,
     exact_vs_analytic_deviation,
@@ -41,10 +47,16 @@ from coldstore import (
     phase_sum,
     sigma_commutator_element,
     transfer_space,
+    vacuum,
+    with_field_occupation,
 )
-from coldstore.eit import apply_control_coupling
+from coldstore.eit import (
+    apply_control_coupling,
+    dark_manifold,
+    dark_manifold_weight,
+)
 from coldstore.operators import apply_rho_ab, apply_rho_ac
-from coldstore.propagate import sector_operator
+from coldstore.propagate import ket_to_vector, sector_operator
 from coldstore.transfer import _apply_transfer_hamiltonian
 
 from oracles import (
@@ -76,10 +88,14 @@ def transfer_hamiltonian(geom, k, n_quanta):
             space, enumerate_sector(space, [n_quanta]))
 
 
+def sweep_params(geom, k_signal, k_control, n_quanta):
+    return EitParams(geom, ModeSet(k_signal, k_control, (0.0,), "raman",
+                                   fock_cap=n_quanta), 1.0, rabi=0.0)
+
+
 def sweep_hamiltonians(geom, k_signal, k_control, n_quanta):
     """The static and the control part the sweep splits H into."""
-    params = EitParams(geom, ModeSet(k_signal, k_control, (0.0,), "raman",
-                                     fock_cap=n_quanta), 1.0, rabi=0.0)
+    params = sweep_params(geom, k_signal, k_control, n_quanta)
     space = joint_space(params, n_quanta)
     return ([lambda ket: apply_hamiltonian(ket, params, rabi=0.0),
              lambda ket: apply_control_coupling(ket, params)],
@@ -259,3 +275,69 @@ def test_collective_operators_beyond_64_atoms(n_exc_max):
     # images that differ from a basis label only in the first site
     with pytest.raises(IntegrationError, match="outside"):
         sector_operator(hop, space, basis[:65])
+
+
+@settings(max_examples=20, deadline=None)
+@given(geometries(max_atoms=8), wavevectors, wavevectors, quanta,
+       st.floats(0.0, np.pi / 2, exclude_min=True))
+def test_an_exact_dark_state_lies_in_the_dark_manifold(geom, k_signal,
+                                                       k_control, n_quanta,
+                                                       theta):
+    params = sweep_params(geom, k_signal, k_control, n_quanta)
+    space = joint_space(params, n_quanta)
+    index = {label: i for i, label
+             in enumerate(enumerate_sector(space, [n_quanta]))}
+    dark = ket_to_vector(dark_state(params, n_quanta, space=space,
+                                    theta=theta), index)
+    weight = dark_manifold_weight(
+        dark, dark_manifold(params, space, index, [n_quanta]), theta)
+    assert abs(weight - 1.0) <= 1e-12
+
+
+def quanta_weights(ket, max_total):
+    """Weight of each total quantum number (photons + c + a) in ``ket``."""
+    weights = np.zeros(max_total + 1)
+    for (field, atoms), amp in ket.items():
+        weights[sum(field) + atoms.n_excited] += abs(amp) ** 2
+    return weights / weights.sum()
+
+
+@settings(max_examples=10, deadline=None)
+@given(geometries(max_atoms=8), wavevectors, wavevectors, quanta, seeds,
+       st.floats(0.5, 2.0))
+def test_a_sweep_keeps_the_weight_of_each_total(geom, k_signal, k_control,
+                                                n_quanta, seed,
+                                                duration_coupling):
+    # photons in a random superposition of 1 to n_quanta
+    params = sweep_params(geom, k_signal, k_control, n_quanta)
+    space = joint_space(params, n_quanta)
+    amps = np.random.default_rng(seed).normal(size=(n_quanta, 2)) @ [1, 1j]
+    initial = SparseKet.zero(space)
+    for n, amp in enumerate(amps / np.linalg.norm(amps), start=1):
+        initial = initial + amp * with_field_occupation(vacuum(space), (n,))
+    ramp = RampSchedule(0.0, np.pi / 2,
+                        duration_coupling / params.collective_coupling)
+    traj = adiabatic_sweep(initial, params, ramp)
+    before = quanta_weights(initial, n_quanta)
+    assert_allclose(quanta_weights(traj.final_state, n_quanta), before,
+                    rtol=0, atol=1e-12)
+    # photons + c + a is the mean total at every sample, and a >= 0
+    mean = before @ np.arange(n_quanta + 1)
+    assert traj.photon_expectation[0] == pytest.approx(mean, rel=0, abs=1e-12)
+    assert np.all(traj.photon_expectation + traj.c_population
+                  <= mean + 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(geometries(), wavevectors, quanta, seeds, st.floats(0.2, 2.0),
+       st.floats(0.1, 1.5))
+def test_transfer_keeps_the_weight_of_each_total(geom, k, n_quanta, seed,
+                                                 rabi, t):
+    rng = np.random.default_rng(seed)
+    shape = (n_quanta + 1, n_quanta + 1)
+    xi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    xi[np.add.outer(np.arange(shape[0]), np.arange(shape[1])) > n_quanta] = 0
+    initial = bosonic_to_joint(BosonicState(xi / np.linalg.norm(xi)), geom, k)
+    evolved = evolve_exact_atoms(initial, rabi, t, geom, k)
+    assert_allclose(quanta_weights(evolved, n_quanta),
+                    quanta_weights(initial, n_quanta), rtol=0, atol=1e-12)

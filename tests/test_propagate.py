@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,41 @@ def test_a_reachable_space_above_the_cap_is_refused():
     assert seen == [0, 0]
 
 
+def test_an_operator_whose_images_overflow_is_refused():
+    # |h e_0| = 1e300 squares to infinity: the leakage check would compare
+    # inf with inf and pass
+    h = 1e300 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(IntegrationError,
+                       match=r"\|h v\| of closure row 0 is inf"):
+        rk4_propagate(h, np.array([1.0, 0.0]), 1e-301, 10)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scalar_control_memory_does_not_grow_with_the_step_count():
+    # the closure of e_0 has 2 states; at 2 and 8 whole step blocks both
+    # calls below compose blocks of one size
+    h0 = np.array([[0.0, 1.0], [1.0, 0.3]])
+    h1 = np.diag([0.5, -0.5])
+    psi0 = np.array([1.0, 0.0])
+    n_steps = 2 * (propagate.STEP_BLOCK_BYTES // (16 * 2 * 2))
+
+    def steps(n_steps):
+        return lambda: rk4_propagate(h0, psi0, 1e-4, n_steps, h1=h1,
+                                     control=0.7)
+
+    steps(n_steps)()
+    assert abs(_traced_peak(steps(4 * n_steps))
+               - _traced_peak(steps(n_steps))) <= 64 * 1024
+
+
 def test_a_closure_that_drops_a_needed_direction_is_refused(monkeypatch):
     # at REACHABLE_TOL = 1 every new direction counts as rounding, so the
     # closure of |3 photons> keeps one row and h V leaves its span
@@ -597,6 +633,18 @@ def transfer_sector_24():
         fock = ket_to_vector(joint, {lab: i for i, lab in enumerate(basis)})
         out[k] = h, fock
     return out, step_grid(math.pi / 2, _transfer_step(1.0, 3))
+
+
+def test_the_closure_holds_its_rows_not_its_cap(transfer_sector_24):
+    sectors, _ = transfer_sector_24
+    h, fock = sectors[0.0]
+    out = []
+    peak = _traced_peak(lambda: out.append(
+        propagate._reachable_subspace((h,), fock)))
+    basis, _ = out[0]
+    # REACHABLE_MAX_DIM = 512 rows of the 2,325 states would take 19 MB
+    assert len(basis) == 4
+    assert peak <= 8 * len(basis) * h.shape[0] * 16
 
 
 @pytest.mark.parametrize("k", [0.0, 1.3])

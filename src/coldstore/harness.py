@@ -663,8 +663,9 @@ _DARK_SCHEMA = {
     # Omega = g sqrt(N) / tan(theta) is finite and nonnegative on (0, pi/2]
     "thetas": Field([math.pi / 6, math.pi / 4, math.pi / 3], positive=True,
                     hi=math.pi / 2),
-    # SparseKet.norm squares amplitudes of order g N: inf once g N > 1e154
-    "g": Field(1.0, positive=True, hi=1e100),
+    # SparseKet.norm squares amplitudes of order g N: inf once g N > 1e154;
+    # kets drop amplitudes <= DROP_TOL = 1e-15, so a tiny g empties H
+    "g": Field(1.0, positive=True, lo=1e-10, hi=1e100),
     "spacing": Field(0.5, positive=True),
     "k_signal": Field(1.9),
     "k_control": Field(0.7),
@@ -734,7 +735,10 @@ def _run_dark_residual(cfg) -> Iterator[Unit]:
 _SWEEP_SCHEMA = {
     "n_atoms": Field(8, lo=2),
     "n_quanta": Field(1, lo=1),
-    "g": Field(1.0, positive=True),
+    # an RK4 step multiplies up to four control samples of order 50 g sqrt(N),
+    # which overflow past g ~ 1e75; kets drop amplitudes <= DROP_TOL = 1e-15,
+    # so a tiny g empties H
+    "g": Field(1.0, positive=True, lo=1e-10, hi=1e70),
     "spacing": Field(0.5, positive=True),
     "k_signal": Field(1.9),
     "k_control": Field(0.7),
@@ -824,8 +828,9 @@ _TRANSFER_SCHEMA = {
     "numeric_tolerance": Field(1e-8, positive=True),
     "n_atoms_list": Field([4, 8, 16], min_len=2, lo=2),
     "deviation_m": Field(2, lo=1),
-    # only rabi t matters; the closure squares rabi N: inf once rabi N > 1e154
-    "rabi": Field(1.0, positive=True, hi=1e100),
+    # only rabi t matters; the closure squares rabi N: inf once rabi N > 1e154;
+    # kets drop amplitudes <= DROP_TOL = 1e-15, so a tiny rabi empties H
+    "rabi": Field(1.0, positive=True, lo=1e-10, hi=1e100),
     "spacing": Field(0.5, positive=True),
     "wavevector": Field(0.0),
     "purity_grid": Field(64, lo=8),

@@ -1,19 +1,19 @@
 """Collective atomic operators applied to integer-coded kets.
 
 Every collective transition is one phased sum of single-atom level changes;
-no matrix over the full Hilbert space is ever formed.  The operators act on
-a :class:`CodedKet`, a ket (or one ket per column of an operator) held as
-integer arrays: per entry a column, the photon number of each tracked mode,
-the sites of the atoms in c and in a, and an amplitude.  Each primitive is
-one numpy kernel over all entries at once.  ``_flip`` marks the atoms in
-level ``src`` on a boolean plane, moves each one to ``dst`` by taking its
-site out of one site list and putting it into the other, and weights the
-move with the phase e^{+i k z_j} when it goes up the level order b < c < a
-and e^{-i k z_j} when it goes down; ``_ladder`` shifts one mode's photon
-number and ``_count`` counts the atoms of a level.  Equal targets are merged
-after one stable sort, so each target sums its terms in (source label, atom
-j) order, as a dict of kets would.  A :class:`SparseKet` is encoded and
-decoded once per ``apply_*`` call.  With N atoms at positions z_j and
+no matrix over the full Hilbert space is ever formed.  The operators take a
+:class:`SparseKet` as it is held, integer arrays of photon numbers and site
+digits beside the amplitudes, and return one; a ket holding one ket per
+column of an operator, as :func:`~coldstore.propagate.sector_operator`
+compiles, goes through the same kernels.  Each primitive is one numpy
+kernel over all entries at once.  ``_flip`` marks the atoms in level
+``src`` on a boolean plane, moves each one to ``dst`` by taking its site
+out of one site list and putting it into the other, and weights the move
+with the phase e^{+i k z_j} when it goes up the level order b < c < a and
+e^{-i k z_j} when it goes down; :func:`apply_field` shifts one mode's photon
+number and :func:`apply_population` counts the atoms of a level.  Equal
+targets are merged after one stable sort, so each target sums its terms in
+(source label, atom j) order.  With N atoms at positions z_j and
 wavevector k:
 
     sigma(k)        = N^{-1/2} sum_j |b_j><c_j| e^{-i k z_j}
@@ -35,20 +35,19 @@ truncating.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FockOverflowError, SectorOverflowError, SpaceMismatchError
+from .errors import FockOverflowError, SectorOverflowError
 from .geometry import Geometry
 from .states import (
-    DROP_TOL,
-    AtomConfig,
-    JointLabel,
     SparseKet,
-    StateSpace,
+    _level_count,
+    _merge,
+    _occupied,
+    _times,
     inner_product,
 )
 
@@ -56,169 +55,8 @@ from .states import (
 _LEVELS = ("b", "c", "a")
 
 
-class CodedKet:
-    """A ket, or one ket per column of an operator, as integer arrays.
-
-    Entry r has column ``cols[r]`` of ``n_cols``, photon numbers
-    ``field[r]``, amplitude ``amps[r]`` and site digits ``sites[r]``: j + 1
-    for each atom j in c, increasing and padded with 0 to
-    ``space.n_exc_max`` digits, then the same for a, padded to
-    ``space.a_max``.  Read as digits after the column, the entries strictly
-    increase; within a column that is the order of :meth:`SparseKet.items`.
-    Amplitudes at or below ``DROP_TOL`` are dropped, as in a SparseKet.
-    Supports ``+`` and ``-`` with a coded ket of the same columns, ``+``
-    with the zero SparseKet, and scalar ``*``.
-    """
-
-    __slots__ = ("space", "n_cols", "cols", "field", "sites", "amps")
-    __array_ufunc__ = None      # numpy scalars defer to __rmul__
-
-    def __init__(self, space: StateSpace, n_cols: int, cols, field, sites,
-                 amps):
-        keep = np.abs(amps) > DROP_TOL
-        if not keep.all():
-            cols, field, sites, amps = (x[keep] for x in
-                                        (cols, field, sites, amps))
-        self.space, self.n_cols = space, n_cols
-        self.cols, self.field, self.sites, self.amps = cols, field, sites, amps
-
-    @classmethod
-    def encode(cls, space: StateSpace, labels, amps, cols=None,
-               n_cols: int = 1) -> "CodedKet":
-        """Entries of ``labels``, in label order within each column."""
-        kc, ka = space.n_exc_max, space.a_max
-        pad_c = [(-1,) * (kc - i) for i in range(kc + 1)]
-        pad_a = [(-1,) * (ka - i) for i in range(ka + 1)]
-        sites = [c + pad_c[len(c)] + a + pad_a[len(a)]
-                 for _n, c, a in (label.atoms for label in labels)]
-        n = len(sites)
-        # room above the largest digit: 0 - 1 must wrap past every site
-        digit = np.min_scalar_type(max([space.n_atoms + 1,
-                                        *space.mode_caps]))
-        return cls(space, n_cols,
-                   np.zeros(n, np.uint8) if cols is None else cols,
-                   np.array([label.field for label in labels],
-                            dtype=digit).reshape(n, space.n_modes),
-                   (np.array(sites, dtype=np.intp).reshape(n, kc + ka)
-                    + 1).astype(digit),
-                   np.array(amps, dtype=complex))
-
-    def labels(self) -> list[JointLabel]:
-        n_atoms, kc = self.space.n_atoms, self.space.n_exc_max
-        return [JointLabel(tuple(f), AtomConfig(
-                    n_atoms, tuple(d - 1 for d in s[:kc] if d),
-                    tuple(d - 1 for d in s[kc:] if d)))
-                for f, s in zip(self.field.tolist(), self.sites.tolist())]
-
-    def decode(self) -> SparseKet:
-        """The SparseKet of a one-column coded ket."""
-        return SparseKet(self.space, dict(zip(self.labels(),
-                                              self.amps.tolist())),
-                         _checked=True)
-
-    def find(self, labels: "CodedKet") -> np.ndarray:
-        """Index of each entry's label among the entries of ``labels``
-        (distinct labels in label order), or -1 where it is not there."""
-        n = len(labels)
-        keys = _keys(self.space, np.concatenate([labels.field, self.field]),
-                     np.concatenate([labels.sites, self.sites]))
-        order = np.lexsort(keys)    # stable: a label sorts before its equals
-        mine = order >= n
-        at = np.empty(len(self), dtype=np.intp)
-        at[order[mine] - n] = (np.cumsum(~mine) - 1)[mine]
-        found = at >= 0
-        for key in keys:
-            found &= key[n:] == key[np.maximum(at, 0)]
-        return np.where(found, at, -1)
-
-    def __len__(self) -> int:
-        return len(self.amps)
-
-    def __add__(self, other: "CodedKet") -> "CodedKet":
-        if not isinstance(other, CodedKet):
-            return NotImplemented
-        if (self.space, self.n_cols) != (other.space, other.n_cols):
-            raise SpaceMismatchError(
-                f"incompatible coded kets: {self.space}, {self.n_cols} "
-                f"columns vs {other.space}, {other.n_cols} columns")
-        return _merge(self.space, self.n_cols, *(
-            np.concatenate(pair) for pair in zip(
-                (self.cols, self.field, self.sites, self.amps),
-                (other.cols, other.field, other.sites, other.amps))))
-
-    def __radd__(self, other: SparseKet) -> "CodedKet":
-        # the zero SparseKet that a sum of terms starts from
-        if isinstance(other, SparseKet) and not other \
-                and other.space == self.space:
-            return self
-        return NotImplemented
-
-    def __sub__(self, other: "CodedKet") -> "CodedKet":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: complex) -> "CodedKet":
-        return CodedKet(self.space, self.n_cols, self.cols, self.field,
-                        self.sites, _times(self.amps, complex(scalar)))
-
-    __rmul__ = __mul__
-
-
-def _occupied(sites: np.ndarray) -> np.ndarray:
-    """Atoms per entry in a block of site digits (0 marks no atom)."""
-    return (sites > 0).sum(axis=1)
-
-
-def _times(amps: np.ndarray, coeffs) -> np.ndarray:
-    """amps * coeffs, rounded as Python's complex product (no fused
-    multiply-add), so that a coded ket and a SparseKet agree bit for bit."""
-    out = np.empty_like(amps)
-    out.real = amps.real * coeffs.real - amps.imag * coeffs.imag
-    out.imag = amps.real * coeffs.imag + amps.imag * coeffs.real
-    return out
-
-
-def _keys(space: StateSpace, field, sites, cols=None,
-          n_cols: int = 1) -> list[np.ndarray]:
-    """Labels, after their columns if given, as int64 keys, least
-    significant first as ``np.lexsort`` takes them.  The digits (column,
-    photon numbers, sites) are packed most significant first, as many per
-    key as stay below 2**63."""
-    digits = ([] if cols is None else [(cols, n_cols)]) \
-        + [(m, cap + 1) for m, cap in zip(field.T, space.mode_caps)] \
-        + [(d, space.n_atoms + 1) for d in sites.T]
-    keys, weight = [np.zeros(len(sites), dtype=np.int64)], 1
-    for digit, radix in reversed(digits):
-        if weight * radix >= 2 ** 63:
-            keys.append(np.zeros(len(sites), dtype=np.int64))
-            weight = 1
-        keys[-1] += digit.astype(np.int64) * weight
-        weight *= radix
-    return keys
-
-
-def _merge(space: StateSpace, n_cols: int, cols, field, sites,
-           amps) -> CodedKet:
-    """The coded ket of these entries: sorted by column and label, with
-    the amplitudes of equal ones summed in the order given."""
-    keys = _keys(space, field, sites, cols, n_cols)
-    order = np.lexsort(keys)
-    first = np.zeros(len(order), dtype=bool)
-    first[:1] = True
-    while keys:
-        key = keys.pop()[order]
-        first[1:] |= key[1:] != key[:-1]
-    group = np.cumsum(first) - 1
-    summed = np.empty(np.count_nonzero(first), dtype=complex)
-    summed.real = np.bincount(group, amps.real[order], len(summed))
-    summed.imag = np.bincount(group, amps.imag[order], len(summed))
-    take = order[first]
-    del order, group
-    return CodedKet(space, n_cols, cols[take], field[take], sites[take],
-                    summed)
-
-
-def _flip(ket: CodedKet, geometry: Geometry, k: float, src: str, dst: str,
-          scale: float) -> CodedKet:
+def _flip(ket: SparseKet, geometry: Geometry, k: float, src: str, dst: str,
+          scale: float) -> SparseKet:
     """sum_j |dst><src|_j times e^{+i k z_j} (upward move) or e^{-i k z_j}
     (downward move, in the order b < c < a), divided by ``scale``.
 
@@ -266,20 +104,6 @@ def _flip(ket: CodedKet, geometry: Geometry, k: float, src: str, dst: str,
                   sites, _times(ket.amps[source], coeffs[digit - 1]))
 
 
-def _on_coded(kernel):
-    """Run ``kernel`` on a CodedKet as it is, or on a SparseKet encoded once
-    and decoded once."""
-    @functools.wraps(kernel)
-    def apply(ket, *args, **kwargs):
-        if isinstance(ket, CodedKet):
-            return kernel(ket, *args, **kwargs)
-        labels, amps = zip(*ket.items()) if ket else ((), ())
-        return kernel(CodedKet.encode(ket.space, labels, amps), *args,
-                      **kwargs).decode()
-    return apply
-
-
-@_on_coded
 def apply_sigma(ket: SparseKet, geometry: Geometry, k: float,
                 dagger: bool = False) -> SparseKet:
     """Apply the collective b<->c lowering operator sigma(k) (or its adjoint)."""
@@ -287,7 +111,6 @@ def apply_sigma(ket: SparseKet, geometry: Geometry, k: float,
     return _flip(ket, geometry, k, src, dst, math.sqrt(ket.space.n_atoms))
 
 
-@_on_coded
 def apply_rho_ab(ket: SparseKet, geometry: Geometry, k: float,
                  dagger: bool = False) -> SparseKet:
     """b -> a promotion density rho_ab(k); the adjoint demotes a -> b."""
@@ -295,7 +118,6 @@ def apply_rho_ab(ket: SparseKet, geometry: Geometry, k: float,
     return _flip(ket, geometry, k, src, dst, ket.space.n_atoms)
 
 
-@_on_coded
 def apply_rho_ac(ket: SparseKet, geometry: Geometry, k: float,
                  dagger: bool = False) -> SparseKet:
     """c -> a promotion density rho_ac(k); the adjoint demotes a -> c."""
@@ -303,21 +125,15 @@ def apply_rho_ac(ket: SparseKet, geometry: Geometry, k: float,
     return _flip(ket, geometry, k, src, dst, ket.space.n_atoms)
 
 
-@_on_coded
 def apply_population(ket: SparseKet, level: str) -> SparseKet:
     """Diagonal operator counting atoms in 'b', 'c' or 'a'."""
-    if level not in _LEVELS:
-        raise ValueError(f"unknown level {level!r}")
-    kc = ket.space.n_exc_max
-    count = {"b": ket.space.n_atoms - _occupied(ket.sites),
-             "c": _occupied(ket.sites[:, :kc]),
-             "a": _occupied(ket.sites[:, kc:])}[level]
+    count = _level_count(ket, level)
     rows = np.flatnonzero(count)
-    return CodedKet(ket.space, ket.n_cols, ket.cols[rows], ket.field[rows],
-                    ket.sites[rows], ket.amps[rows] * count[rows])
+    return SparseKet._of(ket.space, ket.n_cols, ket.cols[rows],
+                         ket.field[rows], ket.sites[rows],
+                         ket.amps[rows] * count[rows])
 
 
-@_on_coded
 def apply_field(ket: SparseKet, mode_index: int, dagger: bool = False) -> SparseKet:
     """Photon annihilation (or creation) on one tracked field mode."""
     space = ket.space
@@ -333,8 +149,8 @@ def apply_field(ket: SparseKet, mode_index: int, dagger: bool = False) -> Sparse
     field[:, mode_index] = occ[rows] + 1 if dagger else occ[rows] - 1
     # sqrt(m + 1) up, sqrt(m) down: the larger of the two occupations
     coeff = np.sqrt(np.maximum(occ[rows], field[:, mode_index]), dtype=float)
-    return CodedKet(space, ket.n_cols, ket.cols[rows], field,
-                    ket.sites[rows], ket.amps[rows] * coeff)
+    return SparseKet._of(space, ket.n_cols, ket.cols[rows], field,
+                         ket.sites[rows], ket.amps[rows] * coeff)
 
 
 # -- quadrature / inversion combinations ---------------------------------

@@ -7,11 +7,11 @@ enumerate exactly those sectors, restrict the Hamiltonian to them and
 integrate with a fixed-step 4th-order Runge-Kutta scheme.  No matrix over
 the full Hilbert space is ever formed.  Sector dimensions range from a few
 states to thousands (2,325 for 24 atoms with three quanta).
-:func:`sector_operator` compiles the restriction once: it encodes the whole
-basis as one :class:`~coldstore.operators.CodedKet`, one column per label,
-applies the Hamiltonian to it in one pass of the operator kernels and keeps
-the image as a :class:`SparseOperator`, the sum of its (row, column,
-amplitude) triplets, never a dense dim^2 matrix.
+:func:`sector_operator` compiles the restriction once: it holds the whole
+basis as one :class:`SparseKet` of one column per label, applies the
+Hamiltonian to it in one pass of the operator kernels and keeps the image
+as a :class:`SparseOperator`, the sum of its (row, column, amplitude)
+triplets, never a dense dim^2 matrix.
 
 :func:`rk4_propagate` first closes psi under h0 (and h1): each new
 direction h v is orthogonalized against the space so far (classical
@@ -51,8 +51,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, IntegrationError
-from .operators import CodedKet
-from .states import AtomConfig, JointLabel, SparseKet, StateSpace
+from .states import (AtomConfig, JointLabel, SparseKet, StateSpace,
+                     _occupied)
 
 
 def _field_occupations(mode_caps: Sequence[int], total: int):
@@ -130,13 +130,13 @@ def estimate_basis_size(space: StateSpace) -> int:
 
 def present_totals(ket: SparseKet) -> list[int]:
     """Distinct total quantum numbers (photons + excited atoms) in a ket."""
-    return sorted({sum(label.field) + label.atoms.n_excited
-                   for label in ket.raw()})
+    return sorted(set((ket.field.sum(axis=1, dtype=np.intp)
+                       + _occupied(ket.sites)).tolist()))
 
 
 def ket_to_vector(ket: SparseKet, index: dict[JointLabel, int]) -> np.ndarray:
     vec = np.zeros(len(index), dtype=complex)
-    for label, amp in ket.raw().items():
+    for label, amp in ket.items():
         i = index.get(label)
         if i is None:
             raise IntegrationError(
@@ -214,7 +214,7 @@ def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
                     ) -> SparseOperator:
     """Restriction of an operator to the enumerated basis, compiled once.
 
-    The basis becomes one :class:`CodedKet` with column i = label i, and
+    The basis becomes one :class:`SparseKet` with column i = label i, and
     ``apply_fn`` runs once on it: the ``apply_*`` operators and ket
     arithmetic act on every column at once.  Each image entry is looked up
     in the basis, which gives the (row, column, amplitude) triplets.
@@ -223,8 +223,7 @@ def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
     never a silent truncation.
     """
     dim = len(basis)
-    columns = CodedKet.encode(space, basis, np.ones(dim), np.arange(
-        dim, dtype=np.min_scalar_type(dim)), dim)
+    columns = SparseKet._columns(space, basis)
     image = apply_fn(columns)
     rows = image.find(columns)
     if (rows < 0).any():
@@ -249,7 +248,7 @@ def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
     for j, source in enumerate(basis):
         image = apply_fn(SparseKet(space, {source: 1.0}, _checked=True))
-        for label, amp in image.raw().items():
+        for label, amp in image.items():
             i = index.get(label)
             if i is None:
                 raise IntegrationError(

@@ -3,9 +3,10 @@
 Each of N atoms occupies one of three levels: ``b`` (ground), ``c`` (storage)
 or ``a`` (excited intermediate).  A basis label records which atoms sit in
 ``c`` and which in ``a`` (everyone else is in ``b``) together with the Fock
-occupation of each tracked field mode.  States are dictionaries mapping such
-labels to complex amplitudes; nothing dense over the full 3^N space is ever
-materialized.
+occupation of each tracked field mode.  A state holds its labels as integer
+arrays (the photon numbers and the sites of the c and a atoms, one row per
+label, in label order) beside an array of complex amplitudes; nothing dense
+over the full 3^N space is ever materialized.
 
 All state objects are treated as immutable: every operation returns a new
 ket.  Amplitudes with magnitude below ``DROP_TOL`` are dropped on
@@ -14,8 +15,10 @@ construction so that kets stay genuinely sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import (
     FockOverflowError,
@@ -72,17 +75,6 @@ class AtomConfig(NamedTuple):
     def n_excited(self) -> int:
         """Total atoms outside the ground level."""
         return len(self.c_sites) + len(self.a_sites)
-
-    def sites(self, level: str) -> tuple[int, ...]:
-        """Increasing indices of the atoms in ``level`` ('b', 'c' or 'a')."""
-        if level == "c":
-            return self.c_sites
-        if level == "a":
-            return self.a_sites
-        if level != "b":
-            raise ValueError(f"unknown level {level!r}")
-        excited = set(self.c_sites) | set(self.a_sites)
-        return tuple(j for j in range(self.n_atoms) if j not in excited)
 
     def levels(self) -> str:
         """Per-atom level tags, e.g. ``'bcb'`` for atom 1 in storage."""
@@ -211,31 +203,158 @@ def atomic_space(n_atoms: int, n_exc_max: int, a_max: int = 0) -> StateSpace:
     return StateSpace(n_atoms=n_atoms, n_exc_max=n_exc_max, a_max=a_max)
 
 
-class SparseKet:
-    """A sparse state vector: mapping from basis labels to amplitudes.
 
-    Construction validates every label against the space and drops
-    amplitudes below ``drop_tol``.  Kets support ``+``, ``-``, scalar ``*``
-    and ``/``; use :func:`inner_product`, :func:`normalize` and
-    :func:`fidelity` for metric operations.
+
+# -- the integer code of a ket --------------------------------------------------
+
+def _encode(space: StateSpace, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(field, sites) digits of a list of (field, atoms) labels, in the
+    order given; :class:`SparseKet` says what the digits are."""
+    kc, ka = space.n_exc_max, space.a_max
+    pad_c = [(-1,) * (kc - i) for i in range(kc + 1)]
+    pad_a = [(-1,) * (ka - i) for i in range(ka + 1)]
+    sites = [c + pad_c[len(c)] + a + pad_a[len(a)]
+             for _field, (_n, c, a) in labels]
+    n = len(sites)
+    # room above the largest digit: 0 - 1 must wrap past every site
+    digit = np.min_scalar_type(max([space.n_atoms + 1, *space.mode_caps]))
+    return (np.array([f for f, _atoms in labels],
+                     dtype=digit).reshape(n, space.n_modes),
+            (np.array(sites, dtype=np.intp).reshape(n, kc + ka)
+             + 1).astype(digit))
+
+
+def _occupied(sites: np.ndarray) -> np.ndarray:
+    """Atoms per entry in a block of site digits (0 marks no atom)."""
+    return (sites > 0).sum(axis=1)
+
+
+def _level_count(ket: "SparseKet", level: str) -> np.ndarray:
+    """Atoms in ``level`` ('b', 'c' or 'a') of each entry of ``ket``."""
+    kc = ket.space.n_exc_max
+    if level == "c":
+        return _occupied(ket.sites[:, :kc])
+    if level == "a":
+        return _occupied(ket.sites[:, kc:])
+    if level != "b":
+        raise ValueError(f"unknown level {level!r}")
+    return ket.space.n_atoms - _occupied(ket.sites)
+
+
+def _times(amps: np.ndarray, coeffs) -> np.ndarray:
+    """amps * coeffs, rounded as Python's complex product (no fused
+    multiply-add), so that ket arithmetic rounds as scalar arithmetic."""
+    out = np.empty_like(amps)
+    out.real = amps.real * coeffs.real - amps.imag * coeffs.imag
+    out.imag = amps.real * coeffs.imag + amps.imag * coeffs.real
+    return out
+
+
+def _keys(space: StateSpace, field, sites, cols=None,
+          n_cols: int = 1) -> list[np.ndarray]:
+    """Labels, after their columns if given, as int64 keys, least
+    significant first as ``np.lexsort`` takes them.  The digits (column,
+    photon numbers, sites) are packed most significant first, as many per
+    key as stay below 2**63."""
+    digits = ([] if cols is None else [(cols, n_cols)]) \
+        + [(m, cap + 1) for m, cap in zip(field.T, space.mode_caps)] \
+        + [(d, space.n_atoms + 1) for d in sites.T]
+    keys, weight = [np.zeros(len(sites), dtype=np.int64)], 1
+    for digit, radix in reversed(digits):
+        if weight * radix >= 2 ** 63:
+            keys.append(np.zeros(len(sites), dtype=np.int64))
+            weight = 1
+        keys[-1] += digit.astype(np.int64) * weight
+        weight *= radix
+    return keys
+
+
+def _merge(space: StateSpace, n_cols: int, cols, field, sites,
+           amps) -> "SparseKet":
+    """The ket of these entries: sorted by column and label, with the
+    amplitudes of equal ones summed in the order given."""
+    keys = _keys(space, field, sites, cols, n_cols)
+    order = np.lexsort(keys)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    while keys:
+        key = keys.pop()[order]
+        first[1:] |= key[1:] != key[:-1]
+    group = np.cumsum(first) - 1
+    summed = np.empty(np.count_nonzero(first), dtype=complex)
+    summed.real = np.bincount(group, amps.real[order], len(summed))
+    summed.imag = np.bincount(group, amps.imag[order], len(summed))
+    take = order[first]
+    del order, group
+    return SparseKet._of(space, n_cols, cols[take], field[take], sites[take],
+                         summed)
+
+
+class SparseKet:
+    """A sparse state vector, held as integer-coded arrays.
+
+    Entry r has the photon number of each tracked mode in ``field[r]``, an
+    amplitude ``amps[r]`` and site digits ``sites[r]``: j + 1 for each atom
+    j in c, increasing and padded with 0 to ``space.n_exc_max`` digits, then
+    the same for a, padded to ``space.a_max``.  Read as digits, the entries
+    strictly increase, and that is the order of their labels, so
+    :meth:`items` needs no sort.
+
+    Construction from a label -> amplitude mapping validates every label
+    against the space (unless ``_checked``) and drops amplitudes at or below
+    ``drop_tol``; every other ket drops those at or below ``DROP_TOL``.
+    Kets support ``+``, ``-``, scalar ``*`` and ``/``; use
+    :func:`inner_product`, :func:`normalize` and :func:`fidelity` for
+    metric operations.
+
+    Inside the package a ket may also hold one ket per column of an
+    operator: entry r then lies in column ``cols[r]`` of ``n_cols``, and the
+    entries increase by column first.  The empty one-column ket is the zero
+    of every column count.
     """
 
-    __slots__ = ("space", "_entries")
+    __slots__ = ("space", "n_cols", "cols", "field", "sites", "amps")
+    __array_ufunc__ = None      # numpy scalars defer to __rmul__
 
     def __init__(self, space: StateSpace,
                  entries: Mapping[JointLabel, complex] | None = None,
                  drop_tol: float = DROP_TOL, _checked: bool = False):
-        self.space = space
-        data = {}
-        if entries:
-            for label, amp in entries.items():
-                z = complex(amp)
-                if abs(z) <= drop_tol:
-                    continue
-                if not _checked:
-                    space.check_label(label)
-                data[label] = z
-        self._entries = data
+        labels, amps = [], []
+        for label, amp in (entries or {}).items():
+            z = complex(amp)
+            if abs(z) <= drop_tol:
+                continue
+            if not _checked:
+                space.check_label(label)
+            labels.append(label)
+            amps.append(z)
+        field, sites = _encode(space, labels)
+        order = np.lexsort(_keys(space, field, sites))
+        self.space, self.n_cols = space, 1
+        self.cols = np.zeros(len(amps), dtype=np.uint8)
+        self.field, self.sites = field[order], sites[order]
+        self.amps = np.array(amps, dtype=complex)[order]
+
+    @classmethod
+    def _of(cls, space: StateSpace, n_cols: int, cols, field, sites,
+            amps) -> "SparseKet":
+        """The ket of entries already in order, less those at or below
+        ``DROP_TOL``."""
+        keep = np.abs(amps) > DROP_TOL
+        if not keep.all():
+            cols, field, sites, amps = (x[keep] for x in
+                                        (cols, field, sites, amps))
+        ket = cls.__new__(cls)
+        ket.space, ket.n_cols = space, n_cols
+        ket.cols, ket.field, ket.sites, ket.amps = cols, field, sites, amps
+        return ket
+
+    @classmethod
+    def _columns(cls, space: StateSpace, labels) -> "SparseKet":
+        """One column per label: column i holds label i at amplitude 1."""
+        n = len(labels)
+        return cls._of(space, n, np.arange(n, dtype=np.min_scalar_type(n)),
+                       *_encode(space, labels), np.ones(n, dtype=complex))
 
     # -- basic queries ---------------------------------------------------
 
@@ -248,62 +367,79 @@ class SparseKet:
         return cls(space, {label: 1.0})
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
+        return len(self.amps)
 
     def amplitude(self, label: JointLabel) -> complex:
-        return self._entries.get(label, 0j)
+        """Amplitude of ``label``, a JointLabel or a plain (field, atoms)
+        pair; 0j if the ket holds no such label, also outside the space.
+        Decodes the ket per call: for many lookups, take :meth:`raw` once."""
+        return self.raw().get(label, 0j)
+
+    def find(self, labels: "SparseKet") -> np.ndarray:
+        """Index of each entry's label among the entries of ``labels`` (a
+        one-column ket: distinct labels in label order), or -1 where it is
+        not there."""
+        n = len(labels)
+        keys = _keys(self.space, np.concatenate([labels.field, self.field]),
+                     np.concatenate([labels.sites, self.sites]))
+        order = np.lexsort(keys)    # stable: a label sorts before its equals
+        mine = order >= n
+        at = np.empty(len(self), dtype=np.intp)
+        at[order[mine] - n] = (np.cumsum(~mine) - 1)[mine]
+        found = at >= 0
+        for key in keys:
+            found &= key[n:] == key[np.maximum(at, 0)]
+        return np.where(found, at, -1)
 
     def items(self) -> Iterator[tuple[JointLabel, complex]]:
         """Entries in canonical (sorted-label) order."""
-        for label in sorted(self._entries):
-            yield label, self._entries[label]
+        return zip(self.labels(), self.amps.tolist())
 
     def labels(self) -> list[JointLabel]:
-        return sorted(self._entries)
+        n_atoms, kc = self.space.n_atoms, self.space.n_exc_max
+        return [JointLabel(tuple(f), AtomConfig(
+                    n_atoms, tuple(d - 1 for d in s[:kc] if d),
+                    tuple(d - 1 for d in s[kc:] if d)))
+                for f, s in zip(self.field.tolist(), self.sites.tolist())]
 
-    def raw(self) -> Mapping[JointLabel, complex]:
-        """Read-only view of the underlying mapping (do not mutate)."""
-        return self._entries
+    def raw(self) -> dict[JointLabel, complex]:
+        """A fresh label -> amplitude dict of the entries, built per call."""
+        return dict(self.items())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        terms = sorted(self._entries.items(), key=lambda kv: -abs(kv[1]))[:4]
+        terms = sorted(self.items(), key=lambda kv: -abs(kv[1]))[:4]
         body = " + ".join(f"({amp:.4g}){lbl}" for lbl, amp in terms)
-        more = "" if len(self._entries) <= 4 else f" + {len(self._entries)-4} more"
+        more = "" if len(self) <= 4 else f" + {len(self)-4} more"
         return f"SparseKet[{body or '0'}{more}]"
 
     # -- linear algebra ---------------------------------------------------
 
-    def _require_same_space(self, other: "SparseKet") -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError(
-                f"incompatible spaces: {self.space} vs {other.space}")
-
     def __add__(self, other: "SparseKet") -> "SparseKet":
         if not isinstance(other, SparseKet):
             return NotImplemented
-        self._require_same_space(other)
-        out = dict(self._entries)
-        for label, amp in other._entries.items():
-            out[label] = out.get(label, 0j) + amp
-        return SparseKet(self.space, out, _checked=True)
+        if self.space != other.space:
+            raise SpaceMismatchError(
+                f"incompatible spaces: {self.space} vs {other.space}")
+        if not self and self.n_cols == 1:
+            return other
+        if not other and other.n_cols == 1:
+            return self
+        if self.n_cols != other.n_cols:
+            raise SpaceMismatchError(
+                f"kets of {self.n_cols} and {other.n_cols} columns")
+        return _merge(self.space, self.n_cols, *(
+            np.concatenate(pair) for pair in zip(
+                (self.cols, self.field, self.sites, self.amps),
+                (other.cols, other.field, other.sites, other.amps))))
 
     def __sub__(self, other: "SparseKet") -> "SparseKet":
         if not isinstance(other, SparseKet):
             return NotImplemented
-        self._require_same_space(other)
-        out = dict(self._entries)
-        for label, amp in other._entries.items():
-            out[label] = out.get(label, 0j) - amp
-        return SparseKet(self.space, out, _checked=True)
+        return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "SparseKet":
-        z = complex(scalar)
-        return SparseKet(
-            self.space, {l: a * z for l, a in self._entries.items()},
-            _checked=True)
+        return SparseKet._of(self.space, self.n_cols, self.cols, self.field,
+                             self.sites, _times(self.amps, complex(scalar)))
 
     __rmul__ = __mul__
 
@@ -314,7 +450,7 @@ class SparseKet:
         return self * (-1.0)
 
     def norm(self) -> float:
-        return abs(sum(abs(a) ** 2 for _, a in self.items())) ** 0.5
+        return abs(sum(abs(a) ** 2 for a in self.amps.tolist())) ** 0.5
 
 
 def inner_product(x: SparseKet, y: SparseKet) -> complex:
@@ -326,14 +462,11 @@ def inner_product(x: SparseKet, y: SparseKet) -> complex:
     if x.space != y.space:
         raise SpaceMismatchError(
             f"incompatible spaces: {x.space} vs {y.space}")
-    xe, ye = x.raw(), y.raw()
-    if len(ye) < len(xe):
-        common = [l for l in ye if l in xe]
-    else:
-        common = [l for l in xe if l in ye]
+    at = x.find(y)
+    common = np.flatnonzero(at >= 0)
     total = 0j
-    for label in sorted(common):
-        total += xe[label].conjugate() * ye[label]
+    for a, b in zip(x.amps[common].tolist(), y.amps[at[common]].tolist()):
+        total += a.conjugate() * b
     return total
 
 
@@ -359,25 +492,23 @@ def fidelity(x: SparseKet, y: SparseKet, norm_tol: float = 1e-8) -> float:
     return abs(inner_product(x, y)) ** 2
 
 
-def photon_expectation(x: SparseKet) -> float:
-    """<x| total photon number |x> / <x|x> (0 for the zero vector)."""
+def _mean(x: SparseKet, counts: np.ndarray) -> float:
+    """sum |amp|^2 count / sum |amp|^2 over the entries in label order (0
+    for the zero vector)."""
     total = 0.0
     nn = 0.0
-    for label, amp in x.items():
+    for amp, count in zip(x.amps.tolist(), counts.tolist()):
         w = abs(amp) ** 2
-        total += w * sum(label.field)
+        total += w * count
         nn += w
     return total / nn if nn else 0.0
+
+
+def photon_expectation(x: SparseKet) -> float:
+    """<x| total photon number |x> / <x|x> (0 for the zero vector)."""
+    return _mean(x, x.field.sum(axis=1, dtype=np.intp))
 
 
 def level_population(x: SparseKet, level: str) -> float:
     """Mean number of atoms in ``level`` ('b', 'c' or 'a')."""
-    if level not in ("b", "c", "a"):
-        raise ValueError(f"unknown level {level!r}")
-    total = 0.0
-    nn = 0.0
-    for label, amp in x.items():
-        w = abs(amp) ** 2
-        total += w * len(label.atoms.sites(level))
-        nn += w
-    return total / nn if nn else 0.0
+    return _mean(x, _level_count(x, level))

@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ZeroNormError
 from .geometry import Geometry
 from .operators import apply_sigma
@@ -24,6 +26,7 @@ from .states import (
     JointLabel,
     SparseKet,
     StateSpace,
+    _merge,
     atomic_space,
     normalize,
 )
@@ -71,12 +74,13 @@ def vacuum(space: StateSpace) -> SparseKet:
 
 
 def with_field_occupation(ket: SparseKet, occupations) -> SparseKet:
-    """Set the field slots of every entry (product construction helper)."""
+    """Set the field slots of every entry (product construction helper);
+    entries that come to share a label are summed."""
     occ = tuple(occupations)
     ket.space.label(field=occ)      # the atoms of each entry are already valid
-    return SparseKet(ket.space, {JointLabel(occ, label.atoms): amp
-                                 for label, amp in ket.raw().items()},
-                     _checked=True)
+    field = np.empty_like(ket.field)
+    field[:] = occ
+    return _merge(ket.space, ket.n_cols, ket.cols, field, ket.sites, ket.amps)
 
 
 def falling_factorial(n: int, k: int) -> float:

@@ -335,7 +335,7 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
     dt, n_steps = step_grid(t, dt_max)
     psi = rk4_propagate(h, ket_to_vector(initial, index), dt, n_steps)
     drift = abs(float(np.linalg.norm(psi)) - initial.norm())
-    if drift > norm_drift_tol:
+    if not drift <= norm_drift_tol:     # NaN fails this too
         raise IntegrationError(
             f"norm drifted by {drift:.3g} over {n_steps} steps of {dt:.3g}")
     return vector_to_ket(space, basis, psi)

@@ -193,3 +193,71 @@ def multimode_norm_sq(positions, wavevectors):
     for m in occs.values():
         repeat *= math.factorial(m)
     return coeff_sq * sum(abs(a / repeat) ** 2 for a in amplitudes.values())
+
+
+# -- a ket as a plain dict of labels ------------------------------------------
+
+
+class DictKet:
+    """label -> complex amplitude in a dict, with every amplitude at or
+    below ``drop_tol`` dropped after each operation.
+
+    Sums and differences go label by label; norms, inner products and
+    expectations add up in sorted-label order with Python floats.  A label
+    is a (field, (n_atoms, c_sites, a_sites)) tuple.
+    """
+
+    def __init__(self, entries, drop_tol=1e-15):
+        self.entries = {label: complex(amp) for label, amp in entries.items()
+                        if abs(complex(amp)) > drop_tol}
+
+    def items(self):
+        return sorted(self.entries.items())
+
+    def amplitude(self, label):
+        return self.entries.get(label, 0j)
+
+    def __add__(self, other):
+        out = dict(self.entries)
+        for label, amp in other.entries.items():
+            out[label] = out.get(label, 0j) + amp
+        return DictKet(out)
+
+    def __sub__(self, other):
+        out = dict(self.entries)
+        for label, amp in other.entries.items():
+            out[label] = out.get(label, 0j) - amp
+        return DictKet(out)
+
+    def scaled(self, scalar):
+        z = complex(scalar)
+        return DictKet({label: amp * z for label, amp in self.entries.items()})
+
+    def norm(self):
+        return abs(sum(abs(amp) ** 2 for _, amp in self.items())) ** 0.5
+
+    def inner(self, other):
+        total = 0j
+        for label, amp in self.items():
+            if label in other.entries:
+                total += amp.conjugate() * other.entries[label]
+        return total
+
+    def mean(self, count):
+        """sum |amp|^2 count(label) / sum |amp|^2, 0 for the zero ket."""
+        total = nn = 0.0
+        for label, amp in self.items():
+            w = abs(amp) ** 2
+            total += w * count(label)
+            nn += w
+        return total / nn if nn else 0.0
+
+    def photon_expectation(self):
+        return self.mean(lambda label: sum(label[0]))
+
+    def level_population(self, level):
+        def count(label):
+            n_atoms, c_sites, a_sites = label[1]
+            return {"b": n_atoms - len(c_sites) - len(a_sites),
+                    "c": len(c_sites), "a": len(a_sites)}[level]
+        return self.mean(count)

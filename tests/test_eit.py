@@ -9,6 +9,7 @@ from coldstore import (
     BosonicState,
     EitParams,
     Geometry,
+    IntegrationError,
     ModeSet,
     NotNormalizedError,
     RampSchedule,
@@ -347,6 +348,29 @@ def test_the_chunked_schedule_equals_the_one_shot_expression(
     times = np.linspace(0.0, ramp.duration, 2 * n_steps + 1)
     assert np.array_equal(seen["control"], control_amplitude(
         cc, ramp.theta(times), rabi_max))
+
+
+def test_a_nan_sample_fails_the_sweep_drift_guard(monkeypatch):
+    # a NaN norm compares false against the tolerance either way round
+    params, initial = _one_photon(4)
+    ramp = RampSchedule(0.0, math.pi / 2, duration=1.0)
+
+    def nan_sample(h0, psi0, dt, n_steps, on_sample=None, **kwargs):
+        on_sample(0, 0.0, np.full_like(psi0, math.nan))
+        return psi0
+
+    monkeypatch.setattr(eit, "rk4_propagate", nan_sample)
+    with pytest.raises(IntegrationError, match="drifted to nan"):
+        adiabatic_sweep(initial, params, ramp)
+
+
+def test_a_control_past_the_float_range_is_clamped_without_a_warning():
+    # g sqrt(N) / sin(theta), with sin clamped at 1e-300, overflows at
+    # theta = 0 once g sqrt(N) > 1.8e8
+    assert control_amplitude(1e10, 0.0, rabi_max=5e11) == 5e11
+    assert np.array_equal(control_amplitude(1e10, np.array([0.0, 0.0]),
+                                            rabi_max=math.inf),
+                          [math.inf, math.inf])
 
 
 def test_sweep_memory_grows_by_the_control_array_alone():

@@ -101,6 +101,11 @@ def test_more_storage_quanta_than_atoms_are_refused(monkeypatch):
     ("dark-residual", {"g": 1e200}, {"g": 1e100}, r"g: must be <= 1e\+100"),
     ("dynamic-transfer", {"rabi": 1e300}, {"rabi": 1e100},
      r"rabi: must be <= 1e\+100"),
+    ("adiabatic-sweep", {"g": 1e75}, {"g": 1e70}, r"g: must be <= 1e\+70"),
+    ("adiabatic-sweep", {"g": 1e-20}, {"g": 1e-10}, r"g: must be >= 1e-10"),
+    ("dark-residual", {"g": 1e-14}, {"g": 1e-10}, r"g: must be >= 1e-10"),
+    ("dynamic-transfer", {"rabi": 1e-15}, {"rabi": 1e-10},
+     r"rabi: must be >= 1e-10"),
 ])
 def test_configs_that_would_end_in_an_error_record_are_refused(
         monkeypatch, scenario, refused, accepted, message):
@@ -117,10 +122,15 @@ def test_configs_that_would_end_in_an_error_record_are_refused(
 @pytest.mark.parametrize("scenario, config", [
     ("dark-residual", {"g": 1e100, "n_atoms_list": [4], "n_list": [2]}),
     ("dynamic-transfer", {"rabi": 1e100, "n_atoms_list": [4, 8]}),
+    ("adiabatic-sweep", {"g": 1e70, "duration_coupling": 5.0}),
+    ("adiabatic-sweep", {"g": 1e-10, "duration_coupling": 5.0}),
+    ("dark-residual", {"g": 1e-10, "n_atoms_list": [4], "n_list": [2]}),
+    ("dynamic-transfer", {"rabi": 1e-10, "n_atoms_list": [4, 8]}),
 ])
 def test_the_largest_accepted_coupling_runs_without_an_error(scenario, config):
-    # the checks may fail at this scale (their tolerances are absolute), but
-    # no unit may raise or warn
+    # the largest and the smallest accepted couplings: the checks may fail
+    # at these scales (their tolerances are absolute), but no unit may raise
+    # or warn
     report = run(scenario, config)
     assert [c.detail for c in report.checks if c.comparison == "error"] == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from coldstore import (
     normalize,
     photon_expectation,
 )
+
+from oracles import DictKet
 
 
 def test_atom_config_make_sorts_and_validates():
@@ -158,3 +161,103 @@ def test_linearity_of_inner_product(amps, scale):
     assert lhs == pytest.approx(rhs, abs=1e-9)
     assert x.norm() ** 2 == pytest.approx(
         sum(abs(a) ** 2 for a in amps if abs(a) > 1e-15), rel=1e-12)
+
+
+# -- the arrays against a dict of labels ---------------------------------------
+
+@st.composite
+def small_spaces(draw):
+    """N <= 8 atoms with c and a levels and up to two tracked modes."""
+    n_atoms = draw(st.integers(1, 8))
+    n_exc_max = draw(st.integers(0, min(n_atoms, 4)))
+    caps = draw(st.lists(st.integers(0, 3), max_size=2))
+    return StateSpace(n_atoms, n_exc_max, draw(st.integers(0, n_exc_max)),
+                      modes=tuple(0.25 * i for i in range(len(caps))),
+                      mode_caps=tuple(caps),
+                      photon_cap=draw(st.none() | st.integers(0, 4)))
+
+
+@st.composite
+def labels_of(draw, space):
+    n_a = draw(st.integers(0, space.a_max))
+    n_c = draw(st.integers(0, space.n_exc_max - n_a))
+    atoms = draw(st.permutations(range(space.n_atoms)))
+    field, room = [], space.total_photon_cap
+    for cap in space.mode_caps:
+        field.append(draw(st.integers(0, min(cap, room))))
+        room -= field[-1]
+    return space.label(c_sites=atoms[:n_c], a_sites=atoms[n_c:n_c + n_a],
+                       field=field)
+
+
+amplitudes = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                allow_infinity=False) \
+    | st.sampled_from([0j, 1e-15, -1e-15j, 2e-15, 1e-16 + 1e-16j])
+# what is left of x + y where y cancels x: at, below and above DROP_TOL
+leftovers = st.sampled_from([0.0, 1e-16, 5e-16j, 1e-15, -1e-15, 2e-15j])
+
+
+@st.composite
+def entry_pairs(draw):
+    """A space and two label -> amplitude dicts, the second cancelling
+    some entries of the first."""
+    space = draw(small_spaces())
+    labels = st.lists(labels_of(space), max_size=10)
+    x = {label: draw(amplitudes) for label in draw(labels)}
+    y = {label: draw(amplitudes) for label in draw(labels)}
+    for label in draw(st.lists(st.sampled_from(sorted(x)), max_size=4)
+                      if x else st.just([])):
+        y[label] = -x[label] + draw(leftovers)
+    return space, x, y
+
+
+def _same(ket, ref):
+    assert list(ket.items()) == ref.items()
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry_pairs(), amplitudes,
+       st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+def test_the_arrays_of_a_ket_match_a_dict_of_labels_bit_for_bit(
+        case, scalar, divisor):
+    # == on every amplitude and every float: the same bits, up to the sign
+    # of a zero
+    space, x_entries, y_entries = case
+    x, y = SparseKet(space, x_entries), SparseKet(space, y_entries)
+    rx, ry = DictKet(x_entries), DictKet(y_entries)
+    zero, rzero = SparseKet.zero(space), DictKet({})
+    _same(x, rx)
+    _same(y, ry)
+    _same(x + y, rx + ry)
+    _same(x - y, rx - ry)
+    _same(scalar * x, rx.scaled(scalar))
+    _same(x * scalar, rx.scaled(scalar))
+    _same(x / divisor, rx.scaled(1.0 / complex(divisor)))
+    _same(-x, rx.scaled(-1.0))
+    _same(zero + x, rx)
+    _same(x + zero, rx)
+    _same(x - x, rzero)
+    for ket, ref in ((x, rx), (y, ry), (x + y, rx + ry), (zero, rzero)):
+        assert ket.norm() == ref.norm()
+        assert photon_expectation(ket) == ref.photon_expectation()
+        for level in "bca":
+            assert level_population(ket, level) == ref.level_population(level)
+    assert inner_product(x, y) == rx.inner(ry)
+    assert inner_product(y, x) == ry.inner(rx)
+    assert inner_product(x, zero) == 0j
+    for label in [*x_entries, *y_entries]:
+        assert x.amplitude(label) == rx.amplitude(label)
+        assert x.amplitude(tuple(label)) == rx.amplitude(label)
+    bigger = dataclasses.replace(space, n_atoms=space.n_atoms + 1)
+    retagged = dataclasses.replace(
+        space, modes=tuple(m + 1.0 for m in space.modes))
+    assert x.amplitude(bigger.label()) == 0j
+    for other in {bigger, retagged} - {space}:
+        for ket in (zero, x):
+            stranger = SparseKet.zero(other)
+            with pytest.raises(SpaceMismatchError):
+                _ = ket + stranger
+            with pytest.raises(SpaceMismatchError):
+                _ = stranger - ket
+            with pytest.raises(SpaceMismatchError):
+                inner_product(ket, stranger)

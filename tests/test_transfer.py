@@ -8,6 +8,7 @@ from coldstore import (
     BosonicState,
     FockOverflowError,
     Geometry,
+    IntegrationError,
     NotNormalizedError,
     SectorOverflowError,
     associate_state,
@@ -237,6 +238,17 @@ def test_transfer_evolutions_refuse_a_non_finite_rabi(monkeypatch, evolve,
                 evolve_numeric(state, rabi, t)
             else:
                 evolve_exact_atoms(joint, rabi, t, geom)
+
+
+def test_a_nan_result_fails_the_exact_atoms_drift_guard(monkeypatch):
+    # a NaN drift compares false against the tolerance either way round
+    monkeypatch.setattr(transfer, "rk4_propagate",
+                        lambda h, psi0, dt, n_steps: np.full_like(psi0,
+                                                                  math.nan))
+    geom = Geometry.lattice(4, 0.5)
+    joint = bosonic_to_joint(BosonicState.fock(1, 1), geom)
+    with pytest.raises(IntegrationError, match="drifted by nan"):
+        evolve_exact_atoms(joint, rabi=1.0, t=0.7, geometry=geom)
 
 
 def test_exact_atoms_deviation_shrinks_with_n():

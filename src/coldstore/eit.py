@@ -42,7 +42,7 @@ from .propagate import (
     step_grid,
     vector_to_ket,
 )
-from .states import SparseKet, StateSpace, normalize
+from .states import SparseKet, StateSpace, _level_count, normalize
 from .storage import StorageSpec, falling_factorial, storage_direct, vacuum, with_field_occupation
 
 DEFAULT_RABI_CAP_FACTOR = 50.0
@@ -282,11 +282,8 @@ def dark_state(params: EitParams, n: int, q: float | None = None,
                  * math.cos(theta) ** (n - m) * math.sin(theta) ** m)
         if coeff == 0.0:
             continue
-        if m == 0:
-            atomic = vacuum(space)
-        else:
-            atomic = storage_direct(
-                StorageSpec(params.geometry, ((k_eff, m),)), space=space)
+        atomic = storage_direct(StorageSpec(params.geometry, ((k_eff, m),)),
+                                space=space) if m else vacuum(space)
         occ = [0] * space.n_modes
         occ[mode_idx] = n - m
         total = total + coeff * with_field_occupation(atomic, occ)
@@ -448,10 +445,10 @@ def _dark_polynomial(params: EitParams, space: StateSpace,
     return [w * (1.0 / math.sqrt(scale)) for w in coeffs]
 
 
-def dark_manifold(params: EitParams, space: StateSpace, index: dict,
+def dark_manifold(params: EitParams, space: StateSpace, basis: SparseKet,
                   totals: list[int]) -> DarkManifold:
     """The dark manifold of every mode-occupancy pattern within the given
-    total quantum numbers, on the sector basis ``index``."""
+    total quantum numbers, on the sector ``basis`` (``enumerate_sector``)."""
     n_modes = len(params.modes.detunings)
     patterns = [occ for q_total in totals
                 for occ in _field_occupations((q_total,) * n_modes, q_total)]
@@ -459,7 +456,7 @@ def dark_manifold(params: EitParams, space: StateSpace, index: dict,
     for p, occ in enumerate(patterns):
         coeffs = _dark_polynomial(params, space, occ)
         for m, w in enumerate(coeffs):
-            rows.append(ket_to_vector(w, index))
+            rows.append(ket_to_vector(w, basis))
             cos_powers.append(len(coeffs) - 1 - m)
             sin_powers.append(m)
             owner.append(p)
@@ -553,12 +550,11 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
 
     totals = present_totals(initial)
     basis = enumerate_sector(space, totals)
-    index = {label: i for i, label in enumerate(basis)}
     h_static = sector_operator(
         lambda k: apply_hamiltonian(k, params, rabi=0.0), space, basis)
     h_control = sector_operator(
         lambda k: apply_control_coupling(k, params), space, basis)
-    manifold = dark_manifold(params, space, index, totals)
+    manifold = dark_manifold(params, space, basis, totals)
 
     # chunk by chunk, at the times of np.linspace(0, T, 2 n_steps + 1) exactly
     control = np.empty(2 * n_steps + 1)
@@ -571,15 +567,14 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         control[lo:lo + len(t)] = control_amplitude(
             params.collective_coupling, ramp.theta(t), rabi_max)
 
-    photon_diag = np.array([sum(l.field) for l in basis], dtype=float)
-    cpop_diag = np.array([l.atoms.n_c for l in basis], dtype=float)
+    photon_diag = basis.field.sum(axis=1, dtype=float)
+    cpop_diag = _level_count(basis, "c").astype(float)
 
-    psi0 = ket_to_vector(initial, index)
+    psi0 = ket_to_vector(initial, basis)
     if record_every is None:
         record_every = max(1, n_steps // 400)
 
-    samples: dict[str, list] = {k: [] for k in (
-        "t", "rabi", "theta", "norm", "dark", "photon", "cpop")}
+    samples = []    # a row of the Trajectory's 7 sampled arrays each
 
     def on_sample(step, t, psi):
         nrm = float(np.linalg.norm(psi))
@@ -590,28 +585,13 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         rabi_t = float(control[min(2 * step, len(control) - 1)])
         theta_eff = math.atan2(params.collective_coupling, rabi_t)
         w = abs(psi) ** 2
-        samples["t"].append(t)
-        samples["rabi"].append(rabi_t)
-        samples["theta"].append(theta_eff)
-        samples["norm"].append(nrm)
-        samples["dark"].append(dark_manifold_weight(psi, manifold, theta_eff))
-        samples["photon"].append(float(photon_diag @ w))
-        samples["cpop"].append(float(cpop_diag @ w))
+        samples.append((t, rabi_t, theta_eff, nrm,
+                        dark_manifold_weight(psi, manifold, theta_eff),
+                        float(photon_diag @ w), float(cpop_diag @ w)))
 
     psi_final = rk4_propagate(h_static, psi0, dt, n_steps, h1=h_control,
                               control=control, sample_every=record_every,
                               on_sample=on_sample)
-
-    return Trajectory(
-        times=np.array(samples["t"]),
-        rabi=np.array(samples["rabi"]),
-        theta=np.array(samples["theta"]),
-        norms=np.array(samples["norm"]),
-        dark_fidelity=np.array(samples["dark"]),
-        photon_expectation=np.array(samples["photon"]),
-        c_population=np.array(samples["cpop"]),
-        final_state=vector_to_ket(space, basis, psi_final),
-        dt=dt,
-        n_steps=n_steps,
-        rabi_max=rabi_max,
-    )
+    return Trajectory(*np.reshape(samples, (-1, 7)).T,
+                      final_state=vector_to_ket(space, basis, psi_final),
+                      dt=dt, n_steps=n_steps, rabi_max=rabi_max)

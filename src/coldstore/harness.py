@@ -24,6 +24,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -35,9 +36,11 @@ from .eit import (
     RampSchedule,
     _joint_space,
     adiabatic_sweep,
+    control_amplitude,
     dark_state,
     joint_space,
     null_eigenvalue_residual,
+    sweep_time_step,
 )
 from .geometry import (
     ConditionThresholds,
@@ -54,7 +57,7 @@ from .operators import (
     apply_sigma,
     sigma_commutator_element,
 )
-from .propagate import estimate_basis_size, estimate_sector_size
+from .propagate import estimate_basis_size, estimate_sector_size, step_grid
 from .states import atomic_space, fidelity
 from .storage import (
     StorageSpec,
@@ -390,6 +393,16 @@ def validate_config(scenario: str, config: Mapping | None) -> dict:
             violations.append(
                 f"spacing: {max(counts)} atoms at this spacing overflow the "
                 f"lattice length (got {spacing!r})")
+    # a sweep's step count grows with rabi_cap_factor (dt ~ 1 / Omega_max)
+    durations = ("duration_coupling", "fast_duration_coupling")
+    if valid("n_atoms", "g", "rabi_cap_factor", *durations):
+        for key in durations:
+            steps = _sweep_steps(out, out[key])
+            if steps > SWEEP_MAX_STEPS:
+                violations.append(
+                    f"rabi_cap_factor: with {key} {out[key]!r} a sweep takes "
+                    f"{steps:,} RK4 steps, more than SWEEP_MAX_STEPS = "
+                    f"{SWEEP_MAX_STEPS:,} (got {out['rabi_cap_factor']!r})")
     if violations:
         raise ConfigError(violations)
     return out
@@ -490,10 +503,8 @@ def _dicke_unit(cfg, n_atoms) -> list[CheckRecord]:
     worst_res3 = worst_eig3 = worst_res2 = worst_eig2 = 0.0
     casimir = (n_atoms / 2.0) * (n_atoms / 2.0 + 1.0)
     for n in range(n_top + 1):
-        if n == 0:
-            st = vacuum(space)
-        else:
-            st = storage_direct(StorageSpec(geom, ((k, n),)), space=space)
+        st = storage_direct(StorageSpec(geom, ((k, n),)), space=space) \
+            if n else vacuum(space)
         chk = angular_momentum_eigencheck(st, geom, k)
         worst_res3 = max(worst_res3, chk.r3_residual)
         worst_eig3 = max(worst_eig3,
@@ -754,6 +765,23 @@ _SWEEP_SCHEMA = {
     "record_every": Field(0, lo=0),
     "trajectory_out": Field(""),
 }
+
+
+# RK4 steps one sweep may take: 16 B of control array each, 320 MB in all
+SWEEP_MAX_STEPS = 20_000_000
+
+
+def _sweep_steps(cfg, duration_coupling) -> float:
+    """RK4 steps of one sweep by adiabatic_sweep's own step rule, which needs
+    only the collective coupling (no geometry); inf without a finite grid."""
+    cc = cfg["g"] * math.sqrt(cfg["n_atoms"])
+    dt_max = sweep_time_step(SimpleNamespace(collective_coupling=cc),
+                             control_amplitude(cc, 0.0,
+                                               cfg["rabi_cap_factor"] * cc))
+    try:
+        return step_grid(duration_coupling / cc, dt_max)[1]
+    except ValueError:      # an infinite span or a zero step
+        return math.inf
 
 
 def _sweep_setup(cfg):
@@ -1181,8 +1209,7 @@ def scan_points(cfg: dict) -> list[dict]:
     points = []
     for combo in itertools.product(*(cfg["grid"][k] for k in keys)):
         overrides = dict(zip(keys, combo))
-        point = dict(cfg["base"])
-        point.update(overrides)
+        point = {**cfg["base"], **overrides}
         if cfg["seed"] is not None:
             point["seed"] = cfg["seed"]
         points.append({"overrides": overrides, "config": point})

@@ -7,11 +7,12 @@ enumerate exactly those sectors, restrict the Hamiltonian to them and
 integrate with a fixed-step 4th-order Runge-Kutta scheme.  No matrix over
 the full Hilbert space is ever formed.  Sector dimensions range from a few
 states to thousands (2,325 for 24 atoms with three quanta).
-:func:`sector_operator` compiles the restriction once: it holds the whole
-basis as one :class:`SparseKet` of one column per label, applies the
-Hamiltonian to it in one pass of the operator kernels and keeps the image
-as a :class:`SparseOperator`, the sum of its (row, column, amplitude)
-triplets, never a dense dim^2 matrix.
+:func:`enumerate_sector` builds a sector as integer digit arrays and
+returns it as one :class:`SparseKet` of one column per label; no label
+object is made.  :func:`sector_operator` applies the Hamiltonian to that
+ket in one pass of the operator kernels and keeps the image as a
+:class:`SparseOperator`, the sum of its (row, column, amplitude) triplets,
+never a dense dim^2 matrix.
 
 :func:`rk4_propagate` first closes psi under h0 (and h1): each new
 direction h v is orthogonalized against the space so far (classical
@@ -27,17 +28,12 @@ closure larger than ``REACHABLE_MAX_DIM`` states is refused with a budget
 error, so there is no second path.  The RK4 core runs on the small dense
 V^dag h V, and the result is lifted back to the sector at every sample.
 
-One step is psi <- psi + D psi, where the increment D is a fixed polynomial
-in the step's three control samples; its 12 coefficient matrices are built
-once per call, and the D of a block of steps come out of one real GEMM
-against the block's monomials.  Up to ``COMPOSE_MAX_DIM`` states the
-increments of a stretch between two samples (or of each block, if the
-stretch holds more than ``STEP_BLOCK_BYTES`` of them) are composed into one
-increment E by a product tree along a trailing step axis and applied as the
-one matvec psi <- psi + E psi; above it each step is its own matvec.
-Without a control D is its u-independent term D0, constant, so the k steps
-between two samples are the one power (I + D0)^k.  Each of these applies
-the map of stage-by-stage RK4, up to rounding.  A constant control is a
+One step is psi <- psi + D psi, D a fixed polynomial in the step's three
+control samples (``_rk4_step_terms``).  A controlled call composes the D of
+a stretch between two samples into one increment up to ``COMPOSE_MAX_DIM``
+states, else applies them in turn (``_rk4_compiled``); a control-free one
+takes the k steps of a stretch as one power (I + D0)^k.  Each applies the
+map of stage-by-stage RK4, up to rounding.  A constant control is a
 read-only broadcast view, never an array as long as the step count.
 """
 
@@ -45,13 +41,12 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, IntegrationError
-from .states import (AtomConfig, JointLabel, SparseKet, StateSpace,
+from .states import (SparseKet, StateSpace, _combinations, _digit_type, _keys,
                      _occupied)
 
 
@@ -64,13 +59,6 @@ def _field_occupations(mode_caps: Sequence[int], total: int):
     for m in range(head + 1):
         for rest in _field_occupations(mode_caps[1:], total - m):
             yield (m,) + rest
-
-
-def _atom_configs(n_atoms: int, n_c: int, n_a: int):
-    for c_combo in combinations(range(n_atoms), n_c):
-        rest = [j for j in range(n_atoms) if j not in c_combo]
-        for a_combo in combinations(rest, n_a):
-            yield AtomConfig(n_atoms, c_combo, a_combo)
 
 
 def _sector_blocks(space: StateSpace, totals: Iterable[int]):
@@ -89,15 +77,37 @@ def _sector_blocks(space: StateSpace, totals: Iterable[int]):
                     yield s, r - n_a, n_a
 
 
-def enumerate_sector(space: StateSpace, totals: Iterable[int]) -> list[JointLabel]:
-    """All labels whose total quantum number lies in ``totals``, sorted."""
-    return sorted(JointLabel(occ, atoms)
-                  for s, n_c, n_a in _sector_blocks(space, totals)
-                  for occ in _field_occupations(space.mode_caps, s)
-                  for atoms in _atom_configs(space.n_atoms, n_c, n_a))
+def enumerate_sector(space: StateSpace, totals: Iterable[int]) -> SparseKet:
+    """Every label whose total quantum number lies in ``totals``, as one
+    :class:`SparseKet` in label order, column i holding label i at
+    amplitude 1: ``len()`` is the dimension, ``.labels()`` the sorted
+    labels.  Each block is one digit array (every (n_c + n_a)-subset of the
+    atoms, split every way into n_c atoms in c and n_a in a, for every
+    photon spread), and one ``np.lexsort`` orders them all."""
+    n_atoms, kc, modes = space.n_atoms, space.n_exc_max, space.n_modes
+    width, digit = modes + kc + space.a_max, _digit_type(space)
+    blocks = [np.zeros((0, width), dtype=digit)]
+    for s, n_c, n_a in _sector_blocks(space, totals):
+        excited = _combinations(n_atoms, n_c + n_a)
+        # row i of in_c is the rest of range(n_c + n_a) after row i of in_a:
+        # taking complements reverses the lexicographic order of subsets
+        in_a = _combinations(n_c + n_a, n_a)
+        in_c = _combinations(n_c + n_a, n_c)[::-1]
+        occ = list(_field_occupations(space.mode_caps, s))
+        rows = np.zeros((len(occ), len(excited), len(in_a), width), digit)
+        rows[..., :modes] = np.reshape(occ, (len(occ), 1, 1, modes))
+        rows[..., modes:modes + n_c] = excited[:, in_c] + 1
+        rows[..., modes + kc:modes + kc + n_a] = excited[:, in_a] + 1
+        blocks.append(rows.reshape(math.prod(rows.shape[:3]), width))
+    rows = np.concatenate(blocks)
+    rows = rows[np.lexsort(_keys(space, rows[:, :modes], rows[:, modes:]))]
+    dim = len(rows)
+    cols = np.arange(dim, dtype=np.min_scalar_type(dim))
+    return SparseKet._of(space, dim, cols, rows[:, :modes], rows[:, modes:],
+                         np.ones(dim, dtype=complex))
 
 
-def enumerate_basis(space: StateSpace) -> list[JointLabel]:
+def enumerate_basis(space: StateSpace) -> SparseKet:
     """Every label the space admits (all total quantum numbers)."""
     max_total = space.total_photon_cap + space.n_exc_max
     return enumerate_sector(space, range(max_total + 1))
@@ -134,21 +144,25 @@ def present_totals(ket: SparseKet) -> list[int]:
                        + _occupied(ket.sites)).tolist()))
 
 
-def ket_to_vector(ket: SparseKet, index: dict[JointLabel, int]) -> np.ndarray:
-    vec = np.zeros(len(index), dtype=complex)
-    for label, amp in ket.items():
-        i = index.get(label)
-        if i is None:
-            raise IntegrationError(
-                f"state component {label} lies outside the enumerated sector")
-        vec[i] = amp
+def ket_to_vector(ket: SparseKet, basis: SparseKet) -> np.ndarray:
+    """The amplitudes of ``ket`` over the sector ``basis``.  Raises
+    :class:`IntegrationError` naming a component outside the sector."""
+    at = ket.find(basis)
+    if (at < 0).any():
+        raise IntegrationError(
+            f"state component {ket.labels()[int(np.argmax(at < 0))]} lies "
+            f"outside the enumerated sector")
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[at] = ket.amps
     return vec
 
 
-def vector_to_ket(space: StateSpace, basis: Sequence[JointLabel],
+def vector_to_ket(space: StateSpace, basis: SparseKet,
                   vec: np.ndarray) -> SparseKet:
-    entries = {basis[i]: vec[i] for i in np.flatnonzero(np.abs(vec) > 0)}
-    return SparseKet(space, entries, _checked=True)
+    """The ket of amplitudes ``vec`` over the sector ``basis``, less those
+    at or below ``DROP_TOL``."""
+    return SparseKet._of(space, 1, np.zeros(len(basis), dtype=np.uint8),
+                         basis.field, basis.sites, np.array(vec, complex))
 
 
 class SparseOperator:
@@ -210,43 +224,37 @@ SquareOperator = np.ndarray | SparseOperator
 
 
 def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
-                    space: StateSpace, basis: Sequence[JointLabel],
-                    ) -> SparseOperator:
-    """Restriction of an operator to the enumerated basis, compiled once.
+                    space: StateSpace, basis: SparseKet) -> SparseOperator:
+    """Restriction of an operator to the sector ``basis``, compiled once.
 
-    The basis becomes one :class:`SparseKet` with column i = label i, and
-    ``apply_fn`` runs once on it: the ``apply_*`` operators and ket
-    arithmetic act on every column at once.  Each image entry is looked up
-    in the basis, which gives the (row, column, amplitude) triplets.
-    Raises :class:`IntegrationError`, naming the label, if the operator
-    maps any basis label outside the basis: a restriction must be exact,
-    never a silent truncation.
+    ``apply_fn`` runs once on the sector, whose column i holds label i: the
+    ``apply_*`` operators and ket arithmetic act on every column at once.
+    Each image entry is looked up in the basis, which gives the (row,
+    column, amplitude) triplets.  Raises :class:`IntegrationError`, naming
+    the label, if the operator maps any basis label outside the basis: a
+    restriction must be exact, never a silent truncation.
     """
-    dim = len(basis)
-    columns = SparseKet._columns(space, basis)
-    image = apply_fn(columns)
-    rows = image.find(columns)
+    image = apply_fn(basis)
+    rows = image.find(basis)
     if (rows < 0).any():
         bad = int(np.argmax(rows < 0))
         raise IntegrationError(
-            f"operator maps {basis[image.cols[bad]]} to "
+            f"operator maps {basis.labels()[image.cols[bad]]} to "
             f"{image.labels()[bad]}, which is outside the enumerated "
             f"sector; widen the caps or the totals")
-    return SparseOperator(rows, image.cols, image.amps, dim)
+    return SparseOperator(rows, image.cols, image.amps, len(basis))
 
 
 def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
-                    space: StateSpace,
-                    basis: Sequence[JointLabel]) -> np.ndarray:
-    """Dense restriction of an operator to the enumerated basis, the test
-    reference for :func:`sector_operator`: column j is the SparseKet image
-    of basis label j.
-
-    Raises like :func:`sector_operator` if the operator leaves the basis.
-    """
-    index = {label: i for i, label in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for j, source in enumerate(basis):
+                    space: StateSpace, basis: SparseKet) -> np.ndarray:
+    """Dense restriction of an operator to the sector ``basis``, the test
+    reference for :func:`sector_operator`: column j is the image of label j
+    of ``basis.labels()`` alone, looked up in a dict of those labels.
+    Raises like :func:`sector_operator` if the operator leaves the basis."""
+    labels = basis.labels()
+    index = {label: i for i, label in enumerate(labels)}
+    mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    for j, source in enumerate(labels):
         image = apply_fn(SparseKet(space, {source: 1.0}, _checked=True))
         for label, amp in image.items():
             i = index.get(label)
@@ -513,19 +521,13 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     ``n_steps`` must be a nonnegative integer, ``sample_every`` an integer,
     and ``dt``, ``psi0`` and ``control`` finite.
 
-    Every call runs on the subspace reachable from ``psi0`` (its closure
-    under ``h0`` and ``h1``, its rows grown by doubling; refused with
+    Every call runs on the subspace reachable from ``psi0``, with the small
+    dense V^dag h V, and lifts the result back to the sector at every
+    sample and at the end; the closure is refused with
     :class:`BudgetExceededError` above ``REACHABLE_MAX_DIM`` states and with
-    :class:`IntegrationError` if an |h v| is not finite or the closure leaks),
-    with the small dense V^dag h V.  A
-    controlled call forms the increment of each step from its control
-    samples, block by block; up to ``COMPOSE_MAX_DIM`` states it composes
-    the steps between two samples into one increment and applies that with
-    one matvec, above it it applies each step with one matvec.  A
-    control-free call takes the k steps between two samples as one power
-    (I + D0)^k of the step map.  The result is lifted back to the sector at
-    every sample and at the end.  All of these apply the map of
-    stage-by-stage RK4, up to rounding (see the module docstring).
+    :class:`IntegrationError` if an |h v| is not finite or the closure
+    leaks.  The steps are applied as the module docstring says, with the
+    map of stage-by-stage RK4, up to rounding.
     """
     n_steps = _integer("n_steps", n_steps)
     sample_every = _integer("sample_every", sample_every)

@@ -15,6 +15,8 @@ construction so that kets stay genuinely sparse.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -46,9 +48,7 @@ class AtomConfig(NamedTuple):
     @classmethod
     def make(cls, n_atoms: int, c_sites: Iterable[int] = (),
              a_sites: Iterable[int] = ()) -> "AtomConfig":
-        c = tuple(sorted(c_sites))
-        a = tuple(sorted(a_sites))
-        cfg = cls(n_atoms, c, a)
+        cfg = cls(n_atoms, tuple(sorted(c_sites)), tuple(sorted(a_sites)))
         cfg.validate()
         return cfg
 
@@ -207,21 +207,17 @@ def atomic_space(n_atoms: int, n_exc_max: int, a_max: int = 0) -> StateSpace:
 
 # -- the integer code of a ket --------------------------------------------------
 
-def _encode(space: StateSpace, labels) -> tuple[np.ndarray, np.ndarray]:
-    """(field, sites) digits of a list of (field, atoms) labels, in the
-    order given; :class:`SparseKet` says what the digits are."""
-    kc, ka = space.n_exc_max, space.a_max
-    pad_c = [(-1,) * (kc - i) for i in range(kc + 1)]
-    pad_a = [(-1,) * (ka - i) for i in range(ka + 1)]
-    sites = [c + pad_c[len(c)] + a + pad_a[len(a)]
-             for _field, (_n, c, a) in labels]
-    n = len(sites)
+def _digit_type(space: StateSpace) -> np.dtype:
+    """The integer type of a space's photon numbers and site digits."""
     # room above the largest digit: 0 - 1 must wrap past every site
-    digit = np.min_scalar_type(max([space.n_atoms + 1, *space.mode_caps]))
-    return (np.array([f for f, _atoms in labels],
-                     dtype=digit).reshape(n, space.n_modes),
-            (np.array(sites, dtype=np.intp).reshape(n, kc + ka)
-             + 1).astype(digit))
+    return np.min_scalar_type(max([space.n_atoms + 1, *space.mode_caps]))
+
+
+def _combinations(n: int, r: int) -> np.ndarray:
+    """The r-subsets of range(n), lexicographic, as a (C(n, r), r) array."""
+    count = math.comb(n, r)
+    return np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(n), r)), dtype=np.intp, count=count * r).reshape(count, r)
 
 
 def _occupied(sites: np.ndarray) -> np.ndarray:
@@ -307,10 +303,11 @@ class SparseKet:
     :func:`inner_product`, :func:`normalize` and :func:`fidelity` for
     metric operations.
 
-    Inside the package a ket may also hold one ket per column of an
-    operator: entry r then lies in column ``cols[r]`` of ``n_cols``, and the
-    entries increase by column first.  The empty one-column ket is the zero
-    of every column count.
+    A ket may also hold one ket per column of an operator: entry r then
+    lies in column ``cols[r]`` of ``n_cols``, and the entries increase by
+    column first; a sector of :func:`~coldstore.propagate.enumerate_sector`
+    holds label i in column i.  The empty one-column ket is the zero of
+    every column count.
     """
 
     __slots__ = ("space", "n_cols", "cols", "field", "sites", "amps")
@@ -328,7 +325,15 @@ class SparseKet:
                 space.check_label(label)
             labels.append(label)
             amps.append(z)
-        field, sites = _encode(space, labels)
+        kc, ka, n = space.n_exc_max, space.a_max, len(amps)
+        pad_c = [(-1,) * (kc - i) for i in range(kc + 1)]
+        pad_a = [(-1,) * (ka - i) for i in range(ka + 1)]
+        field = np.array([f for f, _atoms in labels],
+                         dtype=_digit_type(space)).reshape(n, space.n_modes)
+        # site digits j + 1: a padding -1 becomes the 0 that marks no atom
+        sites = (np.array([c + pad_c[len(c)] + a + pad_a[len(a)]
+                           for _field, (_n, c, a) in labels], dtype=np.intp)
+                 .reshape(n, kc + ka) + 1).astype(field.dtype)
         order = np.lexsort(_keys(space, field, sites))
         self.space, self.n_cols = space, 1
         self.cols = np.zeros(len(amps), dtype=np.uint8)
@@ -348,13 +353,6 @@ class SparseKet:
         ket.space, ket.n_cols = space, n_cols
         ket.cols, ket.field, ket.sites, ket.amps = cols, field, sites, amps
         return ket
-
-    @classmethod
-    def _columns(cls, space: StateSpace, labels) -> "SparseKet":
-        """One column per label: column i holds label i at amplitude 1."""
-        n = len(labels)
-        return cls._of(space, n, np.arange(n, dtype=np.min_scalar_type(n)),
-                       *_encode(space, labels), np.ones(n, dtype=complex))
 
     # -- basic queries ---------------------------------------------------
 
@@ -376,9 +374,12 @@ class SparseKet:
         return self.raw().get(label, 0j)
 
     def find(self, labels: "SparseKet") -> np.ndarray:
-        """Index of each entry's label among the entries of ``labels`` (a
-        one-column ket: distinct labels in label order), or -1 where it is
-        not there."""
+        """Index of each entry's label among the entries of ``labels``
+        (distinct labels in label order, such as a sector), or -1 where it
+        is not there.  Raises SpaceMismatchError unless both share a space."""
+        if self.space != labels.space:
+            raise SpaceMismatchError(
+                f"incompatible spaces: {self.space} vs {labels.space}")
         n = len(labels)
         keys = _keys(self.space, np.concatenate([labels.field, self.field]),
                      np.concatenate([labels.sites, self.sites]))
@@ -459,9 +460,6 @@ def inner_product(x: SparseKet, y: SparseKet) -> complex:
     The canonical order makes the floating-point result independent of how
     either ket was assembled, so repeated runs are bit-identical.
     """
-    if x.space != y.space:
-        raise SpaceMismatchError(
-            f"incompatible spaces: {x.space} vs {y.space}")
     at = x.find(y)
     common = np.flatnonzero(at >= 0)
     total = 0j

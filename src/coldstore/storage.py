@@ -22,11 +22,12 @@ from .errors import ZeroNormError
 from .geometry import Geometry
 from .operators import apply_sigma
 from .states import (
-    AtomConfig,
-    JointLabel,
     SparseKet,
     StateSpace,
+    _combinations,
+    _digit_type,
     _merge,
+    _times,
     atomic_space,
     normalize,
 )
@@ -129,35 +130,34 @@ def _distinct_assignments(items):
     yield from rec(sorted(items), [])
 
 
-def _direct_entries(spec: StorageSpec, space: StateSpace):
-    """Label -> amplitude map of the explicitly enumerated storage state.
-
-    Raises ``ValueError`` unless the geometry has the atoms of ``space``, and
-    like :meth:`StateSpace.check_label` if n excitations break its caps;
-    every label then lies in the space, so none is checked on its own.
-    """
-    geom = spec.geometry
-    n = spec.n_total
+def _direct_ket(spec: StorageSpec, space: StateSpace) -> SparseKet:
+    """The unnormalized storage state: one entry per choice of the n
+    excited atoms, in the label order ``_combinations`` lists them, each
+    the sum of the phase factors of its distinct mode assignments.  Raises
+    ``ValueError`` unless the geometry has the atoms of ``space``, and like
+    :meth:`StateSpace.check_label` if n excitations break its caps."""
+    geom, n = spec.geometry, spec.n_total
     if geom.n_atoms != space.n_atoms:
         raise ValueError(
             f"geometry has {geom.n_atoms} atoms, space has {space.n_atoms}")
-    field = space.label(c_sites=range(n)).field     # the caps, checked once
-    mode_multiset = []
-    for k, m in spec.modes:
-        mode_multiset.extend([k] * m)
-    patterns = list(_distinct_assignments(mode_multiset))
+    space.label(c_sites=range(n))       # the caps, checked once
+    combos = _combinations(geom.n_atoms, n)
+    positions = np.array(geom.positions)[combos]
+    total = np.zeros(len(combos), dtype=complex)
+    for pattern in _distinct_assignments(
+            [k for k, m in spec.modes for _ in range(m)]):
+        # atom by atom, as the float sum 0.0 + k z_i + k' z_j + ...
+        phase = sum((k * positions[:, i] for i, k in enumerate(pattern)),
+                    np.zeros(len(combos)))
+        total.real += np.cos(phase)
+        total.imag += np.sin(phase)
+    sites = np.zeros((len(combos), space.n_exc_max + space.a_max),
+                     dtype=_digit_type(space))
+    sites[:, :n] = combos + 1
     alpha = asymptotic_coefficient(geom.n_atoms, spec.occupations)
-    entries = {}
-    for combo in itertools.combinations(range(geom.n_atoms), n):
-        total = 0j
-        for pattern in patterns:
-            phase = 0.0
-            for idx, k in zip(combo, pattern):
-                phase += k * geom.positions[idx]
-            total += complex(math.cos(phase), math.sin(phase))
-        atoms = AtomConfig(space.n_atoms, combo)
-        entries[JointLabel(field, atoms)] = alpha * total
-    return entries
+    return SparseKet._of(space, 1, np.zeros(len(combos), dtype=np.uint8),
+                         np.zeros((len(combos), space.n_modes), sites.dtype),
+                         sites, _times(total, complex(alpha)))
 
 
 def storage_direct(spec: StorageSpec, space: StateSpace | None = None,
@@ -171,7 +171,7 @@ def storage_direct(spec: StorageSpec, space: StateSpace | None = None,
     """
     if space is None:
         space = atomic_space(spec.geometry.n_atoms, spec.n_total)
-    ket = SparseKet(space, _direct_entries(spec, space), _checked=True)
+    ket = _direct_ket(spec, space)
     if not normalized:
         return ket
     out, _ = normalize(ket)
@@ -241,9 +241,7 @@ def normalization_audit(spec: StorageSpec) -> NormalizationAudit:
     # Independent route: per configuration, deduplicate raw permutations
     # into distinct assignments, then expand |sum_l e^{i phi_l}|^2 as the
     # diagonal count plus the explicit double sum over l != j.
-    mode_multiset = []
-    for k, m in spec.modes:
-        mode_multiset.extend([k] * m)
+    mode_multiset = [k for k, m in spec.modes for _ in range(m)]
     alpha_sq = asymptotic_coefficient(geom.n_atoms, spec.occupations) ** 2
     patterns = sorted(set(itertools.permutations(mode_multiset)))
     leading = 0.0

@@ -77,10 +77,8 @@ class BosonicState:
         return float(np.linalg.norm(self.amplitudes))
 
     def max_quanta(self) -> int:
-        out = 0
-        for m, n in zip(*np.nonzero(self.amplitudes)):
-            out = max(out, int(m) + int(n))
-        return out
+        return int(max((m + n for m, n in zip(*np.nonzero(self.amplitudes))),
+                       default=0))
 
     @classmethod
     def fock(cls, m: int, n: int, photon_cap: int | None = None,
@@ -290,10 +288,8 @@ def bosonic_to_joint(state: BosonicState, geometry: Geometry, k: float = 0.0,
         space = transfer_space(n_atoms, state.max_quanta(), k)
     out = SparseKet.zero(space)
     for n in occupied_cols:
-        if n == 0:
-            atomic = vacuum(space)
-        else:
-            atomic = storage_direct(StorageSpec(geometry, ((k, n),)), space=space)
+        atomic = storage_direct(StorageSpec(geometry, ((k, n),)),
+                                space=space) if n else vacuum(space)
         for m in range(arr.shape[0]):
             amp = arr[m, n]
             if amp != 0:
@@ -328,12 +324,11 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
     if t == 0.0 or not totals:
         return initial
     basis = enumerate_sector(space, totals)
-    index = {label: i for i, label in enumerate(basis)}
     h = sector_operator(
         lambda ket: _apply_transfer_hamiltonian(ket, geometry, k, rabi),
         space, basis)
     dt, n_steps = step_grid(t, dt_max)
-    psi = rk4_propagate(h, ket_to_vector(initial, index), dt, n_steps)
+    psi = rk4_propagate(h, ket_to_vector(initial, basis), dt, n_steps)
     drift = abs(float(np.linalg.norm(psi)) - initial.norm())
     if not drift <= norm_drift_tol:     # NaN fails this too
         raise IntegrationError(

@@ -261,3 +261,24 @@ class DictKet:
             return {"b": n_atoms - len(c_sites) - len(a_sites),
                     "c": len(c_sites), "a": len(a_sites)}[level]
         return self.mean(count)
+
+
+# -- sector enumeration ------------------------------------------------------
+
+def sector_labels(n_atoms, n_exc_max, a_max, mode_caps, photon_cap, totals):
+    """Every (field, (n_atoms, c_sites, a_sites)) label of the truncated
+    space whose photons + c + a lies in ``totals``, unsorted: the product
+    of every atom's level with every mode's occupation, filtered by the
+    caps."""
+    cap = sum(mode_caps) if photon_cap is None else min(photon_cap,
+                                                        sum(mode_caps))
+    out = []
+    for levels in itertools.product("bca", repeat=n_atoms):
+        c = tuple(j for j, level in enumerate(levels) if level == "c")
+        a = tuple(j for j, level in enumerate(levels) if level == "a")
+        if len(c) + len(a) > n_exc_max or len(a) > a_max:
+            continue
+        for field in itertools.product(*(range(m + 1) for m in mode_caps)):
+            if sum(field) <= cap and sum(field) + len(c) + len(a) in totals:
+                out.append((field, (n_atoms, c, a)))
+    return out

@@ -96,7 +96,7 @@ def test_hamiltonian_matches_dense_oracle():
                    for i, m in enumerate(label.field)) * 3 ** n
                + sum(3 ** j for j in label.atoms.c_sites)
                + sum(2 * 3 ** j for j in label.atoms.a_sites)
-               for label in basis]
+               for label in basis.labels()]
         assert_allclose(h, dense[np.ix_(idx, idx)], atol=1e-13)
 
 
@@ -493,10 +493,6 @@ def test_sweep_refuses_an_infinite_rabi_max_on_a_ramp_to_theta_zero():
             adiabatic_sweep(initial, params, ramp, rabi_max=math.inf)
 
 
-def _sector_index(space, totals):
-    return {label: i for i, label in enumerate(enumerate_sector(space, totals))}
-
-
 def _random_vector(rng, dim):
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
 
@@ -512,18 +508,18 @@ def test_dark_manifold_weight_matches_the_dark_state_oracle(geometry, totals):
     modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=max(totals))
     params = EitParams(geom, modes, 1.0, rabi=1.0)
     space = joint_space(params, max(totals))
-    index = _sector_index(space, totals)
-    manifold = eit.dark_manifold(params, space, index, totals)
+    basis = enumerate_sector(space, totals)
+    manifold = eit.dark_manifold(params, space, basis, totals)
     rng = np.random.default_rng(11)
     for theta in (0.0, 1e-3, 0.4, 1.1, math.pi / 2):
         # one mode: one dark state per total, and distinct totals are
         # orthogonal, so the weight is a plain sum over the family
         darks = [ket_to_vector(multimode_dark_state(
-            params, {0.0: n}, space=space, theta=theta), index)
+            params, {0.0: n}, space=space, theta=theta), basis)
             for n in totals]
         near_dark = sum(_random_vector(rng, 1)[0] * d for d in darks)
-        for psi in (_random_vector(rng, len(index)),
-                    near_dark + 0.2 * _random_vector(rng, len(index))):
+        for psi in (_random_vector(rng, len(basis)),
+                    near_dark + 0.2 * _random_vector(rng, len(basis))):
             expected = (sum(abs(np.vdot(d, psi)) ** 2 for d in darks)
                         / np.vdot(psi, psi).real)
             assert eit.dark_manifold_weight(psi, manifold, theta) \
@@ -542,10 +538,10 @@ def test_dark_manifold_weight_is_a_projection_when_patterns_overlap(
     modes = ModeSet(1.0, 0.4, detunings, "raman", fock_cap=1)
     params = EitParams(Geometry.lattice(8, 1.0), modes, 0.8, rabi=1.0)
     space = joint_space(params, 1)
-    index = _sector_index(space, [1])
-    manifold = eit.dark_manifold(params, space, index, [1])
+    basis = enumerate_sector(space, [1])
+    manifold = eit.dark_manifold(params, space, basis, [1])
     darks = [ket_to_vector(multimode_dark_state(
-        params, {q: 1}, space=space, theta=theta), index) for q in detunings]
+        params, {q: 1}, space=space, theta=theta), basis) for q in detunings]
     assert abs(np.vdot(darks[0], darks[1])) > 0.05
     for dark in darks:
         assert eit.dark_manifold_weight(dark, manifold, theta) \

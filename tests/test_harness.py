@@ -106,6 +106,11 @@ def test_more_storage_quanta_than_atoms_are_refused(monkeypatch):
     ("dark-residual", {"g": 1e-14}, {"g": 1e-10}, r"g: must be >= 1e-10"),
     ("dynamic-transfer", {"rabi": 1e-15}, {"rabi": 1e-10},
      r"rabi: must be >= 1e-10"),
+    # 100 duration_coupling rabi_cap_factor steps: a 72.8 TiB control array
+    ("adiabatic-sweep", {"rabi_cap_factor": 1e10, "duration_coupling": 5.0},
+     {"rabi_cap_factor": 1e3, "duration_coupling": 5.0},
+     r"rabi_cap_factor: with duration_coupling 5\.0 a sweep takes "
+     r"5,000,000,000,000 RK4 steps"),
 ])
 def test_configs_that_would_end_in_an_error_record_are_refused(
         monkeypatch, scenario, refused, accepted, message):
@@ -117,6 +122,28 @@ def test_configs_that_would_end_in_an_error_record_are_refused(
     assert ran == []
     run(scenario, accepted)
     assert len(ran) == 1
+
+
+def test_both_sweeps_of_a_config_are_held_to_the_step_cap():
+    with pytest.raises(ConfigError) as info:
+        validate_config("adiabatic-sweep", {"rabi_cap_factor": 1e10})
+    assert [v.split(" a sweep")[0] for v in info.value.violations] == [
+        "rabi_cap_factor: with duration_coupling 200.0",
+        "rabi_cap_factor: with fast_duration_coupling 0.1"]
+    # an overflowing control has no finite step; the sweep would refuse it
+    with pytest.raises(ConfigError, match="takes inf RK4 steps"):
+        validate_config("adiabatic-sweep", {"g": 1e70,
+                                            "rabi_cap_factor": 1e300})
+    # the default and the benchmark's sweep and sector configs
+    for scenario, config, steps in [
+            ("adiabatic-sweep", {}, 1_000_000),
+            ("adiabatic-sweep", {"duration_coupling": 50.0}, 250_000),
+            ("dynamic-transfer", {"n_atoms_list": [4, 8, 16, 24],
+                                  "deviation_m": 3}, None)]:
+        cfg = validate_config(scenario, config)
+        if steps is not None:
+            assert harness._sweep_steps(cfg, cfg["duration_coupling"]) \
+                == steps <= harness.SWEEP_MAX_STEPS
 
 
 @pytest.mark.parametrize("scenario, config", [

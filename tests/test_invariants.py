@@ -5,12 +5,14 @@ Lattices and uniform random draws of 3 to 8 atoms, at most 3 quanta and a
 random wavevector: every collective operator matches its dense oracle on a
 random ket and refuses a ket at the caps, every sector operator equals its
 conjugate transpose and its column-by-column dense matrix, transfer dynamics
-run with -Omega after Omega return the initial ket, and permuting the atoms
-changes no deviation.  An exact dark state has dark-manifold weight 1 at
-every mixing angle, and sweeps and transfer dynamics keep the weight of each
-total quantum number (photons + c + a).  Each check holds for any geometry
-and wavevector, so it reaches phases that a lattice at k = 0 never
-exercises.
+run with -Omega after Omega return the initial ket, and neither permuting
+the atoms nor the storage wavevector (a per-atom gauge) changes a deviation.
+An exact dark state has dark-manifold weight 1 at every mixing angle, and
+sweeps, transfer dynamics and the two-boson integration keep the weight of
+each total quantum number (photons + c + a).  Each check holds for any
+geometry and wavevector, so it reaches phases that a lattice at k = 0 never
+exercises.  The sector enumeration lists what a brute-force product over
+every atom's level and every mode's occupation keeps.
 """
 
 import numpy as np
@@ -40,7 +42,9 @@ from coldstore import (
     bosonic_to_joint,
     dark_state,
     enumerate_sector,
+    estimate_sector_size,
     evolve_exact_atoms,
+    evolve_numeric,
     exact_vs_analytic_deviation,
     joint_space,
     operator_matrix,
@@ -64,6 +68,7 @@ from oracles import (
     dense_population,
     dense_rho,
     dense_sigma,
+    sector_labels,
     three_level_ket_to_dense,
 )
 
@@ -122,13 +127,23 @@ def random_ket(space, labels, rng):
                              in zip(labels, amps, keep) if kept})
 
 
+def random_bosonic_state(n_quanta, seed):
+    """A random two-mode state with every total m + n up to ``n_quanta``."""
+    rng = np.random.default_rng(seed)
+    shape = (n_quanta + 1, n_quanta + 1)
+    xi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    xi[np.add.outer(np.arange(shape[0]), np.arange(shape[1])) > n_quanta] = 0
+    return BosonicState(xi / np.linalg.norm(xi))
+
+
 @settings(max_examples=20, deadline=None)
 @given(geometries(max_atoms=8), wavevectors, quanta, seeds)
 def test_storage_transitions_match_the_two_level_oracle(geom, k, n_quanta,
                                                         seed):
     n_atoms = geom.n_atoms
     space = atomic_space(n_atoms, min(n_atoms, n_quanta + 1))
-    ket = random_ket(space, enumerate_sector(space, range(n_quanta + 1)),
+    ket = random_ket(space,
+                     enumerate_sector(space, range(n_quanta + 1)).labels(),
                      np.random.default_rng(seed))
     v = bc_ket_to_dense(ket)
     lower = dense_sigma(geom.positions, k)
@@ -147,7 +162,8 @@ def test_level_transitions_match_the_three_level_oracle(geom, k, n_quanta,
     n_atoms, z = geom.n_atoms, geom.positions
     cap = min(n_atoms, n_quanta + 1)
     space = atomic_space(n_atoms, cap, a_max=cap)
-    ket = random_ket(space, enumerate_sector(space, range(n_quanta + 1)),
+    ket = random_ket(space,
+                     enumerate_sector(space, range(n_quanta + 1)).labels(),
                      np.random.default_rng(seed))
     v = three_level_ket_to_dense(ket)
     cases = [(apply_sigma(ket, geom, k),
@@ -172,7 +188,8 @@ def test_level_transitions_match_the_three_level_oracle(geom, k, n_quanta,
 def test_field_ladder_moves_each_amplitude_by_the_fock_factor(geom, n_quanta,
                                                              seed):
     space = transfer_space(geom.n_atoms, n_quanta)
-    ket = random_ket(space, enumerate_sector(space, range(n_quanta)),
+    ket = random_ket(space,
+                     enumerate_sector(space, range(n_quanta)).labels(),
                      np.random.default_rng(seed))
     raised = apply_field(ket, 0, dagger=True)
     lowered = apply_field(ket, 0)
@@ -200,7 +217,7 @@ def test_kets_at_the_caps_raise_as_before(geom, k, n_quanta):
         apply_rho_ab(ket, geom, k)
     with pytest.raises(SectorOverflowError, match=sector):
         sector_operator(lambda x: apply_sigma(x, geom, k, dagger=True),
-                        space, [full])
+                        space, ket)
     with pytest.raises(FockOverflowError, match="exceeds its Fock cap"):
         apply_field(ket, 0, dagger=True)
     if n_exc >= 2:      # one atom in c, one in a, a at its cap
@@ -229,12 +246,7 @@ def test_sweep_sector_operators_are_hermitian_and_sparse_matches_dense(
        st.floats(0.2, 2.0), st.floats(0.1, 1.5))
 def test_transfer_run_backwards_returns_the_initial_ket(geom, k, n_quanta,
                                                         seed, rabi, t):
-    # a random state with every total quantum number up to n_quanta
-    rng = np.random.default_rng(seed)
-    shape = (n_quanta + 1, n_quanta + 1)
-    xi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    xi[np.add.outer(np.arange(shape[0]), np.arange(shape[1])) > n_quanta] = 0
-    initial = bosonic_to_joint(BosonicState(xi / np.linalg.norm(xi)), geom, k)
+    initial = bosonic_to_joint(random_bosonic_state(n_quanta, seed), geom, k)
     forward = evolve_exact_atoms(initial, rabi, t, geom, k)
     back = evolve_exact_atoms(forward, -rabi, t, geom, k)
     assert (back - initial).norm() <= 1e-12
@@ -274,7 +286,9 @@ def test_collective_operators_beyond_64_atoms(n_exc_max):
                           operator_matrix(hop, space, basis))
     # images that differ from a basis label only in the first site
     with pytest.raises(IntegrationError, match="outside"):
-        sector_operator(hop, space, basis[:65])
+        sector_operator(hop, space, SparseKet._of(space, 65, *(
+            x[:65] for x in (basis.cols, basis.field, basis.sites,
+                             basis.amps))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -285,12 +299,11 @@ def test_an_exact_dark_state_lies_in_the_dark_manifold(geom, k_signal,
                                                        theta):
     params = sweep_params(geom, k_signal, k_control, n_quanta)
     space = joint_space(params, n_quanta)
-    index = {label: i for i, label
-             in enumerate(enumerate_sector(space, [n_quanta]))}
+    basis = enumerate_sector(space, [n_quanta])
     dark = ket_to_vector(dark_state(params, n_quanta, space=space,
-                                    theta=theta), index)
+                                    theta=theta), basis)
     weight = dark_manifold_weight(
-        dark, dark_manifold(params, space, index, [n_quanta]), theta)
+        dark, dark_manifold(params, space, basis, [n_quanta]), theta)
     assert abs(weight - 1.0) <= 1e-12
 
 
@@ -333,11 +346,59 @@ def test_a_sweep_keeps_the_weight_of_each_total(geom, k_signal, k_control,
        st.floats(0.1, 1.5))
 def test_transfer_keeps_the_weight_of_each_total(geom, k, n_quanta, seed,
                                                  rabi, t):
-    rng = np.random.default_rng(seed)
-    shape = (n_quanta + 1, n_quanta + 1)
-    xi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    xi[np.add.outer(np.arange(shape[0]), np.arange(shape[1])) > n_quanta] = 0
-    initial = bosonic_to_joint(BosonicState(xi / np.linalg.norm(xi)), geom, k)
+    initial = bosonic_to_joint(random_bosonic_state(n_quanta, seed), geom, k)
     evolved = evolve_exact_atoms(initial, rabi, t, geom, k)
     assert_allclose(quanta_weights(evolved, n_quanta),
                     quanta_weights(initial, n_quanta), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(geometries(max_atoms=8), wavevectors, quanta, seeds,
+       st.floats(0.2, 2.0), st.floats(0.1, 1.5))
+def test_the_transfer_deviation_does_not_depend_on_the_wavevector(
+        geom, k, n_quanta, seed, rabi, t):
+    # diag(1, e^{i k z_j}) on every atom maps the k = 0 problem onto this
+    # one, states and Hamiltonian alike
+    state = random_bosonic_state(n_quanta, seed)
+    devs = [exact_vs_analytic_deviation(state, geom, rabi, t, kk)
+            for kk in (0.0, k)]
+    assert abs(devs[1] - devs[0]) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(quanta, seeds, st.floats(0.2, 2.0), st.floats(0.1, 1.5))
+def test_the_two_boson_integration_keeps_the_weight_of_each_total(
+        n_quanta, seed, rabi, t):
+    state = random_bosonic_state(n_quanta, seed)
+    evolved = evolve_numeric(state, rabi, t)
+
+    def weights(s):
+        totals = np.add.outer(*map(np.arange, s.amplitudes.shape))
+        return np.bincount(totals.ravel(), np.abs(s.amplitudes.ravel()) ** 2)
+
+    assert_allclose(weights(evolved), weights(state), rtol=0, atol=1e-12)
+
+
+@st.composite
+def truncated_spaces(draw):
+    n_atoms = draw(st.integers(1, 8))
+    n_exc_max = draw(st.integers(0, n_atoms))
+    caps = tuple(draw(st.lists(st.integers(0, 2), max_size=2)))
+    return StateSpace(n_atoms, n_exc_max,
+                      draw(st.integers(0, min(2, n_exc_max))),
+                      tuple(0.1 * i for i in range(len(caps))), caps,
+                      draw(st.none() | st.integers(0, sum(caps) + 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(truncated_spaces(), st.lists(st.integers(0, 8), max_size=3))
+def test_the_sector_is_the_brute_force_label_set_in_order(space, totals):
+    sector = enumerate_sector(space, totals)
+    assert sector.labels() == sorted(sector_labels(
+        space.n_atoms, space.n_exc_max, space.a_max, space.mode_caps,
+        space.photon_cap, set(totals)))
+    assert len(sector) == estimate_sector_size(space, totals)
+    # column i holds label i at amplitude 1
+    assert sector.n_cols == len(sector)
+    assert np.array_equal(sector.cols, np.arange(len(sector)))
+    assert np.array_equal(sector.amps, np.ones(len(sector)))

@@ -234,7 +234,8 @@ def test_collective_operator_dispatch_matches_functions():
     basis = enumerate_basis(full)
     geom3 = Geometry.uniform_random(3, length=3.0, seed=17)
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    ket3 = SparseKet(full, dict(zip(basis, amps / np.linalg.norm(amps))))
+    ket3 = SparseKet(full, dict(zip(basis.labels(),
+                                    amps / np.linalg.norm(amps))))
     direct = {
         "sigma": lambda x: apply_sigma(x, geom3, k),
         "sigma_dagger": lambda x: apply_sigma(x, geom3, k, dagger=True),

@@ -13,6 +13,7 @@ from coldstore import (
     Geometry,
     IntegrationError,
     ModeSet,
+    SpaceMismatchError,
     StateSpace,
     apply_field,
     apply_hamiltonian,
@@ -39,6 +40,7 @@ from coldstore.propagate import (
     ket_to_vector,
     sector_operator,
     step_grid,
+    vector_to_ket,
 )
 from coldstore.transfer import (
     _apply_transfer_hamiltonian,
@@ -219,6 +221,23 @@ def test_label_outside_the_sector_raises_on_both_paths(n_atoms):
             build(lower, space, basis)
 
 
+def test_sector_vectors_round_trip_and_refuse_what_the_sector_lacks():
+    space = transfer_space(4, 3)
+    basis = enumerate_sector(space, [3])
+    ket = bosonic_to_joint(BosonicState.fock(2, 1), Geometry.lattice(4, 0.5))
+    vec = ket_to_vector(ket, basis)
+    assert (vector_to_ket(space, basis, vec) - ket).norm() == 0.0
+    # amplitudes at or below DROP_TOL drop, as a ket's do
+    assert len(vector_to_ket(space, basis, 1e-15 * vec / abs(vec).max())) == 0
+    with pytest.raises(IntegrationError,
+                       match=r"state component \|2;bbbb> lies outside"):
+        ket_to_vector(with_field_occupation(vacuum(space), (2,)), basis)
+    # |3;bbbb> is a label of both spaces, but their digits differ
+    wider = StateSpace(4, 3, 0, (0.0,), (4,), 4)
+    with pytest.raises(SpaceMismatchError, match="incompatible spaces"):
+        ket_to_vector(with_field_occupation(vacuum(wider), (3,)), basis)
+
+
 def test_sector_operator_acts_on_every_nonzero_entry():
     # entries far below the ket drop tolerance are still multiplied
     _apply_fn, space, basis = transfer_sector(4, 3)
@@ -376,8 +395,7 @@ def sweep_problem():
     control = control_amplitude(
         cc, ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
         rabi_max)
-    index = {label: i for i, label in enumerate(basis)}
-    psi0 = ket_to_vector(with_field_occupation(vacuum(space), (1,)), index)
+    psi0 = ket_to_vector(with_field_occupation(vacuum(space), (1,)), basis)
     reference = rk4_stage_loop(h0, h1, psi0, dt, control, 1)
     return h0, h1, psi0, dt, n_steps, control, reference
 
@@ -486,8 +504,7 @@ def sparse_sweep_problem():
     control = control_amplitude(
         cc, ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
         rabi_max)
-    index = {label: i for i, label in enumerate(basis)}
-    psi0 = ket_to_vector(with_field_occupation(vacuum(space), (2,)), index)
+    psi0 = ket_to_vector(with_field_occupation(vacuum(space), (2,)), basis)
     reference = rk4_stage_loop(*(operator_matrix(fn, space, basis)
                                  for fn in fns), psi0, dt, control, 1)
     return h0, h1, psi0, dt, n_steps, control, reference
@@ -594,7 +611,7 @@ def test_a_closure_that_drops_a_needed_direction_is_refused(monkeypatch):
     apply_fn, space, basis = transfer_sector(8, 3)
     h = sector_operator(apply_fn, space, basis)
     psi0 = np.zeros(len(basis), dtype=complex)
-    psi0[basis.index(space.label(field=(3,)))] = 1.0
+    psi0[basis.labels().index(space.label(field=(3,)))] = 1.0
     assert np.array_equal(rk4_propagate(h, psi0, 0.1, 0), psi0)
     monkeypatch.setattr(propagate, "REACHABLE_TOL", 1.0)
     with pytest.raises(IntegrationError,
@@ -630,7 +647,7 @@ def transfer_sector_24():
         h = sector_operator(
             lambda ket: _apply_transfer_hamiltonian(ket, geom, k, 1.0),
             joint.space, basis)
-        fock = ket_to_vector(joint, {lab: i for i, lab in enumerate(basis)})
+        fock = ket_to_vector(joint, basis)
         out[k] = h, fock
     return out, step_grid(math.pi / 2, _transfer_step(1.0, 3))
 

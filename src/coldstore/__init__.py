@@ -7,6 +7,8 @@ photon/excitation transfer — every approximation quantified against exact
 finite-N references.
 """
 
+import types as _types
+
 from ._version import __version__
 from .errors import (
     BudgetExceededError,
@@ -117,47 +119,7 @@ from .transfer import (
 )
 from .harness import Report, run, scan, validate_config
 
-__all__ = [
-    "__version__",
-    # errors
-    "ColdstoreError", "SpaceMismatchError", "ZeroNormError",
-    "NotNormalizedError", "CapacityError", "SectorOverflowError",
-    "FockOverflowError", "IntegrationError", "BudgetExceededError",
-    "ConfigError",
-    # states
-    "DROP_TOL", "AtomConfig", "JointLabel", "StateSpace", "SparseKet",
-    "atomic_space", "inner_product", "normalize", "fidelity",
-    "photon_expectation", "level_population",
-    # geometry
-    "Geometry", "ModeSet", "PhaseSumReport", "ConditionThresholds",
-    "ConditionReport", "phase_sum", "lattice_phase_sum_closed",
-    "continuum_phase_sum", "phase_sum_crosscheck", "mode_spacing_estimate",
-    "check_mode_conditions",
-    # operators
-    "CollectiveOperator", "AngularMomentumCheck", "apply_sigma",
-    "apply_rho_ab", "apply_rho_ac", "apply_population", "apply_field",
-    "apply_r1", "apply_r2", "apply_r3", "apply_r_squared",
-    "commutator_matrix_element", "sigma_commutator_element",
-    "angular_momentum_eigencheck",
-    # storage
-    "StorageSpec", "NormalizationAudit", "vacuum", "with_field_occupation",
-    "asymptotic_coefficient", "ladder_prefactor", "storage_direct",
-    "storage_ladder", "build_storage", "normalization_audit",
-    # propagate
-    "enumerate_sector", "enumerate_basis", "estimate_sector_size",
-    "estimate_basis_size", "present_totals", "operator_matrix",
-    "rk4_propagate",
-    # eit
-    "EitParams", "RampSchedule", "Trajectory", "mixing_angle", "joint_space",
-    "apply_hamiltonian", "excited_level_state", "apply_polariton",
-    "multimode_dark_state", "dark_state", "null_eigenvalue_residual",
-    "control_amplitude", "adiabatic_sweep",
-    # transfer
-    "BosonicState", "SwapReport", "SwapCheckpoint", "evolve_analytic",
-    "evolve_numeric", "associate_state", "subsystem_purity", "swap_check",
-    "expected_swap_state", "transfer_space", "bosonic_to_joint",
-    "evolve_exact_atoms", "exact_vs_analytic_deviation", "transfer_curve",
-    "write_transfer_csv",
-    # harness
-    "Report", "run", "scan", "validate_config",
-]
+# every public name imported above
+__all__ = ["__version__", *(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType))]

@@ -21,6 +21,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -408,9 +409,34 @@ def validate_config(scenario: str, config: Mapping | None) -> dict:
     return out
 
 
-def _rng(cfg: Mapping) -> np.random.Generator:
+def _rng(cfg: Mapping) -> random.Random:
+    """``random.Random(seed)``, seed 0 if none.  Every draw reads it through
+    ``.random()`` alone, the one stream Python keeps for a seed across
+    versions, so seeded reports depend on neither the Python nor the numpy
+    version (whose other streams promise no such thing)."""
     seed = cfg.get("seed")
-    return np.random.default_rng(0 if seed is None else seed)
+    return random.Random(0 if seed is None else seed)
+
+
+def _uniforms(rng, lo: float, hi: float, n: int) -> list:
+    """``n`` uniform deviates on [lo, hi) (hi only by rounding)."""
+    return [lo + (hi - lo) * rng.random() for _ in range(n)]
+
+
+def _integer(rng, lo: int, hi: int) -> int:
+    """A uniform integer in [lo, hi)."""
+    return lo + int((hi - lo) * rng.random())
+
+
+def _normals(rng, n: int) -> np.ndarray:
+    """``n`` standard normal deviates: Box-Muller on pairs of uniforms, with
+    ``1 - u`` in (0, 1] inside the log; an odd ``n`` drops the last sine."""
+    out = []
+    while len(out) < n:
+        r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        phi = 2.0 * math.pi * rng.random()
+        out += (r * math.cos(phi), r * math.sin(phi))
+    return np.array(out[:n])
 
 
 # -- scenario: verify-ladder -------------------------------------------------
@@ -569,9 +595,9 @@ def _run_commutator_scan(cfg) -> Iterator[Unit]:
         return recs
 
     for i in range(cfg["n_pairs"]):
-        k, kp = rng.uniform(0.0, k_max, size=2)
+        k, kp = _uniforms(rng, 0.0, k_max, 2)
         yield (f"commutator identity pair {i}", size,
-               lambda i=i, k=k, kp=kp: identity_pair(i, float(k), float(kp)))
+               lambda i=i, k=k, kp=kp: identity_pair(i, k, kp))
 
     base_k = cfg["base_kd"] / d
 
@@ -921,7 +947,7 @@ def _run_dynamic_transfer(cfg) -> Iterator[Unit]:
     def numeric_crosscheck():
         rng = _rng(cfg)
         arr = np.zeros((5, 5), dtype=complex)
-        arr[:3, :3] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        arr[:3, :3] = (_normals(rng, 9) + 1j * _normals(rng, 9)).reshape(3, 3)
         arr /= np.linalg.norm(arr)
         state = BosonicState(arr)
         omega_t = 0.9
@@ -967,8 +993,8 @@ def _run_dynamic_transfer(cfg) -> Iterator[Unit]:
         recs = []
         for m in (1, 2):
             state = BosonicState.fock(m, 0)
-            purities = [subsystem_purity(evolve_analytic(state, float(x)))
-                        for x in grid]
+            purities = subsystem_purity(
+                [evolve_analytic(state, float(x)) for x in grid])
             i_min = int(np.argmin(purities))
             loc = float(grid[i_min])
             if m == 1:
@@ -997,8 +1023,8 @@ _SWAP_SCHEMA = {
 
 
 def _random_side(rng, max_quanta) -> np.ndarray:
-    size = int(rng.integers(1, max_quanta + 1)) + 1
-    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    size = _integer(rng, 1, max_quanta + 1) + 1
+    amps = _normals(rng, size) + 1j * _normals(rng, size)
     return amps / np.linalg.norm(amps)
 
 

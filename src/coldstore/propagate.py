@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, IntegrationError
+from .errors import BudgetExceededError, IntegrationError, SpaceMismatchError
 from .states import (SparseKet, StateSpace, _combinations, _digit_type, _keys,
                      _occupied)
 
@@ -157,10 +157,18 @@ def ket_to_vector(ket: SparseKet, basis: SparseKet) -> np.ndarray:
     return vec
 
 
+def _same_space(space: StateSpace, basis: SparseKet) -> None:
+    if space != basis.space:
+        raise SpaceMismatchError(
+            f"incompatible spaces: {space} vs the basis's {basis.space}")
+
+
 def vector_to_ket(space: StateSpace, basis: SparseKet,
                   vec: np.ndarray) -> SparseKet:
     """The ket of amplitudes ``vec`` over the sector ``basis``, less those
-    at or below ``DROP_TOL``."""
+    at or below ``DROP_TOL``.  Raises :class:`SpaceMismatchError` unless
+    ``space`` is the basis's space, as do the two restrictions below."""
+    _same_space(space, basis)
     return SparseKet._of(space, 1, np.zeros(len(basis), dtype=np.uint8),
                          basis.field, basis.sites, np.array(vec, complex))
 
@@ -234,6 +242,7 @@ def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
     the label, if the operator maps any basis label outside the basis: a
     restriction must be exact, never a silent truncation.
     """
+    _same_space(space, basis)
     image = apply_fn(basis)
     rows = image.find(basis)
     if (rows < 0).any():
@@ -251,6 +260,7 @@ def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
     reference for :func:`sector_operator`: column j is the image of label j
     of ``basis.labels()`` alone, looked up in a dict of those labels.
     Raises like :func:`sector_operator` if the operator leaves the basis."""
+    _same_space(space, basis)
     labels = basis.labels()
     index = {label: i for i, label in enumerate(labels)}
     mat = np.zeros((len(labels), len(labels)), dtype=complex)

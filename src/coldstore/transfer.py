@@ -188,11 +188,17 @@ def associate_state(amps, which: str) -> np.ndarray:
     return a * factors[which] ** np.arange(len(a))
 
 
-def subsystem_purity(state: BosonicState) -> float:
-    """Tr rho_field^2; 1 for products, < 1 when the modes are entangled."""
-    sv = np.linalg.svd(state.amplitudes, compute_uv=False)
-    p2 = float(np.sum(sv ** 2))
-    return float(np.sum(sv ** 4)) / (p2 * p2)
+def subsystem_purity(
+        states: BosonicState | Sequence[BosonicState]) -> float | np.ndarray:
+    """Tr rho_field^2; 1 for products, < 1 when the modes are entangled.
+    A float for one state, an array for a sequence of states of one grid
+    shape: one stacked SVD, of which one state is a stack of one."""
+    single = isinstance(states, BosonicState)
+    grids = np.stack([s.amplitudes for s in ([states] if single else states)])
+    sv = np.linalg.svd(grids, compute_uv=False)
+    p2 = np.sum(sv ** 2, axis=-1)
+    purities = np.sum(sv ** 4, axis=-1) / (p2 * p2)
+    return float(purities[0]) if single else purities
 
 
 @dataclass(frozen=True)
@@ -348,15 +354,11 @@ def exact_vs_analytic_deviation(state: BosonicState, geometry: Geometry,
 
 def transfer_curve(state: BosonicState, omega_ts) -> list[dict]:
     """Fidelity-with-initial and field purity along a rotation-angle grid."""
-    rows = []
-    for omega_t in omega_ts:
-        evolved = evolve_analytic(state, float(omega_t))
-        rows.append({
-            "omega_t": float(omega_t),
-            "fidelity_initial": evolved.fidelity_with(state),
-            "purity": subsystem_purity(evolved),
-        })
-    return rows
+    evolved = [evolve_analytic(state, float(x)) for x in omega_ts]
+    purities = subsystem_purity(evolved) if evolved else []
+    return [{"omega_t": float(x), "fidelity_initial": e.fidelity_with(state),
+             "purity": float(p)}
+            for x, e, p in zip(omega_ts, evolved, purities)]
 
 
 def write_transfer_csv(rows: list[dict], path) -> None:

@@ -238,6 +238,21 @@ def test_sector_vectors_round_trip_and_refuse_what_the_sector_lacks():
         ket_to_vector(with_field_occupation(vacuum(wider), (3,)), basis)
 
 
+def test_a_space_other_than_the_basis_space_is_refused():
+    # a 4-atom sector's digits read in a 5-atom space would make a 5-atom
+    # ket, or an operator that never looked at the space it was given
+    apply_fn, space, basis = transfer_sector(4, 3)
+    wrong = transfer_space(5, 3)
+    vec = ket_to_vector(bosonic_to_joint(BosonicState.fock(2, 1),
+                                         Geometry.lattice(4, 0.5)), basis)
+    for build in (lambda: vector_to_ket(wrong, basis, vec),
+                  lambda: sector_operator(apply_fn, wrong, basis),
+                  lambda: operator_matrix(apply_fn, wrong, basis)):
+        with pytest.raises(SpaceMismatchError, match="incompatible spaces"):
+            build()
+    assert vector_to_ket(space, basis, vec).space == space
+
+
 def test_sector_operator_acts_on_every_nonzero_entry():
     # entries far below the ket drop tolerance are still multiplied
     _apply_fn, space, basis = transfer_sector(4, 3)

@@ -185,6 +185,17 @@ def test_purity_dip_at_equal_superposition():
         == pytest.approx(0.5, abs=1e-12)
 
 
+def test_the_purity_of_a_sequence_is_that_of_each_state_bit_for_bit():
+    # one stacked SVD for the sequence, one stack of one for each state
+    evolved = [evolve_analytic(BosonicState.fock(2, 1), x)
+               for x in np.linspace(0.0, math.pi, 17)]
+    purities = subsystem_purity(evolved)
+    assert purities.shape == (17,)
+    assert np.array_equal(purities, [subsystem_purity(s) for s in evolved])
+    assert isinstance(subsystem_purity(evolved[3]), float)
+    assert transfer_curve(BosonicState.fock(1, 0), []) == []
+
+
 def test_transfer_curve_and_csv(tmp_path):
     state = BosonicState.fock(1, 0)
     grid = np.linspace(0.0, math.pi, 9)

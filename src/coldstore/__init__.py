@@ -68,7 +68,6 @@ from .storage import (
     NormalizationAudit,
     StorageSpec,
     asymptotic_coefficient,
-    build_storage,
     ladder_prefactor,
     normalization_audit,
     storage_direct,

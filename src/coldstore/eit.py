@@ -43,7 +43,7 @@ from .propagate import (
     vector_to_ket,
 )
 from .states import SparseKet, StateSpace, _level_count, normalize
-from .storage import StorageSpec, falling_factorial, storage_direct, vacuum, with_field_occupation
+from .storage import falling_factorial, vacuum
 
 DEFAULT_RABI_CAP_FACTOR = 50.0
 
@@ -226,26 +226,19 @@ def multimode_dark_state(params: EitParams, occupancies: Mapping[float, int],
                          space: StateSpace | None = None,
                          normalized: bool = True,
                          theta: float | None = None) -> SparseKet:
-    """Product of polariton ladders, one per occupied mode, on the vacuum.
-
-    ``occupancies`` maps detuning q -> quanta n_q.  The polariton creation
-    operators of distinct modes commute exactly, so the ladder order does
-    not matter.  With ``normalized=False`` the bare
-    prod_q (psi_q^dag)^{n_q} / sqrt(n_q!) vacuum image is returned.
-    """
+    """prod_q (psi_q^dag)^{n_q} / sqrt(n_q!) |0>, normalized unless
+    ``normalized=False``; ``occupancies`` maps detuning q -> quanta n_q."""
     for q in occupancies:
         _resolve_q(params, q)
     total = sum(occupancies.values())
     if space is None:
         space = joint_space(params, total)
-    ket = vacuum(space)
-    scale = 1.0
-    for q in params.modes.detunings:
-        n_q = occupancies.get(q, 0)
-        for _ in range(n_q):
-            ket = apply_polariton(ket, params, q, dagger=True, theta=theta)
-        scale *= math.factorial(n_q)
-    ket = ket * (1.0 / math.sqrt(scale))
+    if theta is None:
+        theta = params.theta
+    coeffs = _dark_polynomial(params, space, tuple(
+        occupancies.get(q, 0) for q in params.modes.detunings))
+    ket = sum((math.cos(theta) ** (total - m) * math.sin(theta) ** m * w
+               for m, w in enumerate(coeffs)), SparseKet.zero(space))
     if not normalized:
         return ket
     out, _ = normalize(ket)
@@ -257,12 +250,12 @@ def dark_state(params: EitParams, n: int, q: float | None = None,
                normalized: bool = True, theta: float | None = None) -> SparseKet:
     """n-quantum dark state of one mode, exact or large-N approximate.
 
-    ``form="exact"`` applies the polariton creation operator n times to
-    the vacuum (then normalizes numerically; the raw ladder image is not
-    unit norm at finite N).  ``form="approx"`` writes the binomial
-    superposition sum_m (-1)^m sqrt(C(n, m)) cos^{n-m} sin^m |n-m> |m
-    storage excitations> directly; it is exactly normalized but nulls the
-    coupling only in the large-N limit.
+    ``form="exact"`` is the polariton Fock state (psi^dag)^n / sqrt(n!) |0>
+    (then normalized numerically; the raw image is not unit norm at finite
+    N).  ``form="approx"``, for n <= N, is the binomial superposition
+    sum_m (-1)^m sqrt(C(n, m)) cos^{n-m} sin^m |n-m> |m storage
+    excitations>; it is exactly normalized but nulls the coupling only in
+    the large-N limit.
     """
     if form not in ("exact", "approx"):
         raise ValueError(f"unknown dark-state form {form!r}")
@@ -272,22 +265,17 @@ def dark_state(params: EitParams, n: int, q: float | None = None,
     if form == "exact":
         return multimode_dark_state(params, {q: n}, space=space,
                                     normalized=normalized, theta=theta)
+    if n > params.n_atoms:
+        raise ValueError(f"the approximate dark state stores every quantum, "
+                         f"but n = {n} exceeds N = {params.n_atoms} atoms")
     if theta is None:
         theta = params.theta
-    mode_idx = space.mode_index(q)
-    k_eff = params.modes.k_eff(q)
-    total = SparseKet.zero(space)
-    for m in range(n + 1):
-        coeff = ((-1.0) ** m * math.sqrt(math.comb(n, m))
-                 * math.cos(theta) ** (n - m) * math.sin(theta) ** m)
-        if coeff == 0.0:
-            continue
-        atomic = storage_direct(StorageSpec(params.geometry, ((k_eff, m),)),
-                                space=space) if m else vacuum(space)
-        occ = [0] * space.n_modes
-        occ[mode_idx] = n - m
-        total = total + coeff * with_field_occupation(atomic, occ)
-    return total
+    # each w_m at norm sqrt(C(n, m)): the finite-N ladder prefactors set to 1
+    coeffs = _dark_polynomial(params, space, tuple(
+        n if p == q else 0 for p in params.modes.detunings))
+    return sum((math.sqrt(math.comb(n, m)) * math.cos(theta) ** (n - m)
+                * math.sin(theta) ** m / w.norm() * w
+                for m, w in enumerate(coeffs)), SparseKet.zero(space))
 
 
 def null_eigenvalue_residual(params: EitParams, n: int, q: float | None = None,
@@ -430,6 +418,7 @@ def _dark_polynomial(params: EitParams, space: StateSpace,
     dark state of one occupancy pattern.  Each polariton factor maps
     w_M -> a^dag w_M - S^dag w_{M-1}, which builds the binomial
     coefficients of every mode's ladder (Pascal's rule)."""
+    _check_space(params, space)
     coeffs = [vacuum(space)]
     scale = 1.0
     for q, n_q in zip(params.modes.detunings, occupancy):
@@ -445,12 +434,11 @@ def _dark_polynomial(params: EitParams, space: StateSpace,
     return [w * (1.0 / math.sqrt(scale)) for w in coeffs]
 
 
-def dark_manifold(params: EitParams, space: StateSpace, basis: SparseKet,
-                  totals: list[int]) -> DarkManifold:
-    """The dark manifold of every mode-occupancy pattern within the given
-    total quantum numbers, on the sector ``basis`` (``enumerate_sector``)."""
-    n_modes = len(params.modes.detunings)
-    patterns = [occ for q_total in totals
+def dark_manifold(params: EitParams, basis: SparseKet) -> DarkManifold:
+    """The dark manifold of every mode-occupancy pattern within the total
+    quantum numbers of the sector ``basis`` (``enumerate_sector``)."""
+    space, n_modes = basis.space, len(params.modes.detunings)
+    patterns = [occ for q_total in present_totals(basis)
                 for occ in _field_occupations((q_total,) * n_modes, q_total)]
     rows, cos_powers, sin_powers, owner = [], [], [], []
     for p, occ in enumerate(patterns):
@@ -500,9 +488,9 @@ def dark_manifold_weight(psi: np.ndarray, manifold: DarkManifold,
     return float(np.sum(np.abs(along) ** 2 / lam[keep])) / nn
 
 
-def sweep_time_step(params: EitParams, rabi_peak: float) -> float:
+def sweep_time_step(collective_coupling: float, rabi_peak: float) -> float:
     """Fixed step resolving the fastest frequency: 0.01 / max(g sqrt(N), Omega)."""
-    return 0.01 / max(params.collective_coupling, rabi_peak)
+    return 0.01 / max(collective_coupling, rabi_peak)
 
 
 def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
@@ -546,15 +534,15 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         raise ValueError(
             f"rabi_max = inf cannot realize theta = {theta_min!r}: a ramp "
             f"that reaches theta = 0 needs a finite rabi_max")
-    dt, n_steps = step_grid(ramp.duration, sweep_time_step(params, rabi_peak))
+    dt, n_steps = step_grid(ramp.duration, sweep_time_step(
+        params.collective_coupling, rabi_peak))
 
-    totals = present_totals(initial)
-    basis = enumerate_sector(space, totals)
+    basis = enumerate_sector(space, present_totals(initial))
     h_static = sector_operator(
         lambda k: apply_hamiltonian(k, params, rabi=0.0), space, basis)
     h_control = sector_operator(
         lambda k: apply_control_coupling(k, params), space, basis)
-    manifold = dark_manifold(params, space, basis, totals)
+    manifold = dark_manifold(params, basis)
 
     # chunk by chunk, at the times of np.linspace(0, T, 2 n_steps + 1) exactly
     control = np.empty(2 * n_steps + 1)

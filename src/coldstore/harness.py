@@ -25,7 +25,6 @@ import random
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -801,9 +800,8 @@ def _sweep_steps(cfg, duration_coupling) -> float:
     """RK4 steps of one sweep by adiabatic_sweep's own step rule, which needs
     only the collective coupling (no geometry); inf without a finite grid."""
     cc = cfg["g"] * math.sqrt(cfg["n_atoms"])
-    dt_max = sweep_time_step(SimpleNamespace(collective_coupling=cc),
-                             control_amplitude(cc, 0.0,
-                                               cfg["rabi_cap_factor"] * cc))
+    dt_max = sweep_time_step(cc, control_amplitude(
+        cc, 0.0, cfg["rabi_cap_factor"] * cc))
     try:
         return step_grid(duration_coupling / cc, dt_max)[1]
     except ValueError:      # an infinite span or a zero step

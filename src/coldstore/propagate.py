@@ -113,22 +113,12 @@ def enumerate_basis(space: StateSpace) -> SparseKet:
     return enumerate_sector(space, range(max_total + 1))
 
 
-def _count_field_occupations(mode_caps: Sequence[int], total: int) -> int:
-    counts = [1] + [0] * total
-    for cap in mode_caps:
-        new = [0] * (total + 1)
-        for s in range(total + 1):
-            if counts[s]:
-                for m in range(min(cap, total - s) + 1):
-                    new[s + m] += counts[s]
-        counts = new
-    return counts[total]
-
-
 def estimate_sector_size(space: StateSpace, totals: Iterable[int]) -> int:
-    """Label count of :func:`enumerate_sector` without enumerating."""
+    """Label count of :func:`enumerate_sector` without building a label:
+    per block, the photon spreads :func:`_field_occupations` yields times
+    the choices of atoms."""
     n = space.n_atoms
-    return sum(_count_field_occupations(space.mode_caps, s)
+    return sum(sum(1 for _ in _field_occupations(space.mode_caps, s))
                * math.comb(n, n_c) * math.comb(n - n_c, n_a)
                for s, n_c, n_a in _sector_blocks(space, totals))
 

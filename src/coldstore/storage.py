@@ -39,11 +39,8 @@ class StorageSpec:
 
     geometry: Geometry
     modes: tuple[tuple[float, int], ...]
-    route: str = "direct"
 
     def __post_init__(self):
-        if self.route not in ("direct", "ladder"):
-            raise ValueError(f"unknown route {self.route!r}")
         if not self.modes:
             raise ValueError("need at least one (wavevector, occupation) pair")
         ks = [k for k, _ in self.modes]
@@ -59,10 +56,6 @@ class StorageSpec:
     @property
     def n_total(self) -> int:
         return sum(m for _, m in self.modes)
-
-    @property
-    def wavevectors(self) -> tuple[float, ...]:
-        return tuple(k for k, _ in self.modes)
 
     @property
     def occupations(self) -> tuple[int, ...]:
@@ -195,13 +188,6 @@ def storage_ladder(spec: StorageSpec, space: StateSpace | None = None,
     if not ket:
         raise ZeroNormError("raising-operator product annihilated the vacuum")
     return normalize(ket)
-
-
-def build_storage(spec: StorageSpec, space: StateSpace | None = None) -> SparseKet:
-    """Dispatch on ``spec.route``; the ladder's raw norm is discarded."""
-    if spec.route == "ladder":
-        return storage_ladder(spec, space)[0]
-    return storage_direct(spec, space)
 
 
 @dataclass(frozen=True)

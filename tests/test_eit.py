@@ -180,13 +180,61 @@ def test_polariton_theta_overrides():
     assert (atom_only - expected).norm() < 1e-14
 
 
-def test_polariton_dagger_builds_the_dark_state():
-    params = make_params(4, fock_cap=1, rabi=2.0)
-    space = joint_space(params, 1)
-    built = apply_polariton(vacuum(space), params, dagger=True)
-    target = dark_state(params, 1, space=space, normalized=False)
-    # (psi-dagger) |vac> is the raw one-quantum dark state up to sign
-    assert min((built - target).norm(), (built + target).norm()) < 1e-13
+def polariton_ladder(params, occupancies, space, theta, normalized=True):
+    """prod_q (psi_q^dag)^{n_q} / sqrt(n_q!) |0> by applying the polariton
+    ladder, a route independent of the package's dark-state polynomial."""
+    ket, scale = vacuum(space), 1.0
+    for q, n_q in occupancies.items():
+        for _ in range(n_q):
+            ket = apply_polariton(ket, params, q, dagger=True, theta=theta)
+        scale *= math.factorial(n_q)
+    return ket / (ket.norm() if normalized else math.sqrt(scale))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 2])
+@pytest.mark.parametrize("detunings, occupancies", [
+    ((0.0,), {0.0: 1}), ((0.0,), {0.0: 2}), ((0.0,), {0.0: 3}),
+    ((0.0, 0.3), {0.0: 2, 0.3: 1})], ids=["n=1", "n=2", "n=3", "two-mode"])
+def test_polariton_dagger_builds_the_dark_state(detunings, occupancies,
+                                                theta):
+    params = EitParams(Geometry.uniform_random(5, 2.5, seed=9),
+                       ModeSet(1.0, 0.8, detunings, "raman", fock_cap=3),
+                       1.0, rabi=2.0)
+    space = joint_space(params, 3)
+    built = polariton_ladder(params, occupancies, space, theta,
+                             normalized=False)
+    target = multimode_dark_state(params, occupancies, space=space,
+                                  normalized=False, theta=theta)
+    assert (built - target).norm() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.0, 0.4, 1.1, math.pi / 2])
+def test_approx_form_is_the_direct_route_binomial(n, theta):
+    # sum_m (-1)^m sqrt(C(n, m)) cos^{n-m} sin^m |n-m> (x) the directly
+    # enumerated storage state of m excitations
+    params = make_params(5, fock_cap=n, rabi=1.3)
+    space = joint_space(params, n)
+    k_eff = params.modes.k_eff(0.0)
+    expected = SparseKet.zero(space)
+    for m in range(n + 1):
+        atomic = storage_direct(StorageSpec(params.geometry, ((k_eff, m),)),
+                                space=space) if m else vacuum(space)
+        expected = expected + ((-1.0) ** m * math.sqrt(math.comb(n, m))
+                               * math.cos(theta) ** (n - m)
+                               * math.sin(theta) ** m) \
+            * with_field_occupation(atomic, (n - m,))
+    approx = dark_state(params, n, form="approx", space=space, theta=theta)
+    assert (approx - expected).norm() <= 1e-13
+
+
+def test_approx_form_refuses_more_quanta_than_atoms():
+    params = make_params(2, fock_cap=3)
+    with pytest.raises(ValueError, match="exceeds N"):
+        dark_state(params, 3, form="approx")
+    for theta in (0.0, 0.4):
+        assert abs(dark_state(params, 3, form="exact", theta=theta).norm()
+                   - 1.0) <= 1e-13
 
 
 def test_multimode_dark_state_nulls_the_coupling():
@@ -332,7 +380,7 @@ def test_the_chunked_schedule_equals_the_one_shot_expression(
     params, initial = _one_photon(4)
     cc = params.collective_coupling
     rabi_max = cap * cc
-    dt_max = eit.sweep_time_step(params, control_amplitude(
+    dt_max = eit.sweep_time_step(cc, control_amplitude(
         cc, min(theta_start, theta_end), rabi_max))
     ramp = RampSchedule(theta_start, theta_end,
                         duration=(n_steps - 0.5) * dt_max, shape=shape)
@@ -509,14 +557,13 @@ def test_dark_manifold_weight_matches_the_dark_state_oracle(geometry, totals):
     params = EitParams(geom, modes, 1.0, rabi=1.0)
     space = joint_space(params, max(totals))
     basis = enumerate_sector(space, totals)
-    manifold = eit.dark_manifold(params, space, basis, totals)
+    manifold = eit.dark_manifold(params, basis)
     rng = np.random.default_rng(11)
     for theta in (0.0, 1e-3, 0.4, 1.1, math.pi / 2):
         # one mode: one dark state per total, and distinct totals are
         # orthogonal, so the weight is a plain sum over the family
-        darks = [ket_to_vector(multimode_dark_state(
-            params, {0.0: n}, space=space, theta=theta), basis)
-            for n in totals]
+        darks = [ket_to_vector(polariton_ladder(
+            params, {0.0: n}, space, theta), basis) for n in totals]
         near_dark = sum(_random_vector(rng, 1)[0] * d for d in darks)
         for psi in (_random_vector(rng, len(basis)),
                     near_dark + 0.2 * _random_vector(rng, len(basis))):
@@ -539,9 +586,9 @@ def test_dark_manifold_weight_is_a_projection_when_patterns_overlap(
     params = EitParams(Geometry.lattice(8, 1.0), modes, 0.8, rabi=1.0)
     space = joint_space(params, 1)
     basis = enumerate_sector(space, [1])
-    manifold = eit.dark_manifold(params, space, basis, [1])
-    darks = [ket_to_vector(multimode_dark_state(
-        params, {q: 1}, space=space, theta=theta), basis) for q in detunings]
+    manifold = eit.dark_manifold(params, basis)
+    darks = [ket_to_vector(polariton_ladder(params, {q: 1}, space, theta),
+                           basis) for q in detunings]
     assert abs(np.vdot(darks[0], darks[1])) > 0.05
     for dark in darks:
         assert eit.dark_manifold_weight(dark, manifold, theta) \

@@ -7,9 +7,10 @@ random ket and refuses a ket at the caps, every sector operator equals its
 conjugate transpose and its column-by-column dense matrix, transfer dynamics
 run with -Omega after Omega return the initial ket, and neither permuting
 the atoms nor the storage wavevector (a per-atom gauge) changes a deviation.
-An exact dark state has dark-manifold weight 1 at every mixing angle, and
-sweeps, transfer dynamics and the two-boson integration keep the weight of
-each total quantum number (photons + c + a).  Each check holds for any
+An exact dark state built by the polariton ladder has dark-manifold weight 1
+at every mixing angle, and sweeps, transfer dynamics and the two-boson
+integration keep the weight of each total quantum number (photons + c + a).
+Each check holds for any
 geometry and wavevector, so it reaches phases that a lattice at k = 0 never
 exercises.  The sector enumeration lists what a brute-force product over
 every atom's level and every mode's occupation keeps.
@@ -36,11 +37,11 @@ from coldstore import (
     adiabatic_sweep,
     apply_field,
     apply_hamiltonian,
+    apply_polariton,
     apply_population,
     apply_sigma,
     atomic_space,
     bosonic_to_joint,
-    dark_state,
     enumerate_sector,
     estimate_sector_size,
     evolve_exact_atoms,
@@ -300,10 +301,11 @@ def test_an_exact_dark_state_lies_in_the_dark_manifold(geom, k_signal,
     params = sweep_params(geom, k_signal, k_control, n_quanta)
     space = joint_space(params, n_quanta)
     basis = enumerate_sector(space, [n_quanta])
-    dark = ket_to_vector(dark_state(params, n_quanta, space=space,
-                                    theta=theta), basis)
-    weight = dark_manifold_weight(
-        dark, dark_manifold(params, space, basis, [n_quanta]), theta)
+    dark = vacuum(space)
+    for _ in range(n_quanta):   # the polariton ladder, not the polynomial
+        dark = apply_polariton(dark, params, dagger=True, theta=theta)
+    weight = dark_manifold_weight(ket_to_vector(dark, basis),
+                                  dark_manifold(params, basis), theta)
     assert abs(weight - 1.0) <= 1e-12
 
 

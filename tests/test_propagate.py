@@ -406,7 +406,7 @@ def sweep_problem():
     cc = params.collective_coupling
     ramp = RampSchedule(0.0, math.pi / 2, 5.0 / cc)
     rabi_max = 50.0 * cc
-    dt, n_steps = step_grid(ramp.duration, sweep_time_step(params, rabi_max))
+    dt, n_steps = step_grid(ramp.duration, sweep_time_step(cc, rabi_max))
     control = control_amplitude(
         cc, ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
         rabi_max)
@@ -515,7 +515,7 @@ def sparse_sweep_problem():
     cc = params.collective_coupling
     ramp = RampSchedule(0.0, math.pi / 2, 1.0 / cc)
     rabi_max = 50.0 * cc
-    dt, n_steps = step_grid(ramp.duration, sweep_time_step(params, rabi_max))
+    dt, n_steps = step_grid(ramp.duration, sweep_time_step(cc, rabi_max))
     control = control_amplitude(
         cc, ramp.theta(np.linspace(0.0, ramp.duration, 2 * n_steps + 1)),
         rabi_max)

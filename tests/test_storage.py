@@ -14,7 +14,6 @@ from coldstore import (
     StorageSpec,
     asymptotic_coefficient,
     atomic_space,
-    build_storage,
     fidelity,
     ladder_prefactor,
     normalization_audit,
@@ -127,8 +126,6 @@ def test_single_mode_audit_is_exact():
 def test_storage_spec_validation():
     geom = Geometry.lattice(3)
     with pytest.raises(ValueError):
-        StorageSpec(geom, ((0.5, 1),), route="teleport")
-    with pytest.raises(ValueError):
         StorageSpec(geom, ())
     with pytest.raises(ValueError):
         StorageSpec(geom, ((0.5, 1), (0.5, 1)))
@@ -136,14 +133,6 @@ def test_storage_spec_validation():
         StorageSpec(geom, ((0.5, 0),))
     with pytest.raises(ValueError):
         StorageSpec(geom, ((0.5, 4),))  # more excitations than atoms
-
-
-def test_build_storage_dispatches_on_route():
-    geom = Geometry.uniform_random(5, length=5.0, seed=27)
-    modes = ((1.1, 2),)
-    via_direct = build_storage(StorageSpec(geom, modes, route="direct"))
-    via_ladder = build_storage(StorageSpec(geom, modes, route="ladder"))
-    assert fidelity(via_direct, via_ladder) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_with_field_occupation():

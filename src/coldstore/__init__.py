@@ -110,6 +110,7 @@ from .transfer import (
     evolve_numeric,
     exact_vs_analytic_deviation,
     expected_swap_state,
+    rotation_grids,
     subsystem_purity,
     swap_check,
     transfer_curve,

@@ -73,6 +73,7 @@ from .transfer import (
     evolve_analytic,
     evolve_numeric,
     exact_vs_analytic_deviation,
+    rotation_grids,
     subsystem_purity,
     swap_check,
     transfer_space,
@@ -894,10 +895,10 @@ def _run_dynamic_transfer(cfg) -> Iterator[Unit]:
     tol = cfg["checkpoint_tolerance"]
 
     def single_quantum():
-        state = BosonicState.fock(1, 0)
+        angles = (0.0, 0.3, 0.7, 1.2, math.pi / 2)
         worst = 0.0
-        for omega_t in (0.0, 0.3, 0.7, 1.2, math.pi / 2):
-            ev = evolve_analytic(state, omega_t).amplitudes
+        for omega_t, ev in zip(angles, rotation_grids(BosonicState.fock(1, 0),
+                                                      angles)):
             expected = np.zeros_like(ev)
             expected[1, 0] = math.cos(omega_t)
             expected[0, 1] = -1j * math.sin(omega_t)
@@ -909,24 +910,15 @@ def _run_dynamic_transfer(cfg) -> Iterator[Unit]:
 
     def checkpoints(m):
         state = BosonicState.fock(m, 0)
-        recs = []
-        quarter = evolve_analytic(state, math.pi / 2).amplitudes
-        expected = np.zeros_like(quarter)
-        expected[0, m] = (-1j) ** m
-        recs.append(check_le(
-            f"full transfer to (-i)^m storage at quarter period, m={m}",
-            float(np.linalg.norm(quarter - expected)), tol, "analytic"))
-        half = evolve_analytic(state, math.pi).amplitudes
-        expected = np.zeros_like(half)
-        expected[m, 0] = (-1.0) ** m
-        recs.append(check_le(
-            f"sign flip at half period, m={m}",
-            float(np.linalg.norm(half - expected)), tol, "analytic"))
-        full = evolve_analytic(state, 2 * math.pi).amplitudes
-        recs.append(check_le(
-            f"recurrence at full period, m={m}",
-            float(np.linalg.norm(full - state.amplitudes)), tol, "analytic"))
-        return recs
+        grids = rotation_grids(state, (math.pi / 2, math.pi, 2 * math.pi))
+        expected = np.zeros_like(grids)
+        expected[0, 0, m], expected[1, m, 0] = (-1j) ** m, (-1.0) ** m
+        expected[2] = state.amplitudes
+        return [check_le(f"{what}, m={m}", float(np.linalg.norm(g - e)), tol,
+                         "analytic") for what, g, e in zip(
+            ("full transfer to (-i)^m storage at quarter period",
+             "sign flip at half period", "recurrence at full period"),
+            grids, expected)]
 
     for m in range(1, cfg["m_max"] + 1):
         yield f"rotation checkpoints m={m}", 0, lambda m=m: checkpoints(m)
@@ -991,8 +983,7 @@ def _run_dynamic_transfer(cfg) -> Iterator[Unit]:
         recs = []
         for m in (1, 2):
             state = BosonicState.fock(m, 0)
-            purities = subsystem_purity(
-                [evolve_analytic(state, float(x)) for x in grid])
+            purities = subsystem_purity(rotation_grids(state, grid))
             i_min = int(np.argmin(purities))
             loc = float(grid[i_min])
             if m == 1:
@@ -1036,16 +1027,12 @@ def _run_swap(cfg) -> Iterator[Unit]:
         size = (len(f) + len(a) - 1) ** 2
 
         def unit(trial=trial, f=f, a=a):
-            report = swap_check(f, a)
-            recs = []
-            for cp in report.checkpoints:
-                recs.append(check_ge(
-                    f"trial {trial}: {cp.description} "
-                    f"(omega t = {cp.omega_t / math.pi:.2f} pi)",
-                    cp.fidelity, 1.0 - cfg["tolerance"], "analytic",
-                    detail=f"field quanta {len(f) - 1}, "
-                           f"atom quanta {len(a) - 1}"))
-            return recs
+            return [check_ge(f"trial {trial}: {cp.description} "
+                             f"(omega t = {cp.omega_t / math.pi:.2f} pi)",
+                             cp.fidelity, 1.0 - cfg["tolerance"], "analytic",
+                             detail=f"field quanta {len(f) - 1}, "
+                                    f"atom quanta {len(a) - 1}")
+                    for cp in swap_check(f, a).checkpoints]
 
         yield f"swap checkpoints trial {trial}", size, unit
 

@@ -296,8 +296,10 @@ _STEP_MONOMIALS = [(a, b, c) for a in (0, 1) for b in (0, 1, 2)
                    for c in (0, 1)]
 
 
-def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
-    """Coefficients of one RK4 step's increment, (12, dim, dim).
+def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray | None,
+                    dt: float) -> np.ndarray:
+    """Coefficients of one RK4 step's increment, (12, dim, dim); without
+    ``h1`` only the first, D0, the whole increment of a control-free step.
 
     With A(u) = -i (h0 + u h1), the step from psi to psi + D psi takes
     A(u0), A(um), A(um), A(u1) through the stages k1..k4; expanding them
@@ -306,15 +308,15 @@ def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
     rounding would be the same at every step and accumulate.
     """
     dim = h0.shape[0]
-    free, driven = -1j * h0, -1j * h1
+    ops = [(0, -1j * h0)] + ([] if h1 is None else [(1, -1j * h1)])
 
     def times_a(var, poly):
         """A(u_var) @ poly, poly mapping exponents to matrices."""
         out = {}
         for key, mat in poly.items():
-            up = key[:var] + (key[var] + 1,) + key[var + 1:]
-            for k, term in ((key, free @ mat), (up, driven @ mat)):
-                out[k] = out[k] + term if k in out else term
+            for shift, op in ops:
+                k = key[:var] + (key[var] + shift,) + key[var + 1:]
+                out[k] = out[k] + op @ mat if k in out else op @ mat
         return out
 
     eye = np.eye(dim, dtype=complex)
@@ -333,7 +335,7 @@ def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
     return np.array([(dt / 6.0) * (k1.get(k, zero)
                                    + 2.0 * (k2.get(k, zero) + k3.get(k, zero))
                                    + k4.get(k, zero))
-                     for k in _STEP_MONOMIALS])
+                     for k in _STEP_MONOMIALS if k in k4])
 
 
 # Reduced dimensions up to which the steps of a stretch are composed into one
@@ -587,10 +589,7 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
         _rk4_compiled(*reduced, y, dt, u, stops, None if on_sample is None
                       else lambda step, t, v: on_sample(step, t, lift(v)))
         return lift(y)
-    # D0, the u-independent term (first in _STEP_MONOMIALS), is the whole
-    # increment of a control-free step
-    step = np.eye(len(y)) + _rk4_step_terms(
-        reduced[0], np.zeros_like(reduced[0]), dt)[0]
+    step = np.eye(len(y)) + _rk4_step_terms(reduced[0], None, dt)[0]
     start = 0
     for stop in stops:
         y = np.linalg.matrix_power(step, stop - start) @ y

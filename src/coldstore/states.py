@@ -451,7 +451,10 @@ class SparseKet:
         return self * (-1.0)
 
     def norm(self) -> float:
-        return abs(sum(abs(a) ** 2 for a in self.amps.tolist())) ** 0.5
+        total = 0.0     # left to right, as sum() adds before Python 3.12
+        for amp in self.amps.tolist():
+            total += abs(amp) ** 2
+        return total ** 0.5
 
 
 def inner_product(x: SparseKet, y: SparseKet) -> complex:

@@ -64,7 +64,10 @@ class StorageSpec:
 
 def vacuum(space: StateSpace) -> SparseKet:
     """All atoms in the ground level, every tracked mode empty."""
-    return SparseKet.basis_state(space, space.label())
+    zeros = np.zeros((1, space.n_modes + space.n_exc_max + space.a_max),
+                     dtype=_digit_type(space))
+    return SparseKet._of(space, 1, np.zeros(1, dtype=np.uint8),
+                         *np.hsplit(zeros, [space.n_modes]), np.ones(1, complex))
 
 
 def with_field_occupation(ket: SparseKet, occupations) -> SparseKet:
@@ -235,7 +238,9 @@ def normalization_audit(spec: StorageSpec) -> NormalizationAudit:
     for combo in itertools.combinations(range(geom.n_atoms), n):
         phases = []
         for pattern in patterns:
-            phi = sum(k * geom.positions[idx] for idx, k in zip(combo, pattern))
+            phi = 0.0      # left to right, as sum() adds before Python 3.12
+            for idx, k in zip(combo, pattern):
+                phi += k * geom.positions[idx]
             phases.append(complex(math.cos(phi), math.sin(phi)))
         leading += alpha_sq * len(phases)
         for l in range(len(phases)):

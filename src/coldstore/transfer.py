@@ -18,6 +18,7 @@ maps ("associate states"), which ``swap_check`` verifies.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +43,8 @@ from .propagate import (
     step_grid,
     vector_to_ket,
 )
-from .states import SparseKet, StateSpace
-from .storage import StorageSpec, storage_direct, vacuum, with_field_occupation
+from .states import SparseKet, StateSpace, _merge, _times
+from .storage import StorageSpec, storage_direct, vacuum
 
 
 class BosonicState:
@@ -83,21 +84,27 @@ class BosonicState:
     @classmethod
     def fock(cls, m: int, n: int, photon_cap: int | None = None,
              excitation_cap: int | None = None) -> "BosonicState":
-        p = photon_cap if photon_cap is not None else m + n
-        q = excitation_cap if excitation_cap is not None else m + n
-        arr = np.zeros((p + 1, q + 1), dtype=complex)
-        arr[m, n] = 1.0
-        return cls(arr)
+        """|m, n>: ``ValueError`` if m or n is negative, and like
+        :meth:`from_product` if one lies past its cap."""
+        if m < 0 or n < 0:
+            raise ValueError(f"occupations must be nonnegative, got ({m}, {n})")
+        return cls.from_product(np.eye(m + 1)[m], np.eye(n + 1)[n],
+                                photon_cap, excitation_cap)
 
     @classmethod
     def from_product(cls, field_amps, atom_amps,
                      photon_cap: int | None = None,
                      excitation_cap: int | None = None) -> "BosonicState":
+        """FockOverflowError if an amplitude list runs past its cap."""
         f = np.asarray(field_amps, dtype=complex)
         a = np.asarray(atom_amps, dtype=complex)
         total = (len(f) - 1) + (len(a) - 1)
         p = photon_cap if photon_cap is not None else total
         q = excitation_cap if excitation_cap is not None else total
+        if len(f) - 1 > p or len(a) - 1 > q:
+            raise FockOverflowError(
+                f"amplitudes up to ({len(f) - 1}, {len(a) - 1}) quanta run "
+                f"past the photon and excitation caps ({p}, {q})")
         arr = np.zeros((p + 1, q + 1), dtype=complex)
         arr[:len(f), :len(a)] = np.outer(f, a)
         return cls(arr)
@@ -116,37 +123,47 @@ class BosonicState:
         return abs(self.overlap(other)) ** 2
 
 
-def _rotation_image(m: int, n: int, omega_t: float) -> dict[tuple[int, int], complex]:
-    """Closed-form image of |m, n> under the two-boson rotation."""
-    c = math.cos(omega_t)
-    s = math.sin(omega_t)
-    pref = 1.0 / math.sqrt(math.factorial(m) * math.factorial(n))
-    out: dict[tuple[int, int], complex] = {}
-    for j in range(m + 1):
-        for l in range(n + 1):
-            p = m - j + l
-            q = n - l + j
-            amp = (math.comb(m, j) * math.comb(n, l)
-                   * c ** ((m - j) + (n - l)) * (-1j * s) ** (j + l)
-                   * math.sqrt(math.factorial(p) * math.factorial(q)))
-            if amp != 0:
-                out[(p, q)] = out.get((p, q), 0j) + pref * amp
-    return out
-
-
-def evolve_analytic(state: BosonicState, omega_t: float) -> BosonicState:
-    """Evolve by the closed-form bosonic rotation through angle Omega t."""
-    arr = state.amplitudes
+def rotation_grids(state: BosonicState, omega_ts) -> np.ndarray:
+    """The grids of ``state`` rotated through each angle of ``omega_ts``,
+    stacked (K, P+1, Q+1): |m, n> goes to sum_{j, l} C(m, j) C(n, l)
+    c^(m-j+n-l) (-i s)^(j+l) sqrt(p! q! / (m! n!)) |p, q>, p = m - j + l,
+    q = n - l + j.  Each term is one array over the angles, summed in
+    (j, l), then (m, n) order and rounded as the same Python scalars, so a
+    grid does not depend on the other angles of the call."""
     total = state.max_quanta()
     if total > min(state.photon_cap, state.excitation_cap):
         raise FockOverflowError(
             f"evolution spreads {total} quanta across both modes; enlarge "
             f"the grid to at least ({total + 1}, {total + 1})")
-    out = np.zeros_like(arr)
-    for m, n in zip(*np.nonzero(arr)):
-        for (p, q), amp in _rotation_image(int(m), int(n), omega_t).items():
-            out[p, q] += arr[m, n] * amp
-    return BosonicState(out)
+    arr, powers = state.amplitudes, range(total + 1)
+    angles = [(math.cos(x), -1j * math.sin(x)) for x in map(float, omega_ts)]
+    # c^a and the nonzero part of (-i s)^b, raised as Python raises scalars
+    c_pow = np.array([[c ** e for e in powers] for c, _z in angles])
+    z_pow = np.array([[(z ** e).imag if e % 2 else (z ** e).real
+                       for e in powers] for _c, z in angles])
+    c_pow, z_pow = (t.reshape(-1, total + 1) for t in (c_pow, z_pow))
+    out = np.zeros((len(angles),) + arr.shape, dtype=complex)
+    for m, n in zip(*(i.tolist() for i in np.nonzero(arr))):
+        pairs = list(itertools.product(range(m + 1), range(n + 1)))
+        j, l = np.array(pairs).T
+        terms = ([math.comb(m, a) * math.comb(n, b) for a, b in pairs]
+                 * c_pow[:, m - j + n - l] * z_pow[:, j + l]
+                 * [math.sqrt(math.factorial(m - a + b)
+                              * math.factorial(n - b + a)) for a, b in pairs]
+                 * (1.0 / math.sqrt(math.factorial(m) * math.factorial(n)))
+                 ).reshape(-1, m + 1, n + 1)
+        sums = np.zeros((len(angles), m + n + 1))   # by d = l - j, j ascending
+        for a in range(m + 1):
+            sums[:, m - a:m - a + n + 1] += terms[:, a]
+        # odd j + l, so odd d, makes an image imaginary: the i joins xi[m, n]
+        d, xi = np.arange(-m, n + 1), complex(arr[m, n])
+        out[:, m + d, n - d] += sums * np.where(d % 2, xi * 1j, xi)
+    return out
+
+
+def evolve_analytic(state: BosonicState, omega_t: float) -> BosonicState:
+    """Evolve by the closed-form bosonic rotation through angle Omega t."""
+    return BosonicState(rotation_grids(state, [omega_t])[0])
 
 
 def _two_boson_hamiltonian(photon_cap: int, excitation_cap: int,
@@ -188,13 +205,14 @@ def associate_state(amps, which: str) -> np.ndarray:
     return a * factors[which] ** np.arange(len(a))
 
 
-def subsystem_purity(
-        states: BosonicState | Sequence[BosonicState]) -> float | np.ndarray:
+def subsystem_purity(states: BosonicState | Sequence[BosonicState]
+                     | np.ndarray) -> float | np.ndarray:
     """Tr rho_field^2; 1 for products, < 1 when the modes are entangled.
-    A float for one state, an array for a sequence of states of one grid
-    shape: one stacked SVD, of which one state is a stack of one."""
+    A float for one state, an array for states of one grid shape or their
+    (K, P+1, Q+1) stack: one stacked SVD, one state a stack of one."""
     single = isinstance(states, BosonicState)
-    grids = np.stack([s.amplitudes for s in ([states] if single else states)])
+    grids = states if isinstance(states, np.ndarray) else np.stack(
+        [s.amplitudes for s in ([states] if single else states)])
     sv = np.linalg.svd(grids, compute_uv=False)
     p2 = np.sum(sv ** 2, axis=-1)
     purities = np.sum(sv ** 4, axis=-1) / (p2 * p2)
@@ -253,18 +271,14 @@ def swap_check(field_amps, atom_amps,
                                             3 * _QUARTER, 4 * _QUARTER),
                ) -> SwapReport:
     """Evolve a product state and compare against the checkpoint predictions."""
-    start = BosonicState.from_product(field_amps, atom_amps)
-    checkpoints = []
-    for omega_t in omega_ts:
-        evolved = evolve_analytic(start, omega_t)
-        expected = expected_swap_state(field_amps, atom_amps, omega_t)
-        desc = _CHECKPOINT_RULES[round(omega_t / _QUARTER) % 4][3]
-        checkpoints.append(SwapCheckpoint(
-            omega_t=omega_t,
-            fidelity=evolved.fidelity_with(expected),
-            description=desc,
-        ))
-    return SwapReport(tuple(checkpoints))
+    grids = rotation_grids(BosonicState.from_product(field_amps, atom_amps),
+                           omega_ts)
+    return SwapReport(tuple(SwapCheckpoint(
+        omega_t=omega_t,
+        fidelity=abs(complex(np.vdot(grid, expected_swap_state(
+            field_amps, atom_amps, omega_t).amplitudes))) ** 2,
+        description=_CHECKPOINT_RULES[round(omega_t / _QUARTER) % 4][3],
+    ) for omega_t, grid in zip(omega_ts, grids)))
 
 
 # -- exact finite-N reference ----------------------------------------------
@@ -283,24 +297,27 @@ def transfer_space(n_atoms: int, total_quanta: int, k: float = 0.0) -> StateSpac
 
 def bosonic_to_joint(state: BosonicState, geometry: Geometry, k: float = 0.0,
                      space: StateSpace | None = None) -> SparseKet:
-    """Map xi[m, n] to sum xi[m, n] |m> |n excitations at k> exactly."""
-    arr = state.amplitudes
-    n_atoms = geometry.n_atoms
-    occupied_cols = sorted({int(n) for _, n in zip(*np.nonzero(arr))})
-    if occupied_cols and occupied_cols[-1] > n_atoms:
+    """Map xi[m, n] to sum xi[m, n] |m> |n excitations at k> exactly, each
+    nonzero xi[m, n] a block of labels, merged once.  Raises
+    SectorOverflowError for n > N, FockOverflowError for m past a cap."""
+    arr, n_atoms = state.amplitudes, geometry.n_atoms
+    ms, ns = (i.tolist() for i in np.nonzero(arr))
+    if max(ns) > n_atoms:
         raise SectorOverflowError(
-            f"{occupied_cols[-1]} excitations will not fit in {n_atoms} atoms")
+            f"{max(ns)} excitations will not fit in {n_atoms} atoms")
     if space is None:
         space = transfer_space(n_atoms, state.max_quanta(), k)
-    out = SparseKet.zero(space)
-    for n in occupied_cols:
-        atomic = storage_direct(StorageSpec(geometry, ((k, n),)),
+    space.label(field=(max(ms),))       # every occupation, checked once
+    atomic = {n: storage_direct(StorageSpec(geometry, ((k, n),)),
                                 space=space) if n else vacuum(space)
-        for m in range(arr.shape[0]):
-            amp = arr[m, n]
-            if amp != 0:
-                out = out + amp * with_field_occupation(atomic, (m,))
-    return out
+              for n in sorted(set(ns))}
+    blocks = [atomic[n] for n in ns]
+    sizes = [len(block) for block in blocks]
+    return _merge(space, 1, np.zeros(sum(sizes), dtype=np.uint8),
+                  np.repeat(ms, sizes).astype(blocks[0].field.dtype)[:, None],
+                  np.concatenate([b.sites for b in blocks]),
+                  np.concatenate([_times(b.amps, complex(arr[m, n]))
+                                  for b, m, n in zip(blocks, ms, ns)]))
 
 
 def _apply_transfer_hamiltonian(ket: SparseKet, geometry: Geometry, k: float,
@@ -354,11 +371,11 @@ def exact_vs_analytic_deviation(state: BosonicState, geometry: Geometry,
 
 def transfer_curve(state: BosonicState, omega_ts) -> list[dict]:
     """Fidelity-with-initial and field purity along a rotation-angle grid."""
-    evolved = [evolve_analytic(state, float(x)) for x in omega_ts]
-    purities = subsystem_purity(evolved) if evolved else []
-    return [{"omega_t": float(x), "fidelity_initial": e.fidelity_with(state),
+    grids = rotation_grids(state, omega_ts)
+    return [{"omega_t": float(x),
+             "fidelity_initial": abs(complex(np.vdot(g, state.amplitudes))) ** 2,
              "purity": float(p)}
-            for x, e, p in zip(omega_ts, evolved, purities)]
+            for x, g, p in zip(omega_ts, grids, subsystem_purity(grids))]
 
 
 def write_transfer_csv(rows: list[dict], path) -> None:

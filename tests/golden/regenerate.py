@@ -12,15 +12,19 @@ from the repository root:
 
 ``--check`` writes nothing.  It prints every value that differs between a
 golden file and the package's output (path, golden, fresh), and exits 1 if
-any file differs from that output in any byte.
+any file differs from that output in any byte.  Its summary line names the
+Python and numpy versions: the last bits of a float can depend on them.
 
 A change that moves report values regenerates the files and lists the moved
 values (the test prints them) in CHANGES.md.
 """
 
 import json
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from coldstore.harness import SCENARIOS, run
 
@@ -61,7 +65,8 @@ def check(names: list[str]) -> int:
             print(f"{scenario}{where}: golden {g!r}, fresh {f!r}")
         if not moved:
             print(f"{scenario}: same values, different bytes")
-    print(f"{differ} of {len(names)} golden files differ from the package")
+    print(f"{differ} of {len(names)} golden files differ from the package "
+          f"(Python {platform.python_version()}, numpy {np.__version__})")
     return 1 if differ else 0
 
 

@@ -131,6 +131,30 @@ def two_boson_hamiltonian(cap_a, cap_b, rabi):
 # -- fixed-step RK4, straight from the stage formulas ------------------------
 
 
+def closed_form_rotation(xi, omega_t):
+    """The two-boson rotation of the grid xi through angle omega_t, one
+    Python scalar at a time: |m, n> goes to 1/sqrt(m! n!) times the sum over
+    j <= m, l <= n of C(m, j) C(n, l) cos^(m-j+n-l) (-i sin)^(j+l)
+    sqrt(p! q!) |p = m - j + l, q = n - l + j>.  Each image adds its terms
+    in (j, l) order and the grid adds the images in row-major (m, n) order,
+    the rounding the batched closed form must reproduce bit for bit."""
+    c, s = math.cos(omega_t), math.sin(omega_t)
+    out = np.zeros_like(xi)
+    for m, n in zip(*(idx.tolist() for idx in np.nonzero(xi))):
+        pref = 1.0 / math.sqrt(math.factorial(m) * math.factorial(n))
+        image = {}
+        for j in range(m + 1):
+            for l in range(n + 1):
+                p, q = m - j + l, n - l + j
+                amp = (math.comb(m, j) * math.comb(n, l)
+                       * c ** ((m - j) + (n - l)) * (-1j * s) ** (j + l)
+                       * math.sqrt(math.factorial(p) * math.factorial(q)))
+                image[p, q] = image.get((p, q), 0j) + pref * amp
+        for (p, q), amp in image.items():
+            out[p, q] += xi[m, n] * amp
+    return out
+
+
 def rk4_stage_loop(h0, h1, psi0, dt, control, sample_every):
     """Plain RK4 of i dpsi/dt = (h0 + u(t) h1) psi, one stage at a time.
 

@@ -802,3 +802,17 @@ def test_rk4_rejects_mismatched_shapes(n_steps):
                               control=1.0)
     with pytest.raises(ValueError, match="square"):
         rk4_propagate(np.ones((3, 2)), np.ones(3), 0.1, n_steps)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_control_free_step_term_is_d0_of_the_twelve_bit_for_bit(dim):
+    # without h1 only the stages' products with -i h0 are formed; D0 never
+    # takes a product with the driven operator, so nothing may move
+    rng = np.random.default_rng(100 + dim)
+    for dt in (1e-3, 0.05, 0.7):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h0 = a + a.conj().T
+        free = propagate._rk4_step_terms(h0, None, dt)
+        full = propagate._rk4_step_terms(h0, np.zeros_like(h0), dt)
+        assert free.shape == (1, dim, dim)
+        assert np.array_equal(free[0].view(float), full[0].view(float))

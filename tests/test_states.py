@@ -261,3 +261,13 @@ def test_the_arrays_of_a_ket_match_a_dict_of_labels_bit_for_bit(
                 _ = stranger - ket
             with pytest.raises(SpaceMismatchError):
                 inner_product(ket, stranger)
+
+
+def test_norm_adds_the_squares_left_to_right_on_every_python():
+    # 100 squares of 1e-16 each vanish against 1.0 when added in turn; a
+    # compensated sum (builtin sum() from Python 3.12 on) would keep 1e-14
+    space = atomic_space(101, 1)
+    ket = SparseKet(space, {space.label(c_sites=[j] if j else []):
+                            1e-8 if j else 1.0 for j in range(101)})
+    assert len(ket) == 101
+    assert ket.norm() == 1.0

@@ -10,6 +10,7 @@ from coldstore import (
     Geometry,
     SectorOverflowError,
     SpaceMismatchError,
+    SparseKet,
     StateSpace,
     StorageSpec,
     asymptotic_coefficient,
@@ -19,6 +20,7 @@ from coldstore import (
     normalization_audit,
     storage_direct,
     storage_ladder,
+    vacuum,
     with_field_occupation,
 )
 
@@ -172,3 +174,19 @@ def test_with_field_occupation_checks_the_new_field():
         with_field_occupation(bare, (3,))
     with pytest.raises(SpaceMismatchError):
         with_field_occupation(bare, (1, 0))
+
+
+@pytest.mark.parametrize("space", [
+    atomic_space(1, 0),
+    atomic_space(5, 3, a_max=2),
+    StateSpace(n_atoms=4, n_exc_max=2, a_max=1, modes=(0.0, 1.3),
+               mode_caps=(2, 3), photon_cap=4),
+    StateSpace(n_atoms=300, n_exc_max=2, modes=(0.5,), mode_caps=(400,)),
+])
+def test_vacuum_is_the_basis_state_of_the_all_zero_label(space):
+    got, want = vacuum(space), SparseKet.basis_state(space, space.label())
+    assert (got.space, got.n_cols, got.labels()) == (space, 1, want.labels())
+    for name in ("cols", "field", "sites", "amps"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)

@@ -19,14 +19,19 @@ from coldstore import (
     exact_vs_analytic_deviation,
     expected_swap_state,
     fidelity,
+    rotation_grids,
     subsystem_purity,
     swap_check,
     transfer_curve,
+    transfer_space,
     write_transfer_csv,
 )
 from coldstore import transfer
+from coldstore.states import SparseKet
+from coldstore.storage import (StorageSpec, storage_direct, vacuum,
+                               with_field_occupation)
 
-from oracles import expm_evolve, two_boson_hamiltonian
+from oracles import closed_form_rotation, expm_evolve, two_boson_hamiltonian
 
 
 def random_bosonic(rng, cap_p, cap_q):
@@ -192,6 +197,8 @@ def test_the_purity_of_a_sequence_is_that_of_each_state_bit_for_bit():
     purities = subsystem_purity(evolved)
     assert purities.shape == (17,)
     assert np.array_equal(purities, [subsystem_purity(s) for s in evolved])
+    assert np.array_equal(purities, subsystem_purity(
+        np.stack([s.amplitudes for s in evolved])))
     assert isinstance(subsystem_purity(evolved[3]), float)
     assert transfer_curve(BosonicState.fock(1, 0), []) == []
 
@@ -276,3 +283,106 @@ def test_exact_atoms_deviation_shrinks_with_n():
                                                 t=math.pi / 3))
     assert devs[1] < devs[0]
     assert devs[0] < 0.5
+
+
+def test_fock_refuses_occupations_outside_its_grid():
+    with pytest.raises(ValueError, match="nonnegative"):
+        BosonicState.fock(-1, 0, photon_cap=3, excitation_cap=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        BosonicState.fock(0, -2)
+    with pytest.raises(FockOverflowError, match=r"caps \(2, 3\)"):
+        BosonicState.fock(3, 0, photon_cap=2)
+    with pytest.raises(FockOverflowError, match=r"caps \(4, 1\)"):
+        BosonicState.fock(0, 2, photon_cap=4, excitation_cap=1)
+    state = BosonicState.fock(2, 1, photon_cap=4, excitation_cap=1)
+    assert state.amplitudes.shape == (5, 2) and state.amplitudes[2, 1] == 1
+
+
+def test_from_product_refuses_amplitude_lists_past_their_caps():
+    with pytest.raises(FockOverflowError, match=r"caps \(3, 5\)"):
+        BosonicState.from_product(np.ones(5) / 5 ** 0.5, [1.0], photon_cap=3,
+                                  excitation_cap=5)
+    with pytest.raises(FockOverflowError):
+        BosonicState.from_product([1.0], [0.6, 0.8], excitation_cap=0)
+
+
+def _bosonic_to_joint_term_by_term(state, geometry, k, space):
+    """The sum of xi[m, n] |m> |n at k> one nonzero amplitude at a time."""
+    out = SparseKet.zero(space)
+    for m, n in zip(*np.nonzero(state.amplitudes)):
+        atomic = storage_direct(StorageSpec(geometry, ((k, int(n)),)),
+                                space=space) if n else vacuum(space)
+        out = out + state.amplitudes[m, n] * with_field_occupation(
+            atomic, (int(m),))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bosonic_to_joint_is_the_term_by_term_sum_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n_atoms, cap_p, cap_q = int(rng.integers(2, 7)), 3, 2
+    xi = rng.normal(size=(cap_p + 1, cap_q + 1)) \
+        + 1j * rng.normal(size=(cap_p + 1, cap_q + 1))
+    xi[rng.random(xi.shape) < 0.4] = 0.0
+    xi[0, 0] = xi[0, 0] or 0.5          # an n = 0 column, never empty
+    state = BosonicState(xi / np.linalg.norm(xi))
+    geom, k = Geometry.lattice(n_atoms, 0.45), float(rng.uniform(-2, 2))
+    quanta = state.max_quanta()
+    for space in (transfer_space(n_atoms, quanta, k),
+                  transfer_space(n_atoms, quanta + 2, k)):   # a wider one
+        got = bosonic_to_joint(state, geom, k, space=space)
+        want = _bosonic_to_joint_term_by_term(state, geom, k, space)
+        assert got.labels() == want.labels()
+        assert np.array_equal(got.amps.view(float), want.amps.view(float))
+    assert bosonic_to_joint(state, geom, k).labels() == \
+        _bosonic_to_joint_term_by_term(
+            state, geom, k, transfer_space(n_atoms, quanta, k)).labels()
+
+
+def test_bosonic_to_joint_keeps_its_overflow_errors():
+    geom = Geometry.lattice(4, 0.5)
+    state = BosonicState.fock(3, 1)
+    with pytest.raises(FockOverflowError):
+        bosonic_to_joint(state, geom, space=transfer_space(4, 2))
+    with pytest.raises(SectorOverflowError):
+        bosonic_to_joint(BosonicState.fock(1, 5), geom)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rotation_grids_are_the_scalar_closed_form_bit_for_bit(seed):
+    rng = np.random.default_rng(40 + seed)
+    cap = int(rng.integers(1, 6))
+    xi = random_bosonic(rng, cap, cap).amplitudes.copy()
+    xi[rng.random(xi.shape) < 0.3] = 0.0
+    xi[cap // 2, cap - cap // 2] = 0.6
+    state = BosonicState(xi / np.linalg.norm(xi))
+    angles = list(rng.uniform(-7.0, 7.0, size=5)) + [0.0, math.pi / 2,
+                                                     math.pi, 2 * math.pi]
+    for x, grid in zip(angles, rotation_grids(state, angles)):
+        assert np.array_equal(grid, closed_form_rotation(state.amplitudes, x))
+
+
+def test_rotation_grids_are_the_one_angle_evolutions_bit_for_bit():
+    # a grid does not depend on the other angles of its call
+    rng = np.random.default_rng(21)
+    state = random_bosonic(rng, 4, 4)
+    angles = [0.0, 0.3, math.pi / 4, math.pi / 2, 2.9, -1.1, 2 * math.pi]
+    grids = rotation_grids(state, angles)
+    assert grids.shape == (len(angles), 5, 5)
+    for x, grid in zip(angles, grids):
+        for company in ([x], [x, 1.0], [0.5, x]):
+            alone = rotation_grids(state, company)[company.index(x)]
+            assert np.array_equal(alone, grid)
+        assert np.array_equal(evolve_analytic(state, x).amplitudes, grid)
+    assert rotation_grids(state, []).shape == (0, 5, 5)
+
+
+def test_transfer_curve_purities_are_those_of_the_one_angle_evolutions():
+    state = random_bosonic(np.random.default_rng(22), 3, 3)
+    grid = np.linspace(-1.0, math.pi, 23)
+    rows = transfer_curve(state, grid)
+    for x, row in zip(grid, rows):
+        evolved = evolve_analytic(state, float(x))
+        assert abs(row["purity"] - subsystem_purity(evolved)) <= 1e-15
+        assert row["fidelity_initial"] == evolved.fidelity_with(state)
+    assert transfer_curve(state, []) == []

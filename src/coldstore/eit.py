@@ -32,7 +32,6 @@ from .errors import IntegrationError, NotNormalizedError, SpaceMismatchError
 from .geometry import Geometry, ModeSet
 from .operators import apply_field, apply_rho_ab, apply_rho_ac, apply_sigma
 from .propagate import (
-    _SCHEDULE_CHUNK_BYTES,
     _field_occupations,
     enumerate_sector,
     ket_to_vector,
@@ -508,8 +507,9 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     the control would be unbounded.  The initial ket must have unit norm
     to within ``norm_drift_tol``; a norm drift beyond it aborts with a
     diagnostic (the step was too coarse).  Memory: the sector's vectors and
-    operators, one control array of 16 B per step, and one chunk of schedule
-    temporaries while that array is filled.
+    operators, the samples, and the one block of the control schedule that
+    the integrator reads at a time (:func:`rk4_propagate` with a callable
+    control); nothing grows with the step count alone.
     """
     space = initial.space
     _check_space(params, space)
@@ -520,22 +520,21 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         raise NotNormalizedError(
             f"the sweep needs a unit-norm initial state (to norm_drift_tol = "
             f"{norm_drift_tol:g}), got norm {norm!r}")
+    cc = params.collective_coupling
     if rabi_max is None:
-        rabi_max = DEFAULT_RABI_CAP_FACTOR * params.collective_coupling
+        rabi_max = DEFAULT_RABI_CAP_FACTOR * cc
     if not rabi_max > 0:  # NaN fails this too; infinity turns the clamp off
         raise ValueError(f"rabi_max must be positive, got {rabi_max!r}")
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
     theta_min = min(ramp.theta_start, ramp.theta_end)
-    rabi_peak = float(control_amplitude(params.collective_coupling,
-                                        theta_min, rabi_max))
+    rabi_peak = float(control_amplitude(cc, theta_min, rabi_max))
     if rabi_peak == math.inf:
         raise ValueError(
             f"rabi_max = inf cannot realize theta = {theta_min!r}: a ramp "
             f"that reaches theta = 0 needs a finite rabi_max")
-    dt, n_steps = step_grid(ramp.duration, sweep_time_step(
-        params.collective_coupling, rabi_peak))
+    dt, n_steps = step_grid(ramp.duration, sweep_time_step(cc, rabi_peak))
 
     basis = enumerate_sector(space, present_totals(initial))
     h_static = sector_operator(
@@ -544,16 +543,16 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
         lambda k: apply_control_coupling(k, params), space, basis)
     manifold = dark_manifold(params, basis)
 
-    # chunk by chunk, at the times of np.linspace(0, T, 2 n_steps + 1) exactly
-    control = np.empty(2 * n_steps + 1)
-    half_step = ramp.duration / (2 * n_steps)
-    chunk = _SCHEDULE_CHUNK_BYTES // control.itemsize
-    for lo in range(0, len(control), chunk):
-        t = np.arange(lo, min(lo + chunk, len(control))) * half_step
-        if lo + len(t) == len(control):
+    # the integrator's half-steps i dt/2, the last read at T exactly: the
+    # times of np.linspace(0, T, 2 n_steps + 1), block by block
+    half_step = dt / 2
+    t_end = 2 * n_steps * half_step
+
+    def schedule(t):
+        if t[-1] == t_end:
+            t = t.copy()
             t[-1] = ramp.duration
-        control[lo:lo + len(t)] = control_amplitude(
-            params.collective_coupling, ramp.theta(t), rabi_max)
+        return control_amplitude(cc, ramp.theta(t), rabi_max)
 
     photon_diag = basis.field.sum(axis=1, dtype=float)
     cpop_diag = _level_count(basis, "c").astype(float)
@@ -561,24 +560,27 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     psi0 = ket_to_vector(initial, basis)
     if record_every is None:
         record_every = max(1, n_steps // 400)
+    sample_steps = np.append(np.arange(0, n_steps, record_every), n_steps)
+    sample_rabi = schedule(2 * sample_steps * half_step)
 
     samples = []    # a row of the Trajectory's 7 sampled arrays each
 
     def on_sample(step, t, psi):
-        nrm = float(np.linalg.norm(psi))
+        re, im = psi.real, psi.imag     # np.linalg.norm's own sum
+        nrm = math.sqrt(re @ re + im @ im)
         if not abs(nrm - 1.0) <= norm_drift_tol:   # NaN fails this too
             raise IntegrationError(
                 f"norm drifted to {nrm!r} at t = {t:.6g} (step {step} of "
                 f"{n_steps}, dt = {dt:.3g}); reduce the step size")
-        rabi_t = float(control[min(2 * step, len(control) - 1)])
-        theta_eff = math.atan2(params.collective_coupling, rabi_t)
+        rabi_t = float(sample_rabi[len(samples)])
+        theta_eff = math.atan2(cc, rabi_t)
         w = abs(psi) ** 2
         samples.append((t, rabi_t, theta_eff, nrm,
                         dark_manifold_weight(psi, manifold, theta_eff),
                         float(photon_diag @ w), float(cpop_diag @ w)))
 
     psi_final = rk4_propagate(h_static, psi0, dt, n_steps, h1=h_control,
-                              control=control, sample_every=record_every,
+                              control=schedule, sample_every=record_every,
                               on_sample=on_sample)
     return Trajectory(*np.reshape(samples, (-1, 7)).T,
                       final_state=vector_to_ket(space, basis, psi_final),

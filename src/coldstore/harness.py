@@ -793,7 +793,8 @@ _SWEEP_SCHEMA = {
 }
 
 
-# RK4 steps one sweep may take: 16 B of control array each, 320 MB in all
+# RK4 steps one sweep may take: a bound on work, not on memory, which does
+# not grow with the step count
 SWEEP_MAX_STEPS = 20_000_000
 
 

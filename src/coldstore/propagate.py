@@ -33,8 +33,9 @@ control samples (``_rk4_step_terms``).  A controlled call composes the D of
 a stretch between two samples into one increment up to ``COMPOSE_MAX_DIM``
 states, else applies them in turn (``_rk4_compiled``); a control-free one
 takes the k steps of a stretch as one power (I + D0)^k.  Each applies the
-map of stage-by-stage RK4, up to rounding.  A constant control is a
-read-only broadcast view, never an array as long as the step count.
+map of stage-by-stage RK4, up to rounding.  Whatever its form, the control
+is read a block at a time as the steps reach it (``_control_reader``), so no
+array as long as the step count is formed.
 """
 
 from __future__ import annotations
@@ -288,8 +289,12 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 # steps at default, 626 at duration_coupling 50), so blocks split only
 # unsampled or very long stretches.
 STEP_BLOCK_BYTES = 1 << 20
-# Bytes of each temporary in one chunk of eit.adiabatic_sweep's schedule.
-_SCHEDULE_CHUNK_BYTES = 1 << 18
+# Half-steps of control one read holds at least: consecutive blocks are read
+# together until they reach it.  A call of the sweep's schedule costs about
+# 25 us of overhead against 40-50 ns per value, so the slow sweep's
+# stretches (1,250 half-steps or more) are read one by one, and the fast
+# sweep's one-step stretches 500 at a time.
+_CONTROL_HALF_STEPS = 1000
 
 # Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.
 _STEP_MONOMIALS = [(a, b, c) for a in (0, 1) for b in (0, 1, 2)
@@ -370,18 +375,48 @@ def _compose(steps: np.ndarray) -> np.ndarray:
     return lanes[..., 0]
 
 
+def _step_blocks(stops: Sequence[int], max_block: int):
+    """(lo, hi, sampled) of each block of steps in order: every stretch up
+    to the next stop cut into equal blocks of at most ``max_block`` steps,
+    ``sampled`` on the stretch's last block."""
+    start = 0
+    for stop in stops:
+        n_blocks = -(-(stop - start) // max_block)
+        edges = [start + (stop - start) * i // n_blocks
+                 for i in range(n_blocks + 1)]
+        for i in range(n_blocks):
+            yield edges[i], edges[i + 1], i == n_blocks - 1
+        start = stop
+
+
+def _control_groups(blocks, half_steps: int):
+    """Consecutive blocks in lists of at least ``half_steps`` half-steps of
+    control; the last list may hold fewer."""
+    group = []
+    for block in blocks:
+        group.append(block)
+        if 2 * (block[1] - group[0][0]) >= half_steps:
+            yield group
+            group = []
+    if group:
+        yield group
+
+
 def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
-                  dt: float, u: np.ndarray, stops: Sequence[int],
-                  on_sample) -> None:
+                  dt: float, read: Callable[[int, int], np.ndarray],
+                  stops: Sequence[int], on_sample) -> None:
     """Advance ``psi`` in place through ``stops``.
 
-    Each stretch up to the next stop is cut into equal blocks of at most
+    ``read(lo, hi)`` returns the control at half-steps lo..hi-1.  Each
+    stretch up to the next stop is cut into equal blocks of at most
     ``STEP_BLOCK_BYTES`` of step matrices, so no block straddles a sample
     and every stretch of equal length does the same work.  The stops are
-    those of the sample schedule, so the first stretch is the longest.  A
-    block's increments D_n are one real GEMM of its monomials, held [a, b,
-    c, step], against the 12 coefficient matrices; up to COMPOSE_MAX_DIM
-    states they are composed and applied with one matvec, else in turn.
+    those of the sample schedule, so the first stretch is the longest.
+    Consecutive blocks read their control together, each half-step once and
+    in order, until they hold ``_CONTROL_HALF_STEPS``.  A block's
+    increments D_n are one real GEMM of its monomials, held [a, b, c, step],
+    against the 12 coefficient matrices; up to COMPOSE_MAX_DIM states they
+    are composed and applied with one matvec, else in turn.
     """
     if not stops:
         return
@@ -392,17 +427,20 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
     block = np.empty((min(max_block, stops[0]), terms.shape[1]))
     # monomials u1^a um^b u0^c as _STEP_MONOMIALS; u^0 = 1 is never written
     monomials = np.ones((2, 3, 2, len(block)))
-    start = 0
-    for stop in stops:
-        n_blocks = -(-(stop - start) // max_block)
-        edges = [start + (stop - start) * i // n_blocks
-                 for i in range(n_blocks + 1)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
+    u = None
+    for group in _control_groups(_step_blocks(stops, max_block),
+                                 _CONTROL_HALF_STEPS):
+        first, last = group[0][0], group[-1][1]
+        # half-steps 2 first .. 2 last; the first of them ends the last group
+        fresh = read(0 if u is None else 2 * first + 1, 2 * last + 1)
+        u = fresh if u is None else np.concatenate((u[-1:], fresh))
+        for lo, hi, sampled in group:
+            a, b = 2 * (lo - first), 2 * (hi - first)
             mono = monomials[..., :hi - lo]
-            mono[0, 0, 1] = u[2 * lo:2 * hi:2]
-            mono[0, 1] = mono[0, 0] * u[2 * lo + 1:2 * hi + 1:2]
-            mono[0, 2] = mono[0, 1] * u[2 * lo + 1:2 * hi + 1:2]
-            mono[1] = mono[0] * u[2 * lo + 2:2 * hi + 2:2]
+            mono[0, 0, 1] = u[a:b:2]
+            mono[0, 1] = mono[0, 0] * u[a + 1:b + 1:2]
+            mono[0, 2] = mono[0, 1] * u[a + 1:b + 1:2]
+            mono[1] = mono[0] * u[a + 2:b + 2:2]
             steps = np.matmul(mono.reshape(-1, hi - lo).T, terms,
                               out=block[:hi - lo])
             steps = steps.view(complex).reshape(-1, dim, dim)
@@ -410,9 +448,48 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
                 steps = _compose(steps)[None]
             for d_n in steps:
                 psi += d_n @ psi
-        if on_sample is not None:
-            on_sample(stop, stop * dt, psi)
-        start = stop
+            if sampled and on_sample is not None:
+                on_sample(hi, hi * dt, psi)
+
+
+def _control_reader(control, n_steps: int,
+                    dt: float) -> Callable[[int, int], np.ndarray]:
+    """``read(lo, hi)``, the control at half-steps lo..hi-1 of the grid
+    t_i = i dt/2, from any form of ``rk4_propagate``'s ``control``.  A
+    scalar and an array are checked whole here; a callable's values are
+    checked as each read returns them."""
+    if callable(control):
+        half_step = dt / 2
+
+        def read(lo, hi):
+            t = np.arange(lo, hi, dtype=float)
+            t *= half_step
+            u = np.asarray(control(t), dtype=float)
+            if u.shape != (hi - lo,):
+                raise ValueError(
+                    f"control callable returned shape {u.shape} for "
+                    f"{hi - lo} times")
+            finite = np.isfinite(u)
+            if not finite.all():
+                bad = lo + int(np.argmin(finite))
+                raise ValueError(
+                    f"control must be finite, got {u[bad - lo]!r} at "
+                    f"t = {bad * half_step!r} (half-step {bad})")
+            return u
+        return read
+    if np.isscalar(control) or control is None:
+        value = 0.0 if control is None else float(control)
+        if not math.isfinite(value):
+            raise ValueError(f"control must be finite, got {value!r}")
+        return lambda lo, hi: np.broadcast_to(value, (hi - lo,))
+    u = np.asarray(control, dtype=float)
+    if u.shape != (2 * n_steps + 1,):
+        raise ValueError(
+            f"control array must have length {2*n_steps+1}, got {u.shape}")
+    # min and max allocate nothing of u's length; a NaN makes both NaN
+    if not np.isfinite([u.min(), u.max()]).all():
+        raise ValueError("control must be finite, got a NaN or infinite value")
+    return lambda lo, hi: u[lo:hi]
 
 
 # States the reachable subspace of one call may have; a call whose closure
@@ -502,7 +579,8 @@ def _integer(name: str, value) -> int:
 def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
                   dt: float, n_steps: int,
                   h1: SquareOperator | None = None,
-                  control: np.ndarray | float | None = None,
+                  control: (np.ndarray | float
+                            | Callable[[np.ndarray], np.ndarray] | None) = None,
                   sample_every: int = 1,
                   on_sample: Callable[[int, float, np.ndarray], None] | None = None,
                   ) -> np.ndarray:
@@ -514,9 +592,14 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     :func:`operator_matrix`.  Each is applied once per row of the closure
     and never again.  ``h1`` must have the shape of ``h0``
     and ``psi0`` the shape ``(h0.shape[0],)``.
-    ``control`` supplies u: a scalar for constant control, held as a
-    read-only broadcast view, or an array of length 2*n_steps + 1 sampled on
-    the half-step grid t_0, t_0 + dt/2, ...
+    ``control`` supplies u on the half-step grid t_i = i dt/2, i = 0 ..
+    2*n_steps: a scalar for constant control, an array of those
+    2*n_steps + 1 values, or a callable ``u(t)`` that maps an array of grid
+    times to an array of as many values.  The callable is asked for the
+    grid block by block as the integration reaches it, each time once and
+    in order, so no array as long as the step count is ever held; a
+    non-finite value raises ``ValueError`` when its block arrives, before
+    any sample past it.
     It is an error to give ``control`` without ``h1``.
     ``on_sample(step, t, psi)`` is invoked at step 0, every ``sample_every``
     steps (at least 1), and at the final step.
@@ -554,17 +637,8 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     if h1 is None:
         if control is not None:
             raise ValueError("control given without a control operator h1")
-    elif np.isscalar(control) or control is None:
-        u = np.broadcast_to(0.0 if control is None else float(control),
-                            (2 * n_steps + 1,))
     else:
-        u = np.asarray(control, dtype=float)
-        if u.shape != (2 * n_steps + 1,):
-            raise ValueError(
-                f"control array must have length {2*n_steps+1}, got {u.shape}")
-    # min and max allocate nothing of u's length; a NaN makes both NaN
-    if h1 is not None and not np.isfinite([u.min(), u.max()]).all():
-        raise ValueError("control must be finite, got a NaN or infinite value")
+        read = _control_reader(control, n_steps, dt)
 
     if on_sample is None:
         stops = [n_steps] if n_steps else []
@@ -586,7 +660,7 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     y = np.zeros(len(basis), dtype=complex)
     y[0] = 1.0
     if h1 is not None:
-        _rk4_compiled(*reduced, y, dt, u, stops, None if on_sample is None
+        _rk4_compiled(*reduced, y, dt, read, stops, None if on_sample is None
                       else lambda step, t, v: on_sample(step, t, lift(v)))
         return lift(y)
     step = np.eye(len(y)) + _rk4_step_terms(reduced[0], None, dt)[0]

@@ -40,7 +40,7 @@ from coldstore import (
 
 from coldstore import eit
 from coldstore.propagate import (
-    _SCHEDULE_CHUNK_BYTES,
+    _CONTROL_HALF_STEPS,
     ket_to_vector,
     sector_operator,
 )
@@ -365,17 +365,32 @@ def _one_photon(n_atoms):
     return params, with_field_occupation(vacuum(joint_space(params, 1)), (1,))
 
 
-# half-steps in one chunk of the sweep's schedule
-_CHUNK = _SCHEDULE_CHUNK_BYTES // 8
+def _recorded_sweep(monkeypatch, initial, params, ramp, **kwargs):
+    """(trajectory, [(times, values)]): the sweep with every block of
+    control times its rk4_propagate call asks the schedule for, in order."""
+    blocks = []
+    propagate = eit.rk4_propagate
+
+    def recording(*args, control=None, **kw):
+        def read(t):
+            values = control(t)
+            blocks.append((t.copy(), values.copy()))
+            return values
+        return propagate(*args, control=read, **kw)
+
+    monkeypatch.setattr(eit, "rk4_propagate", recording)
+    return adiabatic_sweep(initial, params, ramp, **kwargs), blocks
 
 
-@pytest.mark.parametrize("n_steps", [_CHUNK // 2 - 1, _CHUNK // 2,
-                                     _CHUNK // 2 + 1])
+# one-step stretches around the half-steps the integrator reads at once
+@pytest.mark.parametrize("n_steps", [_CONTROL_HALF_STEPS // 2 - 1,
+                                     _CONTROL_HALF_STEPS // 2,
+                                     _CONTROL_HALF_STEPS // 2 + 1])
 @pytest.mark.parametrize("shape", ["linear", "smooth-cosine"])
 @pytest.mark.parametrize("theta_start, theta_end, cap", [
     (0.0, math.pi / 2, 50.0), (math.pi / 2, 0.3, 50.0),
     (0.3, math.pi / 2, math.inf)], ids=["storage", "reversed", "no-clamp"])
-def test_the_chunked_schedule_equals_the_one_shot_expression(
+def test_the_streamed_schedule_equals_the_one_shot_expression(
         monkeypatch, n_steps, shape, theta_start, theta_end, cap):
     params, initial = _one_photon(4)
     cc = params.collective_coupling
@@ -384,18 +399,39 @@ def test_the_chunked_schedule_equals_the_one_shot_expression(
         cc, min(theta_start, theta_end), rabi_max))
     ramp = RampSchedule(theta_start, theta_end,
                         duration=(n_steps - 0.5) * dt_max, shape=shape)
-    seen = {}
+    traj, blocks = _recorded_sweep(monkeypatch, initial, params, ramp,
+                                   rabi_max=rabi_max)
+    assert traj.n_steps == n_steps
+    # every half-step once, in order, in blocks of whole steps
+    times = np.concatenate([t for t, _u in blocks])
+    assert np.array_equal(times, np.arange(2 * n_steps + 1) * (traj.dt / 2))
+    assert all(len(t) % 2 == 0 for t, _u in blocks[1:])
+    one_shot = control_amplitude(cc, ramp.theta(np.linspace(
+        0.0, ramp.duration, 2 * n_steps + 1)), rabi_max)
+    assert np.array_equal(np.concatenate([u for _t, u in blocks]), one_shot)
 
-    def capture(h0, psi0, dt, n_steps, h1=None, control=None, **kwargs):
-        seen.update(n_steps=n_steps, control=control)
-        return psi0
 
-    monkeypatch.setattr(eit, "rk4_propagate", capture)
-    adiabatic_sweep(initial, params, ramp, rabi_max=rabi_max)
-    assert seen["n_steps"] == n_steps
-    times = np.linspace(0.0, ramp.duration, 2 * n_steps + 1)
-    assert np.array_equal(seen["control"], control_amplitude(
-        cc, ramp.theta(times), rabi_max))
+def test_sample_controls_are_the_one_shot_expression_at_the_sample_steps():
+    params, initial = _one_photon(4)
+    cc = params.collective_coupling
+    rabi_max = 50.0 * cc
+    # 619 steps whose n dt falls short of T, where the linear ramp's
+    # control differs: the last sample must be read at T itself
+    ramp = RampSchedule(0.0, math.pi / 2, duration=0.06185297081149177,
+                        shape="linear")
+    assert control_amplitude(cc, ramp.theta(619 * (ramp.duration / 619)),
+                             rabi_max) != control_amplitude(
+        cc, ramp.theta(ramp.duration), rabi_max)
+    for record_every in (None, 1, 7, 100_000):
+        traj = adiabatic_sweep(initial, params, ramp, rabi_max=rabi_max,
+                               record_every=record_every)
+        n_steps = traj.n_steps
+        assert n_steps == 619 and n_steps * traj.dt < ramp.duration
+        steps = np.append(np.arange(0, n_steps, record_every or 1), n_steps)
+        assert np.array_equal(traj.times, steps * traj.dt)
+        one_shot = control_amplitude(cc, ramp.theta(np.linspace(
+            0.0, ramp.duration, 2 * n_steps + 1)), rabi_max)
+        assert np.array_equal(traj.rabi, one_shot[2 * steps])
 
 
 def test_a_nan_sample_fails_the_sweep_drift_guard(monkeypatch):
@@ -421,28 +457,28 @@ def test_a_control_past_the_float_range_is_clamped_without_a_warning():
                           [math.inf, math.inf])
 
 
-def test_sweep_memory_grows_by_the_control_array_alone():
+def test_sweep_memory_is_flat_in_the_step_count():
+    # stretches of 5,000 steps on both sides, so the blocks of step matrices
+    # (sized by the stretch, up to STEP_BLOCK_BYTES) are the same; only the
+    # step count and the few samples grow
     params, initial = _one_photon(4)
     cc = params.collective_coupling
 
-    def ramp(duration_coupling):
-        return RampSchedule(0.0, math.pi / 2, duration=duration_coupling / cc)
-
     def traced_peak(duration_coupling):
+        ramp = RampSchedule(0.0, math.pi / 2, duration=duration_coupling / cc)
         tracemalloc.start()
         try:
-            n_steps = adiabatic_sweep(initial, params,
-                                      ramp(duration_coupling)).n_steps
+            n_steps = adiabatic_sweep(initial, params, ramp,
+                                      record_every=5_000).n_steps
             return n_steps, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    adiabatic_sweep(initial, params, ramp(1.0))     # lazy set-up untraced
-    # 20,000 steps already fill every chunk of the schedule
+    traced_peak(1.0)        # lazy set-up before the measured runs
     n_short, short = traced_peak(4.0)
     n_long, long = traced_peak(16.0)
     assert (n_short, n_long) == (20_000, 80_000)
-    assert long - short <= 16 * (n_long - n_short) + 256 * 1024
+    assert long - short < 64 * 1024
 
 
 def test_short_sweep_stores_the_photon(tmp_path):

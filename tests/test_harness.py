@@ -107,7 +107,7 @@ def test_more_storage_quanta_than_atoms_are_refused(monkeypatch):
     ("dark-residual", {"g": 1e-14}, {"g": 1e-10}, r"g: must be >= 1e-10"),
     ("dynamic-transfer", {"rabi": 1e-15}, {"rabi": 1e-10},
      r"rabi: must be >= 1e-10"),
-    # 100 duration_coupling rabi_cap_factor steps: a 72.8 TiB control array
+    # 100 duration_coupling rabi_cap_factor steps: weeks of integration
     ("adiabatic-sweep", {"rabi_cap_factor": 1e10, "duration_coupling": 5.0},
      {"rabi_cap_factor": 1e3, "duration_coupling": 5.0},
      r"rabi_cap_factor: with duration_coupling 5\.0 a sweep takes "

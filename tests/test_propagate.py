@@ -468,6 +468,64 @@ def test_composed_stretches_match_the_stage_loop_oracle(sweep_problem,
     assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-14)
 
 
+def _lookup(control, dt, reads=None):
+    """The callable form of a half-step ``control`` array: the value at
+    each grid time t = i dt/2, logging the half-steps of each read."""
+    def u(t):
+        index = np.rint(t / (dt / 2)).astype(np.intp)
+        assert np.array_equal(index * (dt / 2), t)
+        if reads is not None:
+            reads.append(index)
+        return control[index]
+    return u
+
+
+@pytest.mark.parametrize("sample_every", [1, 97, 25_001])
+def test_a_callable_control_equals_its_array_bit_for_bit(sweep_problem,
+                                                         sample_every):
+    # one-step stretches read 500 at a time, 97-step stretches six at a
+    # time, and one unsampled stretch in blocks of step matrices
+    h0, h1, psi0, dt, n_steps, control, _reference = sweep_problem
+    reads = []
+    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, control,
+                             sample_every)
+    psi_c, seen_c = _sampled_run(h0, h1, psi0, dt, n_steps,
+                                 _lookup(control, dt, reads), sample_every)
+    assert np.array_equal(psi_c, psi)
+    assert [(s, t) for s, t, _v in seen_c] == [(s, t) for s, t, _v in seen]
+    assert all(np.array_equal(a, b)
+               for (_s, _t, a), (_s2, _t2, b) in zip(seen_c, seen))
+    assert np.array_equal(np.concatenate(reads), np.arange(2 * n_steps + 1))
+    # a read spans at most the half-steps of one group: fewer than
+    # _CONTROL_HALF_STEPS, then one block of the 3-state closure
+    block = propagate.STEP_BLOCK_BYTES // (16 * 3 * 3)
+    assert max(map(len, reads)) <= propagate._CONTROL_HALF_STEPS + 2 * block
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("half_step", [0, 1, 999, 1000, 1001, 1500, 4000])
+def test_a_non_finite_callable_control_stops_before_the_samples_past_it(
+        bad, half_step):
+    rng = np.random.default_rng(20)
+    h0, h1 = (a + a.conj().T for a in rng.normal(size=(2, 4, 4))
+              + 1j * rng.normal(size=(2, 4, 4)))
+    n_steps, dt = 2_000, 1e-3
+    control = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    control[half_step] = bad
+    seen = []
+    with pytest.raises(ValueError, match="control must be finite"):
+        rk4_propagate(h0, random_vector(rng, 4), dt, n_steps, h1=h1,
+                      control=_lookup(control, dt),
+                      on_sample=lambda step, t, v: seen.append(step))
+    assert seen and all(2 * step < half_step for step in seen[1:])
+
+
+def test_a_callable_control_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="shape"):
+        rk4_propagate(np.eye(2), np.array([1.0, 0.0]), 0.1, 3, h1=np.eye(2),
+                      control=lambda t: np.zeros(len(t) + 1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 625, 1000])
 @pytest.mark.parametrize("dim", [1, 3, 6, 8])
 def test_compose_matches_the_sequential_product(dim, n):

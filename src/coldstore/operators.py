@@ -44,6 +44,7 @@ from .errors import FockOverflowError, SectorOverflowError
 from .geometry import Geometry
 from .states import (
     SparseKet,
+    StateSpace,
     _level_count,
     _merge,
     _occupied,
@@ -134,16 +135,24 @@ def apply_population(ket: SparseKet, level: str) -> SparseKet:
                          ket.amps[rows] * count[rows])
 
 
+def _check_creation(space: StateSpace, field: np.ndarray,
+                    mode_index: int) -> None:
+    """Raise FockOverflowError if one more photon in mode ``mode_index``
+    would pass a cap of ``space`` on any row of photon numbers ``field``."""
+    if np.any(field[:, mode_index] >= space.mode_caps[mode_index]) or np.any(
+            field.sum(axis=1) >= space.total_photon_cap):
+        raise FockOverflowError(
+            f"creation on mode {mode_index} exceeds its Fock cap")
+
+
 def apply_field(ket: SparseKet, mode_index: int, dagger: bool = False) -> SparseKet:
     """Photon annihilation (or creation) on one tracked field mode."""
     space = ket.space
     if not 0 <= mode_index < space.n_modes:
         raise ValueError(f"no tracked mode with index {mode_index}")
     occ = ket.field[:, mode_index]
-    if dagger and (np.any(occ >= space.mode_caps[mode_index]) or np.any(
-            ket.field.sum(axis=1) >= space.total_photon_cap)):
-        raise FockOverflowError(
-            f"creation on mode {mode_index} exceeds its Fock cap")
+    if dagger:
+        _check_creation(space, ket.field, mode_index)
     rows = np.arange(len(ket)) if dagger else np.flatnonzero(occ)
     field = ket.field[rows]
     field[:, mode_index] = occ[rows] + 1 if dagger else occ[rows] - 1

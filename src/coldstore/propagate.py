@@ -245,6 +245,21 @@ def sector_operator(apply_fn: Callable[[SparseKet], SparseKet],
     return SparseOperator(rows, image.cols, image.amps, len(basis))
 
 
+def plus_adjoint(op: SparseOperator) -> SparseOperator:
+    """op + op^dag as one operator: op's entries beside their mirror
+    images (row and column swapped, amplitude conjugated), all in (column,
+    row) order, as :func:`sector_operator` would compile the sum of two
+    terms that share no entry."""
+    rows = np.concatenate((op._rows, op._cols))
+    cols = np.concatenate((op._cols, op._rows))
+    adjoint = op._amps.conjugate()
+    adjoint.imag += 0.0     # -0.0 to 0.0, as compiling the term would
+    dim = op.shape[0]
+    order = np.argsort(cols * dim + rows, kind="stable")
+    return SparseOperator(rows[order], cols[order],
+                          np.concatenate((op._amps, adjoint))[order], dim)
+
+
 def operator_matrix(apply_fn: Callable[[SparseKet], SparseKet],
                     space: StateSpace, basis: SparseKet) -> np.ndarray:
     """Dense restriction of an operator to the sector ``basis``, the test

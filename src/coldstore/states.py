@@ -31,6 +31,11 @@ from .errors import (
 )
 
 DROP_TOL = 1e-15
+# Entries from which SparseKet.norm works on arrays, not in a Python loop:
+# the array form costs about 8 us plus 40 ns an entry against 0.13-0.19 us
+# an entry for the loop (2-core VM, Python 3.11, numpy 2.4), so it wins from
+# about 64 entries.
+_NORM_ARRAY_MIN = 64
 
 
 class AtomConfig(NamedTuple):
@@ -451,8 +456,26 @@ class SparseKet:
         return self * (-1.0)
 
     def norm(self) -> float:
-        total = 0.0     # left to right, as sum() adds before Python 3.12
-        for amp in self.amps.tolist():
+        """sqrt(sum |amp|^2), the squares added left to right (as sum()
+        adds before Python 3.12), and to the bit the same on every path.
+
+        From ``_NORM_ARRAY_MIN`` entries on it takes the loop's operations
+        on arrays: C ``hypot``, as ``abs()`` of a complex is, C ``pow``, as
+        ``** 2`` is (an array exponent takes no square shortcut), and
+        ``cumsum``, which adds in order.  Shorter kets, and any whose sum
+        is not finite, go through the Python loop, which raises its
+        ``OverflowError`` where a modulus or a square leaves the float
+        range."""
+        amps = self.amps
+        if len(amps) >= _NORM_ARRAY_MIN:
+            with np.errstate(over="ignore"):
+                moduli = np.hypot(amps.real, amps.imag)
+                total = float(np.cumsum(np.float_power(
+                    moduli, np.full(len(moduli), 2.0)))[-1])
+            if math.isfinite(total):
+                return total ** 0.5
+        total = 0.0
+        for amp in amps.tolist():
             total += abs(amp) ** 2
         return total ** 0.5
 

@@ -33,17 +33,19 @@ from .errors import (
     SectorOverflowError,
 )
 from .geometry import Geometry
-from .operators import apply_field, apply_sigma
+from .operators import _check_creation, apply_field, apply_sigma
 from .propagate import (
+    SparseOperator,
     enumerate_sector,
     ket_to_vector,
+    plus_adjoint,
     present_totals,
     rk4_propagate,
     sector_operator,
     step_grid,
     vector_to_ket,
 )
-from .states import SparseKet, StateSpace, _merge, _times
+from .states import SparseKet, StateSpace, _level_count, _merge, _times
 from .storage import StorageSpec, storage_direct, vacuum
 
 
@@ -329,6 +331,20 @@ def _apply_transfer_hamiltonian(ket: SparseKet, geometry: Geometry, k: float,
     return rabi * (term1 + term2)
 
 
+def _transfer_operator(basis: SparseKet, geometry: Geometry, k: float,
+                       rabi: float) -> SparseOperator:
+    """:func:`_apply_transfer_hamiltonian` on the sector ``basis``,
+    compiled as T + T^dag with its cap refusals, as
+    :func:`evolve_exact_atoms` says."""
+    space = basis.space
+    hopping = sector_operator(
+        lambda ket: rabi * apply_sigma(apply_field(ket, 0), geometry, k,
+                                       dagger=True),
+        space, basis)
+    _check_creation(space, basis.field[_level_count(basis, "c") > 0], 0)
+    return plus_adjoint(hopping)
+
+
 def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
                        geometry: Geometry, k: float = 0.0,
                        norm_drift_tol: float = 1e-8) -> SparseKet:
@@ -338,6 +354,15 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
     raising loses sqrt(1 - n/N) factors that the bosonic idealization
     ignores, so the two drift apart at order n/N.  Raises ``ValueError``
     unless ``rabi`` is finite, even at ``t = 0``.
+
+    Only the hopping term T = Omega sigma^dag(k) a is compiled on the
+    sector; H = T + T^dag is T's triplets beside their mirror images
+    (:func:`~coldstore.propagate.plus_adjoint`), the same entries, in the
+    same order and to the bit, as compiling both terms.  T^dag = Omega
+    a^dag sigma(k) is never applied, so where it would create a photon past
+    the mode's cap (a label with an atom in c and the field at a cap) the
+    call raises ``FockOverflowError`` as ``apply_field`` does, after T's
+    own ``SectorOverflowError`` if the atoms' cap binds as well.
     """
     space = initial.space
     if space.n_modes != 1:
@@ -347,9 +372,7 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
     if t == 0.0 or not totals:
         return initial
     basis = enumerate_sector(space, totals)
-    h = sector_operator(
-        lambda ket: _apply_transfer_hamiltonian(ket, geometry, k, rabi),
-        space, basis)
+    h = _transfer_operator(basis, geometry, k, rabi)
     dt, n_steps = step_grid(t, dt_max)
     psi = rk4_propagate(h, ket_to_vector(initial, basis), dt, n_steps)
     drift = abs(float(np.linalg.norm(psi)) - initial.norm())

@@ -270,28 +270,29 @@ def test_sector_operator_refuses_a_vector_of_another_shape():
 
 
 def test_large_transfer_sector_never_forms_a_dense_matrix(monkeypatch):
-    # the evolution compiles the sector once, into its 13,296 triplets
+    # the evolution hands RK4 one sparse operator of 13,296 triplets
     def refuse(*args, **kwargs):
         raise AssertionError("dense sector matrix formed")
 
-    compiled = []
+    handed = []
 
-    def recorded(*args):
-        compiled.append(sector_operator(*args))
-        return compiled[-1]
+    def recorded(h0, *args, **kwargs):
+        handed.append(h0)
+        return rk4_propagate(h0, *args, **kwargs)
 
     for original, stand_in in ((operator_matrix, refuse),
-                               (sector_operator, recorded)):
+                               (rk4_propagate, recorded)):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("coldstore") and \
                     vars(module).get(original.__name__) is original:
                 monkeypatch.setattr(module, original.__name__, stand_in)
+    monkeypatch.setattr(SparseOperator, "toarray", refuse)
     assert propagate.operator_matrix is not operator_matrix
     dev = exact_vs_analytic_deviation(BosonicState.fock(3, 0),
                                       Geometry.lattice(24, 0.5), rabi=1.0,
                                       t=math.pi / 2)
-    assert [(h.shape, h._amps.size) for h in compiled] == \
-        [((2325, 2325), 13_296)]
+    assert [(type(h), h.shape, h._amps.size) for h in handed] == \
+        [(SparseOperator, (2325, 2325), 13_296)]
     assert dev == pytest.approx(0.0689078768544164, rel=0, abs=1e-8)
 
 

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coldstore import states
 from coldstore import (
     AtomConfig,
     FockOverflowError,
@@ -271,3 +272,53 @@ def test_norm_adds_the_squares_left_to_right_on_every_python():
                             1e-8 if j else 1.0 for j in range(101)})
     assert len(ket) == 101
     assert ket.norm() == 1.0
+
+
+def _loop_norm(amps):
+    """The reference: squares of Python's abs() added in turn."""
+    total = 0.0
+    for amp in amps:
+        total += abs(amp) ** 2
+    return total ** 0.5
+
+
+@st.composite
+def wide_range_amplitudes(draw):
+    """Lengths on both sides of the switch to arrays; moduli from subnormal
+    to past the square root of the float range, exact zeros among them."""
+    n = draw(st.one_of(st.integers(0, 140), st.integers(
+        states._NORM_ARRAY_MIN - 3, states._NORM_ARRAY_MIN + 3)))
+    lo = draw(st.integers(-1080, 1024))
+    hi = draw(st.integers(lo, 1024))
+    zeros = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = np.ldexp(rng.uniform(0.5, 1.0, 2 * n) * rng.choice([-1, 1], 2 * n),
+                     rng.integers(lo, hi, 2 * n, endpoint=True))
+    parts[rng.random(2 * n) < zeros] = 0.0
+    return (parts[:n] + 1j * parts[n:]).tolist()
+
+
+_WIDE = atomic_space(200, 1)
+_WIDE_LABELS = [_WIDE.label(c_sites=[j - 1] if j else []) for j in range(201)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_range_amplitudes())
+@example([1j] * 70 + [complex(1.5e308, 1.5e308), 1e200])   # |amp| overflows
+@example([complex(1.5e308, 1.5e308), 1e200])
+# x ** 2 (C pow) and x * x round this square apart with glibc
+@example([2.3691844065534586, 1.25] + [0j] * 62)
+def test_norm_is_the_loop_of_squares_bit_for_bit_on_both_paths(amps):
+    ket = SparseKet(_WIDE, dict.fromkeys(_WIDE_LABELS[:len(amps)], 1.0),
+                    _checked=True)
+    # any amplitudes, exact zeros and moduli past the float range too
+    ket.amps = np.array(amps, dtype=complex)
+    try:
+        want = _loop_norm(amps)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as got:
+            ket.norm()
+        assert got.value.args == exc.args
+    else:
+        assert np.float64(ket.norm()).view(np.uint64) == \
+            np.float64(want).view(np.uint64)

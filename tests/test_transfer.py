@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from coldstore import (
     IntegrationError,
     NotNormalizedError,
     SectorOverflowError,
+    StateSpace,
     associate_state,
     bosonic_to_joint,
     evolve_analytic,
@@ -27,6 +29,7 @@ from coldstore import (
     write_transfer_csv,
 )
 from coldstore import transfer
+from coldstore.propagate import enumerate_sector, sector_operator
 from coldstore.states import SparseKet
 from coldstore.storage import (StorageSpec, storage_direct, vacuum,
                                with_field_occupation)
@@ -386,3 +389,46 @@ def test_transfer_curve_purities_are_those_of_the_one_angle_evolutions():
         assert abs(row["purity"] - subsystem_purity(evolved)) <= 1e-15
         assert row["fidelity_initial"] == evolved.fidelity_with(state)
     assert transfer_curve(state, []) == []
+
+
+@pytest.mark.parametrize("n_atoms", [*range(1, 17), 24])
+def test_the_compiled_transfer_hamiltonian_is_both_terms_bit_for_bit(n_atoms):
+    # T + T^dag from T's triplets against compiling a sigma^dag + a^dag sigma:
+    # the same rows, columns and amplitude bits (signed zeros too), in order
+    geom = Geometry.lattice(n_atoms, 0.5)
+    for quanta in (3,) if n_atoms == 24 else (1, 2, 3):
+        for totals, k, rabi in itertools.product(
+                ([quanta], range(quanta + 1)), (0.0, 1.3, -2.9),
+                (1.0, -0.37, 1e-9, 3e5)):
+            space = transfer_space(n_atoms, quanta, k)
+            basis = enumerate_sector(space, totals)
+            want = sector_operator(
+                lambda ket: transfer._apply_transfer_hamiltonian(
+                    ket, geom, k, rabi), space, basis)
+            got = transfer._transfer_operator(basis, geom, k, rabi)
+            assert got.shape == want.shape
+            assert np.array_equal(got._rows, want._rows)
+            assert np.array_equal(got._cols, want._cols)
+            assert np.array_equal(got._amps.view(np.uint64),
+                                  want._amps.view(np.uint64))
+
+
+@pytest.mark.parametrize("caps, error, message", [
+    # a^dag sigma on |2 photons; one atom in c> passes the mode's cap of 2
+    (dict(n_exc_max=3, mode_caps=(2,)), FockOverflowError,
+     "creation on mode 0 exceeds its Fock cap"),
+    # ... or the total photon cap of 2 below a mode cap of 3
+    (dict(n_exc_max=3, mode_caps=(3,), photon_cap=2), FockOverflowError,
+     "creation on mode 0 exceeds its Fock cap"),
+    # sigma^dag a on |1 photon; two atoms in c> passes n_exc_max = 2
+    (dict(n_exc_max=2, mode_caps=(3,)), SectorOverflowError,
+     r"moving an atom b -> c would exceed the sector caps \(n_exc_max 2"),
+    # both bind: the atoms' cap is met first, as when both terms are applied
+    (dict(n_exc_max=2, mode_caps=(2,)), SectorOverflowError,
+     r"moving an atom b -> c would exceed the sector caps \(n_exc_max 2"),
+])
+def test_exact_atoms_keeps_the_errors_of_a_binding_cap(caps, error, message):
+    space = StateSpace(n_atoms=4, a_max=0, modes=(0.0,), **caps)
+    initial = SparseKet(space, {space.label(c_sites=[0], field=(2,)): 1.0})
+    with pytest.raises(error, match=message):
+        evolve_exact_atoms(initial, 1.0, 0.3, Geometry.lattice(4, 0.5))

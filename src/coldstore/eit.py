@@ -318,17 +318,10 @@ class RampSchedule:
                 raise ValueError("mixing angles must lie in [0, pi/2]")
 
     def theta(self, t):
-        # in place: the returned array is the only one of t's length
-        out = np.array(t, dtype=float)
-        np.divide(out, self.duration, out=out)
-        np.clip(out, 0.0, 1.0, out=out)
+        f = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
         if self.shape == "smooth-cosine":
-            np.multiply(out, np.pi, out=out)
-            np.cos(out, out=out)
-            np.subtract(1.0, out, out=out)
-            np.multiply(out, 0.5, out=out)
-        np.multiply(out, self.theta_end - self.theta_start, out=out)
-        np.add(out, self.theta_start, out=out)
+            f = 0.5 * (1.0 - np.cos(np.pi * f))
+        out = self.theta_start + (self.theta_end - self.theta_start) * f
         return out if out.ndim else float(out)
 
 
@@ -340,18 +333,12 @@ def control_amplitude(collective_coupling: float, theta, rabi_max: float):
     actually realized is atan2(g sqrt(N), Omega_clamped).
     """
     th = np.asarray(theta, dtype=float)
-    # in place: sin, two masks and the result are all of theta's length
-    sin = np.sin(th, out=np.empty(th.shape))
-    out = np.cos(th, out=np.empty(th.shape))
-    vertical = ~(sin > 1e-12)
-    np.maximum(sin, 1e-300, out=sin)
-    np.multiply(collective_coupling, out, out=out)
-    # past g sqrt(N) ~ 1.8e8 the clamped sin overflows the quotient; those
-    # entries are overwritten with inf below
+    sin = np.sin(th)
+    # past g sqrt(N) ~ 1.8e8 the quotient overflows where sin is clamped,
+    # entries that are inf either way
     with np.errstate(over="ignore"):
-        np.divide(out, sin, out=out)
-    out[vertical] = np.inf
-    np.minimum(out, rabi_max, out=out)
+        out = np.minimum(np.where(sin > 1e-12, collective_coupling * np.cos(th)
+                                  / np.maximum(sin, 1e-300), np.inf), rabi_max)
     return out if out.ndim else float(out)
 
 
@@ -492,6 +479,20 @@ def sweep_time_step(collective_coupling: float, rabi_peak: float) -> float:
     return 0.01 / max(collective_coupling, rabi_peak)
 
 
+def _sweep_grid(cc: float, duration: float, theta_min: float,
+                rabi_max: float) -> tuple[float, int]:
+    """(dt, n_steps) of a sweep: :func:`step_grid` over ``duration`` at the
+    :func:`sweep_time_step` of the control clamped at ``theta_min``, the
+    ramp's peak.  Raises ``ValueError`` when ``rabi_max = inf`` leaves that
+    peak unbounded."""
+    rabi_peak = control_amplitude(cc, theta_min, rabi_max)
+    if rabi_peak == math.inf:
+        raise ValueError(
+            f"rabi_max = inf cannot realize theta = {theta_min!r}: a ramp "
+            f"that reaches theta = 0 needs a finite rabi_max")
+    return step_grid(duration, sweep_time_step(cc, rabi_peak))
+
+
 def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
                     rabi_max: float | None = None,
                     record_every: int | None = None,
@@ -507,9 +508,9 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     the control would be unbounded.  The initial ket must have unit norm
     to within ``norm_drift_tol``; a norm drift beyond it aborts with a
     diagnostic (the step was too coarse).  Memory: the sector's vectors and
-    operators, the samples, and the one block of the control schedule that
-    the integrator reads at a time (:func:`rk4_propagate` with a callable
-    control); nothing grows with the step count alone.
+    operators, the samples, and the control schedule that the callable
+    control's reader holds (:func:`rk4_propagate`); nothing grows with the
+    step count alone.
     """
     space = initial.space
     _check_space(params, space)
@@ -528,13 +529,8 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
-    theta_min = min(ramp.theta_start, ramp.theta_end)
-    rabi_peak = float(control_amplitude(cc, theta_min, rabi_max))
-    if rabi_peak == math.inf:
-        raise ValueError(
-            f"rabi_max = inf cannot realize theta = {theta_min!r}: a ramp "
-            f"that reaches theta = 0 needs a finite rabi_max")
-    dt, n_steps = step_grid(ramp.duration, sweep_time_step(cc, rabi_peak))
+    dt, n_steps = _sweep_grid(cc, ramp.duration,
+                              min(ramp.theta_start, ramp.theta_end), rabi_max)
 
     basis = enumerate_sector(space, present_totals(initial))
     h_static = sector_operator(
@@ -544,7 +540,7 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
     manifold = dark_manifold(params, basis)
 
     # the integrator's half-steps i dt/2, the last read at T exactly: the
-    # times of np.linspace(0, T, 2 n_steps + 1), block by block
+    # times of np.linspace(0, T, 2 n_steps + 1), a call at a time
     half_step = dt / 2
     t_end = 2 * n_steps * half_step
 

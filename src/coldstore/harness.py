@@ -35,12 +35,11 @@ from .eit import (
     EitParams,
     RampSchedule,
     _joint_space,
+    _sweep_grid,
     adiabatic_sweep,
-    control_amplitude,
     dark_state,
     joint_space,
     null_eigenvalue_residual,
-    sweep_time_step,
 )
 from .geometry import (
     ConditionThresholds,
@@ -57,7 +56,7 @@ from .operators import (
     apply_sigma,
     sigma_commutator_element,
 )
-from .propagate import estimate_basis_size, estimate_sector_size, step_grid
+from .propagate import estimate_basis_size, estimate_sector_size
 from .states import atomic_space, fidelity
 from .storage import (
     StorageSpec,
@@ -802,11 +801,10 @@ def _sweep_steps(cfg, duration_coupling) -> float:
     """RK4 steps of one sweep by adiabatic_sweep's own step rule, which needs
     only the collective coupling (no geometry); inf without a finite grid."""
     cc = cfg["g"] * math.sqrt(cfg["n_atoms"])
-    dt_max = sweep_time_step(cc, control_amplitude(
-        cc, 0.0, cfg["rabi_cap_factor"] * cc))
     try:
-        return step_grid(duration_coupling / cc, dt_max)[1]
-    except ValueError:      # an infinite span or a zero step
+        return _sweep_grid(cc, duration_coupling / cc, 0.0,
+                           cfg["rabi_cap_factor"] * cc)[1]
+    except ValueError:      # an infinite span or an unbounded peak control
         return math.inf
 
 

@@ -33,9 +33,9 @@ control samples (``_rk4_step_terms``).  A controlled call composes the D of
 a stretch between two samples into one increment up to ``COMPOSE_MAX_DIM``
 states, else applies them in turn (``_rk4_compiled``); a control-free one
 takes the k steps of a stretch as one power (I + D0)^k.  Each applies the
-map of stage-by-stage RK4, up to rounding.  Whatever its form, the control
-is read a block at a time as the steps reach it (``_control_reader``), so no
-array as long as the step count is formed.
+map of stage-by-stage RK4, up to rounding.  Each block reads its control as
+the steps reach it (``_control_reader``: a callable ahead, in calls of at
+least ``_CONTROL_HALF_STEPS``), so no array of the step count is formed.
 """
 
 from __future__ import annotations
@@ -304,11 +304,11 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 # steps at default, 626 at duration_coupling 50), so blocks split only
 # unsampled or very long stretches.
 STEP_BLOCK_BYTES = 1 << 20
-# Half-steps of control one read holds at least: consecutive blocks are read
-# together until they reach it.  A call of the sweep's schedule costs about
-# 25 us of overhead against 40-50 ns per value, so the slow sweep's
-# stretches (1,250 half-steps or more) are read one by one, and the fast
-# sweep's one-step stretches 500 at a time.
+# Half-steps a callable control is asked for at least per call; arrays and
+# scalars are plain slices.  A call of the sweep's schedule costs about 16 us
+# of overhead against 30-35 ns per value, so the slow sweep's stretches
+# (1,250 half-steps or more) take one call each, the fast sweep's one-step
+# stretches 500 per call.
 _CONTROL_HALF_STEPS = 1000
 
 # Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.
@@ -404,19 +404,6 @@ def _step_blocks(stops: Sequence[int], max_block: int):
         start = stop
 
 
-def _control_groups(blocks, half_steps: int):
-    """Consecutive blocks in lists of at least ``half_steps`` half-steps of
-    control; the last list may hold fewer."""
-    group = []
-    for block in blocks:
-        group.append(block)
-        if 2 * (block[1] - group[0][0]) >= half_steps:
-            yield group
-            group = []
-    if group:
-        yield group
-
-
 def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
                   dt: float, read: Callable[[int, int], np.ndarray],
                   stops: Sequence[int], on_sample) -> None:
@@ -427,8 +414,7 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
     ``STEP_BLOCK_BYTES`` of step matrices, so no block straddles a sample
     and every stretch of equal length does the same work.  The stops are
     those of the sample schedule, so the first stretch is the longest.
-    Consecutive blocks read their control together, each half-step once and
-    in order, until they hold ``_CONTROL_HALF_STEPS``.  A block's
+    Each block of k steps reads its 2k + 1 half-steps of control.  A block's
     increments D_n are one real GEMM of its monomials, held [a, b, c, step],
     against the 12 coefficient matrices; up to COMPOSE_MAX_DIM states they
     are composed and applied with one matvec, else in turn.
@@ -442,55 +428,57 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
     block = np.empty((min(max_block, stops[0]), terms.shape[1]))
     # monomials u1^a um^b u0^c as _STEP_MONOMIALS; u^0 = 1 is never written
     monomials = np.ones((2, 3, 2, len(block)))
-    u = None
-    for group in _control_groups(_step_blocks(stops, max_block),
-                                 _CONTROL_HALF_STEPS):
-        first, last = group[0][0], group[-1][1]
-        # half-steps 2 first .. 2 last; the first of them ends the last group
-        fresh = read(0 if u is None else 2 * first + 1, 2 * last + 1)
-        u = fresh if u is None else np.concatenate((u[-1:], fresh))
-        for lo, hi, sampled in group:
-            a, b = 2 * (lo - first), 2 * (hi - first)
-            mono = monomials[..., :hi - lo]
-            mono[0, 0, 1] = u[a:b:2]
-            mono[0, 1] = mono[0, 0] * u[a + 1:b + 1:2]
-            mono[0, 2] = mono[0, 1] * u[a + 1:b + 1:2]
-            mono[1] = mono[0] * u[a + 2:b + 2:2]
-            steps = np.matmul(mono.reshape(-1, hi - lo).T, terms,
-                              out=block[:hi - lo])
-            steps = steps.view(complex).reshape(-1, dim, dim)
-            if dim <= COMPOSE_MAX_DIM and len(steps) > 1:
-                steps = _compose(steps)[None]
-            for d_n in steps:
-                psi += d_n @ psi
-            if sampled and on_sample is not None:
-                on_sample(hi, hi * dt, psi)
+    for lo, hi, sampled in _step_blocks(stops, max_block):
+        u = read(2 * lo, 2 * hi + 1)    # step lo + n: u[2n], u[2n+1], u[2n+2]
+        mono = monomials[..., :hi - lo]
+        mono[0, 0, 1] = u[:-1:2]
+        mono[0, 1] = mono[0, 0] * u[1::2]
+        mono[0, 2] = mono[0, 1] * u[1::2]
+        mono[1] = mono[0] * u[2::2]
+        steps = np.matmul(mono.reshape(-1, hi - lo).T, terms,
+                          out=block[:hi - lo])
+        steps = steps.view(complex).reshape(-1, dim, dim)
+        if dim <= COMPOSE_MAX_DIM and len(steps) > 1:
+            steps = _compose(steps)[None]
+        for d_n in steps:
+            psi += d_n @ psi
+        if sampled and on_sample is not None:
+            on_sample(hi, hi * dt, psi)
 
 
 def _control_reader(control, n_steps: int,
                     dt: float) -> Callable[[int, int], np.ndarray]:
     """``read(lo, hi)``, the control at half-steps lo..hi-1 of the grid
-    t_i = i dt/2, from any form of ``rk4_propagate``'s ``control``.  A
-    scalar and an array are checked whole here; a callable's values are
-    checked as each read returns them."""
+    t_i = i dt/2, for ``lo`` that never decreases, from any form of
+    ``rk4_propagate``'s ``control``.  A scalar and an array are checked
+    whole here and read as slices.  A callable is asked for each half-step
+    once and in order, at least ``_CONTROL_HALF_STEPS`` of them per call
+    unless the grid ends, and its values are checked as they arrive; the
+    reader holds only those from the latest ``lo`` on."""
     if callable(control):
-        half_step = dt / 2
+        held, start = np.empty(0), 0    # the values from half-step start on
 
         def read(lo, hi):
-            t = np.arange(lo, hi, dtype=float)
-            t *= half_step
-            u = np.asarray(control(t), dtype=float)
-            if u.shape != (hi - lo,):
-                raise ValueError(
-                    f"control callable returned shape {u.shape} for "
-                    f"{hi - lo} times")
-            finite = np.isfinite(u)
-            if not finite.all():
-                bad = lo + int(np.argmin(finite))
-                raise ValueError(
-                    f"control must be finite, got {u[bad - lo]!r} at "
-                    f"t = {bad * half_step!r} (half-step {bad})")
-            return u
+            nonlocal held, start
+            held, start = held[lo - start:], lo
+            end = lo + len(held)
+            if hi > end:    # | 1: whole steps, and the first read one more
+                stop = min(max(hi, end + _CONTROL_HALF_STEPS) | 1,
+                           2 * n_steps + 1)
+                t = np.arange(end, stop, dtype=float)
+                t *= dt / 2
+                u = np.asarray(control(t), dtype=float)
+                if u.shape != t.shape:
+                    raise ValueError(
+                        f"control callable returned shape {u.shape} for "
+                        f"{len(t)} times")
+                if not np.isfinite(u).all():
+                    i = int(np.argmin(np.isfinite(u)))
+                    raise ValueError(
+                        f"control must be finite, got {u[i]!r} at "
+                        f"t = {float(t[i])!r} (half-step {end + i})")
+                held = np.concatenate((held, u))
+            return held[:hi - lo]
         return read
     if np.isscalar(control) or control is None:
         value = 0.0 if control is None else float(control)
@@ -611,10 +599,10 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     2*n_steps: a scalar for constant control, an array of those
     2*n_steps + 1 values, or a callable ``u(t)`` that maps an array of grid
     times to an array of as many values.  The callable is asked for the
-    grid block by block as the integration reaches it, each time once and
-    in order, so no array as long as the step count is ever held; a
-    non-finite value raises ``ValueError`` when its block arrives, before
-    any sample past it.
+    grid as the integration reaches it, each time once and in order, at
+    least ``_CONTROL_HALF_STEPS`` half-steps per call, so no array as long
+    as the step count is ever held; a non-finite value raises
+    ``ValueError`` when its call returns, before any sample past it.
     It is an error to give ``control`` without ``h1``.
     ``on_sample(step, t, psi)`` is invoked at step 0, every ``sample_every``
     steps (at least 1), and at the final step.

@@ -301,9 +301,9 @@ class SparseKet:
     strictly increase, and that is the order of their labels, so
     :meth:`items` needs no sort.
 
-    Construction from a label -> amplitude mapping validates every label
-    against the space (unless ``_checked``) and drops amplitudes at or below
-    ``drop_tol``; every other ket drops those at or below ``DROP_TOL``.
+    Every ket drops the amplitudes whose modulus is at or below
+    ``DROP_TOL`` (or NaN); construction from a label -> amplitude mapping
+    then validates each label kept against the space (unless ``_checked``).
     Kets support ``+``, ``-``, scalar ``*`` and ``/``; use
     :func:`inner_product`, :func:`normalize` and :func:`fidelity` for
     metric operations.
@@ -320,16 +320,14 @@ class SparseKet:
 
     def __init__(self, space: StateSpace,
                  entries: Mapping[JointLabel, complex] | None = None,
-                 drop_tol: float = DROP_TOL, _checked: bool = False):
-        labels, amps = [], []
-        for label, amp in (entries or {}).items():
-            z = complex(amp)
-            if abs(z) <= drop_tol:
-                continue
-            if not _checked:
+                 _checked: bool = False):
+        entries = entries or {}
+        amps = np.array([complex(amp) for amp in entries.values()], complex)
+        keep = np.abs(amps) > DROP_TOL      # as _of drops them
+        labels, amps = list(itertools.compress(entries, keep)), amps[keep]
+        if not _checked:
+            for label in labels:
                 space.check_label(label)
-            labels.append(label)
-            amps.append(z)
         kc, ka, n = space.n_exc_max, space.a_max, len(amps)
         pad_c = [(-1,) * (kc - i) for i in range(kc + 1)]
         pad_a = [(-1,) * (ka - i) for i in range(ka + 1)]
@@ -343,7 +341,7 @@ class SparseKet:
         self.space, self.n_cols = space, 1
         self.cols = np.zeros(len(amps), dtype=np.uint8)
         self.field, self.sites = field[order], sites[order]
-        self.amps = np.array(amps, dtype=complex)[order]
+        self.amps = amps[order]
 
     @classmethod
     def _of(cls, space: StateSpace, n_cols: int, cols, field, sites,

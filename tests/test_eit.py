@@ -382,7 +382,7 @@ def _recorded_sweep(monkeypatch, initial, params, ramp, **kwargs):
     return adiabatic_sweep(initial, params, ramp, **kwargs), blocks
 
 
-# one-step stretches around the half-steps the integrator reads at once
+# one-step stretches around the half-steps the reader asks for at once
 @pytest.mark.parametrize("n_steps", [_CONTROL_HALF_STEPS // 2 - 1,
                                      _CONTROL_HALF_STEPS // 2,
                                      _CONTROL_HALF_STEPS // 2 + 1])

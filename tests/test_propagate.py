@@ -484,8 +484,9 @@ def _lookup(control, dt, reads=None):
 @pytest.mark.parametrize("sample_every", [1, 97, 25_001])
 def test_a_callable_control_equals_its_array_bit_for_bit(sweep_problem,
                                                          sample_every):
-    # one-step stretches read 500 at a time, 97-step stretches six at a
-    # time, and one unsampled stretch in blocks of step matrices
+    # one-step stretches, 97-step stretches and one unsampled stretch in
+    # blocks of step matrices: the callable is asked for 500 steps at a
+    # time, or for a whole block when it holds more
     h0, h1, psi0, dt, n_steps, control, _reference = sweep_problem
     reads = []
     psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, control,
@@ -497,8 +498,11 @@ def test_a_callable_control_equals_its_array_bit_for_bit(sweep_problem,
     assert all(np.array_equal(a, b)
                for (_s, _t, a), (_s2, _t2, b) in zip(seen_c, seen))
     assert np.array_equal(np.concatenate(reads), np.arange(2 * n_steps + 1))
-    # a read spans at most the half-steps of one group: fewer than
-    # _CONTROL_HALF_STEPS, then one block of the 3-state closure
+    # every read after the first is of whole steps, every one but the last
+    # of at least _CONTROL_HALF_STEPS, and none longer than that plus one
+    # block of the 3-state closure
+    assert all(len(r) % 2 == 0 for r in reads[1:])
+    assert min(map(len, reads[:-1])) >= propagate._CONTROL_HALF_STEPS
     block = propagate.STEP_BLOCK_BYTES // (16 * 3 * 3)
     assert max(map(len, reads)) <= propagate._CONTROL_HALF_STEPS + 2 * block
 

@@ -79,6 +79,16 @@ def test_arithmetic_and_drop_tolerance():
     assert len(tiny) == 0
 
 
+def test_construction_drops_amplitudes_as_arithmetic_does():
+    # a modulus past the float range is kept either way, a tiny one dropped
+    space = atomic_space(3, 1)
+    l0, l1 = space.label(), space.label(c_sites=(0,))
+    built = SparseKet(space, {l0: complex(1.5e308, 1.5e308), l1: 1e-16})
+    scaled = SparseKet(space, {l0: 1e308, l1: 1e-16}) * complex(1.5, 1.5)
+    assert built.labels() == scaled.labels() == [l0]
+    assert np.array_equal(built.amps, scaled.amps)
+
+
 def test_space_mismatch_raises():
     a = SparseKet.basis_state(atomic_space(3, 1), atomic_space(3, 1).label())
     b = SparseKet.basis_state(atomic_space(4, 1), atomic_space(4, 1).label())

@@ -318,11 +318,19 @@ class RampSchedule:
                 raise ValueError("mixing angles must lie in [0, pi/2]")
 
     def theta(self, t):
-        f = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
+        # clip(t / T, 0, 1) and the ramp, in place on the one fresh array
+        # of t / T, flat so that a scalar t is an array too
+        t = np.asarray(t, dtype=float)
+        f = (t / self.duration).reshape(-1)
+        np.minimum(np.maximum(0.0, f, out=f), 1.0, out=f)
         if self.shape == "smooth-cosine":
-            f = 0.5 * (1.0 - np.cos(np.pi * f))
-        out = self.theta_start + (self.theta_end - self.theta_start) * f
-        return out if out.ndim else float(out)
+            f *= np.pi
+            np.cos(f, out=f)
+            np.subtract(1.0, f, out=f)
+            f *= 0.5
+        f *= self.theta_end - self.theta_start
+        f += self.theta_start
+        return f.reshape(t.shape) if t.ndim else float(f[0])
 
 
 def control_amplitude(collective_coupling: float, theta, rabi_max: float):
@@ -333,13 +341,17 @@ def control_amplitude(collective_coupling: float, theta, rabi_max: float):
     actually realized is atan2(g sqrt(N), Omega_clamped).
     """
     th = np.asarray(theta, dtype=float)
-    sin = np.sin(th)
+    sin = np.sin(th).reshape(-1)
+    clamped = ~(sin > 1e-12)        # NaN too
+    out = np.cos(th).reshape(-1)    # the fresh array the result takes
+    out *= collective_coupling
     # past g sqrt(N) ~ 1.8e8 the quotient overflows where sin is clamped,
     # entries that are inf either way
     with np.errstate(over="ignore"):
-        out = np.minimum(np.where(sin > 1e-12, collective_coupling * np.cos(th)
-                                  / np.maximum(sin, 1e-300), np.inf), rabi_max)
-    return out if out.ndim else float(out)
+        out /= np.maximum(sin, 1e-300, out=sin)
+    out[clamped] = np.inf
+    np.minimum(out, rabi_max, out=out)
+    return out.reshape(th.shape) if th.ndim else float(out[0])
 
 
 @dataclass

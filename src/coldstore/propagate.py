@@ -305,8 +305,8 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 # unsampled or very long stretches.
 STEP_BLOCK_BYTES = 1 << 20
 # Half-steps a callable control is asked for at least per call; arrays and
-# scalars are plain slices.  A call of the sweep's schedule costs about 16 us
-# of overhead against 30-35 ns per value, so the slow sweep's stretches
+# scalars are plain slices.  A call of the sweep's schedule costs about 21 us
+# of overhead against 23-24 ns per value, so the slow sweep's stretches
 # (1,250 half-steps or more) take one call each, the fast sweep's one-step
 # stretches 500 per call.
 _CONTROL_HALF_STEPS = 1000

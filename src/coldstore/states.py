@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errors import (
+    ColdstoreError,
     FockOverflowError,
     NotNormalizedError,
     SectorOverflowError,
@@ -291,6 +292,21 @@ def _merge(space: StateSpace, n_cols: int, cols, field, sites,
                          summed)
 
 
+def _kept(amps: np.ndarray, label_at) -> np.ndarray:
+    """The mask of the amplitudes whose modulus is above ``DROP_TOL``, the
+    one drop rule of every ket.  An amplitude with a NaN or infinite part
+    raises ColdstoreError naming ``label_at(i)``, its label; one whose
+    parts are finite but whose modulus overflows is kept.  Only a modulus
+    that is not finite, which the largest shows, costs a second look."""
+    moduli = np.abs(amps)
+    if len(amps) and not math.isfinite(moduli.max()):
+        bad = np.flatnonzero(~np.isfinite(amps))
+        if len(bad):
+            raise ColdstoreError(f"amplitude {amps[bad[0]]} of label "
+                                 f"{label_at(bad[0])} is not finite")
+    return moduli > DROP_TOL
+
+
 class SparseKet:
     """A sparse state vector, held as integer-coded arrays.
 
@@ -302,7 +318,8 @@ class SparseKet:
     :meth:`items` needs no sort.
 
     Every ket drops the amplitudes whose modulus is at or below
-    ``DROP_TOL`` (or NaN); construction from a label -> amplitude mapping
+    ``DROP_TOL`` and refuses one with a NaN or infinite part (ColdstoreError
+    naming its label); construction from a label -> amplitude mapping
     then validates each label kept against the space (unless ``_checked``).
     Kets support ``+``, ``-``, scalar ``*`` and ``/``; use
     :func:`inner_product`, :func:`normalize` and :func:`fidelity` for
@@ -323,7 +340,7 @@ class SparseKet:
                  _checked: bool = False):
         entries = entries or {}
         amps = np.array([complex(amp) for amp in entries.values()], complex)
-        keep = np.abs(amps) > DROP_TOL      # as _of drops them
+        keep = _kept(amps, lambda i: list(entries)[i])
         labels, amps = list(itertools.compress(entries, keep)), amps[keep]
         if not _checked:
             for label in labels:
@@ -347,14 +364,14 @@ class SparseKet:
     def _of(cls, space: StateSpace, n_cols: int, cols, field, sites,
             amps) -> "SparseKet":
         """The ket of entries already in order, less those at or below
-        ``DROP_TOL``."""
-        keep = np.abs(amps) > DROP_TOL
-        if not keep.all():
-            cols, field, sites, amps = (x[keep] for x in
-                                        (cols, field, sites, amps))
+        ``DROP_TOL``; raises as :func:`_kept` does."""
         ket = cls.__new__(cls)
         ket.space, ket.n_cols = space, n_cols
         ket.cols, ket.field, ket.sites, ket.amps = cols, field, sites, amps
+        keep = _kept(amps, lambda i: ket.labels()[i])
+        if not keep.all():
+            ket.cols, ket.field, ket.sites, ket.amps = (
+                x[keep] for x in (cols, field, sites, amps))
         return ket
 
     # -- basic queries ---------------------------------------------------

@@ -211,13 +211,16 @@ def subsystem_purity(states: BosonicState | Sequence[BosonicState]
                      | np.ndarray) -> float | np.ndarray:
     """Tr rho_field^2; 1 for products, < 1 when the modes are entangled.
     A float for one state, an array for states of one grid shape or their
-    (K, P+1, Q+1) stack: one stacked SVD, one state a stack of one."""
+    (K, P+1, Q+1) stack, one state a stack of one.  With A a grid and
+    G = A A^dagger (one stacked matmul), Tr rho_field^2 is
+    ||G||_F^2 / (Tr G)^2, so no LAPACK routine is called."""
     single = isinstance(states, BosonicState)
     grids = states if isinstance(states, np.ndarray) else np.stack(
         [s.amplitudes for s in ([states] if single else states)])
-    sv = np.linalg.svd(grids, compute_uv=False)
-    p2 = np.sum(sv ** 2, axis=-1)
-    purities = np.sum(sv ** 4, axis=-1) / (p2 * p2)
+    gram = grids @ grids.conj().swapaxes(-1, -2)
+    trace = np.trace(gram, axis1=-2, axis2=-1).real
+    purities = (gram.real ** 2 + gram.imag ** 2).sum(axis=(-2, -1)) \
+        / (trace * trace)
     return float(purities[0]) if single else purities
 
 

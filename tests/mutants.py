@@ -1,0 +1,214 @@
+"""Mutation gate: every mutant in the catalogue must fail its tests.
+
+Usage, from the repository root::
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named ones
+
+Each mutant replaces one exact snippet of one source file with a deliberate
+bug.  The script first runs every selected test on the unchanged tree, in
+one pytest process, so that a selection that already fails kills nothing.
+Then, for each mutant, it copies ``src``, ``tests`` and ``pyproject.toml``
+to a temporary directory, applies the mutant there and runs the mutant's
+pytest selection with ``-x``.  A mutant is killed when pytest reports a
+failing test (exit status 1).  The script exits 1 if a mutant survives, if
+its run ends any other way (no test collected, a collection error, a
+timeout), or if a snippet no longer occurs exactly once: code that moves
+takes its mutant with it.
+
+A surviving mutant is a finding: add a test that kills it rather than
+deleting the mutant.  Property tests draw the ``ci`` profile's
+derandomized examples (tests/conftest.py), so a run repeats.
+
+The file name keeps pytest from collecting the script.  It needs only the
+standard library, plus pytest and the test dependencies in the interpreter
+that runs it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str               # relative to the repository root
+    snippet: str            # must occur exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids expected to kill it
+
+
+CATALOGUE = (
+    Mutant("purity-without-conj", "src/coldstore/transfer.py",
+           "gram = grids @ grids.conj().swapaxes(-1, -2)",
+           "gram = grids @ grids.swapaxes(-1, -2)",
+           ("tests/test_transfer.py::test_the_purity_is_that_of_the_"
+            "eigenvalue_oracle",)),
+    Mutant("nonfinite-amplitude-kept", "src/coldstore/states.py",
+           "        if len(bad):\n            raise ColdstoreError(",
+           "        if False:\n            raise ColdstoreError(",
+           ("tests/test_states.py::test_a_nan_or_infinite_amplitude_is_"
+            "refused_by_name",)),
+    Mutant("schedule-unclamped", "src/coldstore/eit.py",
+           "        np.minimum(np.maximum(0.0, f, out=f), 1.0, out=f)\n",
+           "",
+           ("tests/test_eit.py::test_the_schedule_is_its_former_expressions_"
+            "bit_for_bit",)),
+    Mutant("nan-angle-unclamped", "src/coldstore/eit.py",
+           "clamped = ~(sin > 1e-12)",
+           "clamped = sin <= 1e-12",
+           ("tests/test_eit.py::test_the_schedule_is_its_former_expressions_"
+            "bit_for_bit",)),
+    Mutant("adjoint-keeps-negative-zero", "src/coldstore/propagate.py",
+           "    adjoint.imag += 0.0     # -0.0 to 0.0, as compiling the term"
+           " would\n",
+           "",
+           ("tests/test_transfer.py::test_the_compiled_transfer_hamiltonian_"
+            "is_both_terms_bit_for_bit",)),
+    Mutant("norm-summed-pairwise", "src/coldstore/states.py",
+           "total = float(np.cumsum(np.float_power(\n"
+           "                    moduli, np.full(len(moduli), 2.0)))[-1])",
+           "total = float(np.sum(np.float_power(\n"
+           "                    moduli, np.full(len(moduli), 2.0))))",
+           ("tests/test_states.py::test_norm_is_the_loop_of_squares_bit_for_"
+            "bit_on_both_paths",)),
+    Mutant("control-callable-unchecked", "src/coldstore/propagate.py",
+           "                if not np.isfinite(u).all():\n",
+           "                if False:\n",
+           ("tests/test_propagate.py::test_a_non_finite_callable_control_"
+            "stops_before_the_samples_past_it",)),
+    Mutant("fidelity-passes-nan", "src/coldstore/states.py",
+           "        if not abs(n - 1.0) <= norm_tol:",
+           "        if abs(n - 1.0) > norm_tol:",
+           ("tests/test_eit.py::test_non_finite_inputs_are_refused",)),
+    Mutant("dark-weight-sum-of-squares", "src/coldstore/eit.py",
+           "np.sum(np.abs(along) ** 2 / lam[keep])",
+           "np.sum(np.abs(along) ** 2)",
+           ("tests/test_eit.py::test_dark_manifold_weight_is_a_projection_"
+            "when_patterns_overlap",)),
+    Mutant("box-muller-log-of-u", "src/coldstore/harness.py",
+           "math.log(1.0 - rng.random())",
+           "math.log(rng.random())",
+           ("tests/test_harness.py::test_the_seed_zero_stream_is_pinned",)),
+    Mutant("quanta-on-atoms-unchecked", "src/coldstore/harness.py",
+           "    for q_key, n_key in _QUANTA_ON_ATOMS:\n",
+           "    for q_key, n_key in ():\n",
+           ("tests/test_harness.py::test_more_storage_quanta_than_atoms_are_"
+            "refused",)),
+    Mutant("vector-to-ket-any-space", "src/coldstore/propagate.py",
+           "    _same_space(space, basis)\n    return SparseKet._of(",
+           "    return SparseKet._of(",
+           ("tests/test_propagate.py::test_a_space_other_than_the_basis_space_"
+            "is_refused",)),
+    Mutant("down-moves-unconjugated", "src/coldstore/operators.py",
+           "coeffs = coeffs.conjugate()",
+           "coeffs = coeffs",
+           ("tests/test_operators.py::test_sigma_matches_dense_oracle",)),
+    Mutant("lattice-sum-reversed-phase", "src/coldstore/geometry.py",
+           "(1.0 - cmath.exp(1j * kd * n_atoms)) / denom",
+           "(1.0 - cmath.exp(-1j * kd * n_atoms)) / denom",
+           ("tests/test_geometry.py::test_lattice_closed_form_matches_direct_"
+            "sum",)),
+    Mutant("storage-norm-without-falling-factorial",
+           "src/coldstore/storage.py",
+           "return math.sqrt(num / falling_factorial(n_atoms, n))",
+           "return math.sqrt(num / n_atoms ** n)",
+           ("tests/test_storage.py::test_prefactor_and_coefficient_closed_"
+            "forms",)),
+)
+
+
+def _pytest(root: str, tests) -> tuple[int | None, str]:
+    """Exit status of ``pytest -x`` on ``tests`` in ``root`` (None on a
+    timeout) and the last line of its report."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+           "no:cacheprovider", "--hypothesis-profile=ci", *tests]
+    try:
+        done = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT_S} s"
+    lines = done.stdout.strip().splitlines()
+    return done.returncode, lines[-1] if lines else done.stderr.strip()
+
+
+def _copy_tree(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                    ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def stale(mutants) -> dict[str, str]:
+    """Mutant name -> message, for each whose snippet does not occur
+    exactly once."""
+    out = {}
+    for m in mutants:
+        with open(os.path.join(ROOT, m.path)) as fh:
+            count = fh.read().count(m.snippet)
+        if count != 1:
+            out[m.name] = f"snippet occurs {count} times in {m.path}"
+    return out
+
+
+def run_mutant(m: Mutant) -> tuple[bool, str]:
+    """(killed, detail) for one mutant, run on a copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(tmp)
+        path = os.path.join(tmp, m.path)
+        with open(path) as fh:
+            source = fh.read()
+        with open(path, "w") as fh:
+            fh.write(source.replace(m.snippet, m.replacement))
+        status, last = _pytest(tmp, m.tests)
+    return status == 1, last if status in (0, 1) else f"status {status}: {last}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (all)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in CATALOGUE}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    mutants = [known[n] for n in args.names] if args.names else CATALOGUE
+    failed = stale(mutants)
+    for name, message in failed.items():
+        print(f"STALE     {name}: {message}")
+    selection = sorted({t for m in mutants for t in m.tests})
+    start = time.perf_counter()
+    status, last = _pytest(ROOT, selection)
+    print(f"baseline  {len(selection)} selections: {last} "
+          f"({time.perf_counter() - start:.1f} s)")
+    if status != 0:
+        print("the unchanged tree fails its selections; no mutant is run")
+        return 1
+    for m in mutants:
+        if m.name in failed:
+            continue
+        start = time.perf_counter()
+        killed, detail = run_mutant(m)
+        print(f"{'killed' if killed else 'SURVIVED':9s} {m.name}: {detail} "
+              f"({time.perf_counter() - start:.1f} s)")
+        if not killed:
+            failed[m.name] = detail
+    print(f"{len(mutants) - len(failed)} of {len(mutants)} mutants killed")
+    return 1 if failed else 0
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -155,6 +155,17 @@ def closed_form_rotation(xi, omega_t):
     return out
 
 
+def field_purity(grid):
+    """Tr rho_f^2 of one two-mode grid A, from the eigenvalues of the
+    reduced field state rho_f = A A^dagger / Tr(A A^dagger): the partial
+    trace over the second mode written as an explicit index sum, then the
+    sum of the squared eigenvalues."""
+    a = np.asarray(grid, dtype=complex)
+    rho = np.einsum("mq,pq->mp", a, a.conj())
+    rho /= np.trace(rho).real
+    return float(np.sum(np.linalg.eigvalsh(rho) ** 2))
+
+
 def rk4_stage_loop(h0, h1, psi0, dt, control, sample_every):
     """Plain RK4 of i dpsi/dt = (h0 + u(t) h1) psi, one stage at a time.
 

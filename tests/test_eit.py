@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from coldstore import (
@@ -289,24 +291,72 @@ def test_ramp_schedule_shapes_and_validation():
 
 def _old_theta(ramp, t):
     """RampSchedule.theta as written before it worked in place."""
-    x = np.clip(np.asarray(t, dtype=float) / ramp.duration, 0.0, 1.0)
-    if ramp.shape == "linear":
-        f = x
-    else:
-        f = 0.5 * (1.0 - np.cos(np.pi * x))
-    return ramp.theta_start + (ramp.theta_end - ramp.theta_start) * f
+    f = np.clip(np.asarray(t, dtype=float) / ramp.duration, 0.0, 1.0)
+    if ramp.shape == "smooth-cosine":
+        f = 0.5 * (1.0 - np.cos(np.pi * f))
+    out = ramp.theta_start + (ramp.theta_end - ramp.theta_start) * f
+    return out if out.ndim else float(out)
 
 
 def _old_control_amplitude(collective_coupling, theta, rabi_max):
     """control_amplitude as written before it worked in place."""
     th = np.asarray(theta, dtype=float)
     sin = np.sin(th)
-    cos = np.cos(th)
-    with np.errstate(divide="ignore"):
-        raw = np.where(sin > 1e-12,
-                       collective_coupling * cos / np.maximum(sin, 1e-300),
-                       np.inf)
-    return np.minimum(raw, rabi_max)
+    with np.errstate(over="ignore"):
+        out = np.minimum(np.where(sin > 1e-12, collective_coupling * np.cos(th)
+                                  / np.maximum(sin, 1e-300), np.inf), rabi_max)
+    return out if out.ndim else float(out)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_times = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf,
+                                    -math.inf]),
+                   st.floats(-1e3, 1e3))
+_angles = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, 1e-12, 2e-12, -0.5,
+                                     math.nan, math.inf, -math.inf]),
+                    st.floats(-4.0, 4.0))
+_couplings = st.one_of(st.sampled_from([1e-10, 1e10]), st.floats(1e-10, 1e10))
+_rabi_maxes = st.one_of(st.just(math.inf), st.floats(1e-6, 1e12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(["linear", "smooth-cosine"]),
+       ends=st.tuples(st.floats(0.0, math.pi / 2), st.floats(0.0, math.pi / 2)),
+       duration=st.floats(1e-3, 1e3),
+       t=st.lists(_times, min_size=1, max_size=8),
+       angles=st.lists(_angles, min_size=1, max_size=8),
+       cc=_couplings, rabi_max=_rabi_maxes)
+@example(shape="smooth-cosine", ends=(0.0, math.pi / 2), duration=2.0,
+         t=[-1.0, -0.0, 0.0, 1.0, 2.0, 5.0, math.nan, math.inf, -math.inf],
+         angles=[0.0, -0.0, 1e-13, 2e-12, 0.7, math.nan, math.inf],
+         cc=1e10, rabi_max=50.0)
+@example(shape="linear", ends=(1.2, 0.3), duration=0.5,
+         t=[-3.0, 0.25, 0.5, 7.0], angles=[math.nan], cc=2.0,
+         rabi_max=math.inf)
+def test_the_schedule_is_its_former_expressions_bit_for_bit(
+        shape, ends, duration, t, angles, cc, rabi_max):
+    # t < 0 and t > T clamp; sin <= 1e-12, a NaN angle among them, gives
+    # rabi_max; g sqrt(N) = 1e10 overflows the quotient where sin is tiny
+    ramp = RampSchedule(*ends, duration=duration, shape=shape)
+    t = np.array(t)
+    theta = ramp.theta(t)
+    assert _bits(theta) == _bits(_old_theta(ramp, t))
+    scalar = ramp.theta(t[0])
+    assert isinstance(scalar, float)
+    assert _bits(scalar) == _bits(_old_theta(ramp, t[0]))
+    with np.errstate(invalid="ignore"):     # sin and cos of an infinity
+        for th in (theta, np.array(angles), np.array(angles).reshape(-1, 1)):
+            control = control_amplitude(cc, th, rabi_max)
+            assert control.shape == th.shape
+            assert _bits(control) == _bits(
+                _old_control_amplitude(cc, th, rabi_max))
+        scalar = control_amplitude(cc, angles[0], rabi_max)
+        assert isinstance(scalar, float)
+        assert _bits(scalar) == _bits(
+            _old_control_amplitude(cc, angles[0], rabi_max))
 
 
 @pytest.mark.parametrize("shape", ["linear", "smooth-cosine"])
@@ -518,7 +568,11 @@ def test_sweep_refuses_a_non_unit_initial_state():
 
 
 def _nan_ket():
-    return math.nan * vacuum(atomic_space(2, 1))
+    # a ket refuses a NaN amplitude when it is built, so plant one: the
+    # fidelity's own guard must still refuse a NaN norm
+    ket = 1.0 * vacuum(atomic_space(2, 1))
+    ket.amps = np.full_like(ket.amps, math.nan)
+    return ket
 
 
 @pytest.mark.parametrize("build, error", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from coldstore import states
 from coldstore import (
     AtomConfig,
+    ColdstoreError,
     FockOverflowError,
     NotNormalizedError,
     SectorOverflowError,
@@ -87,6 +89,23 @@ def test_construction_drops_amplitudes_as_arithmetic_does():
     scaled = SparseKet(space, {l0: 1e308, l1: 1e-16}) * complex(1.5, 1.5)
     assert built.labels() == scaled.labels() == [l0]
     assert np.array_equal(built.amps, scaled.amps)
+
+
+@pytest.mark.parametrize("bad", [
+    math.nan, complex(1.0, math.nan), complex(math.nan, 0.0), math.inf,
+    -math.inf, complex(0.0, math.inf), complex(math.inf, math.nan)])
+def test_a_nan_or_infinite_amplitude_is_refused_by_name(bad):
+    # construction and arithmetic share one rule, with the label named
+    space = atomic_space(3, 1)
+    l0, l1 = space.label(), space.label(c_sites=(0,))
+    with pytest.raises(ColdstoreError, match=re.escape(f"label {l1} ")):
+        SparseKet(space, {l0: 1.0, l1: bad})
+    ket = SparseKet(space, {l0: 1e-16, l1: 1.0})
+    with np.errstate(invalid="ignore"):     # numpy's warning for 0 * inf
+        with pytest.raises(ColdstoreError, match=re.escape(f"label {l1} ")):
+            _ = ket * bad
+        with pytest.raises(ColdstoreError, match=re.escape(f"label {l0} ")):
+            _ = (SparseKet(space, {l0: 0.5}) + ket) * bad
 
 
 def test_space_mismatch_raises():

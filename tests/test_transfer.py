@@ -29,12 +29,14 @@ from coldstore import (
     write_transfer_csv,
 )
 from coldstore import transfer
+from coldstore.harness import run
 from coldstore.propagate import enumerate_sector, sector_operator
 from coldstore.states import SparseKet
 from coldstore.storage import (StorageSpec, storage_direct, vacuum,
                                with_field_occupation)
 
-from oracles import closed_form_rotation, expm_evolve, two_boson_hamiltonian
+from oracles import (closed_form_rotation, expm_evolve, field_purity,
+                     two_boson_hamiltonian)
 
 
 def random_bosonic(rng, cap_p, cap_q):
@@ -194,7 +196,7 @@ def test_purity_dip_at_equal_superposition():
 
 
 def test_the_purity_of_a_sequence_is_that_of_each_state_bit_for_bit():
-    # one stacked SVD for the sequence, one stack of one for each state
+    # one stacked Gram matmul for the sequence, one stack of one per state
     evolved = [evolve_analytic(BosonicState.fock(2, 1), x)
                for x in np.linspace(0.0, math.pi, 17)]
     purities = subsystem_purity(evolved)
@@ -204,6 +206,36 @@ def test_the_purity_of_a_sequence_is_that_of_each_state_bit_for_bit():
         np.stack([s.amplitudes for s in evolved])))
     assert isinstance(subsystem_purity(evolved[3]), float)
     assert transfer_curve(BosonicState.fock(1, 0), []) == []
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (2, 2), (3, 2), (2, 4), (4, 4)])
+def test_the_purity_is_that_of_the_eigenvalue_oracle(caps):
+    rng = np.random.default_rng(sum(caps) * 7 + caps[0])
+    stack = np.stack([random_bosonic(rng, *caps).amplitudes
+                      for _ in range(24)])
+    expected = [field_purity(grid) for grid in stack]
+    assert max(expected) < 1.0 - 1e-3        # entangled, every one
+    assert np.max(np.abs(subsystem_purity(stack) - expected)) <= 1e-14
+    # a product state u (x) v is pure in each mode
+    shape = (7, caps[0] + 1, caps[1] + 1)
+    u, v = (rng.normal(size=shape[:1] + (n,)) + 1j * rng.normal(
+        size=shape[:1] + (n,)) for n in shape[1:])
+    products = u[:, :, None] * v[:, None, :]
+    products /= np.linalg.norm(products, axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(subsystem_purity(products) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("config", [
+    None, {"n_atoms_list": [4, 8, 16, 24], "deviation_m": 3}])
+def test_the_transfer_scenario_runs_without_an_svd(monkeypatch, config):
+    # the default scenario and the sector benchmark's config: the purity
+    # scan needs no LAPACK routine
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    report = run("dynamic-transfer", config)
+    assert report.all_passed, [c for c in report.checks if not c.passed]
 
 
 def test_transfer_curve_and_csv(tmp_path):

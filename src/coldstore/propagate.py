@@ -47,8 +47,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, IntegrationError, SpaceMismatchError
-from .states import (SparseKet, StateSpace, _combinations, _digit_type, _keys,
-                     _occupied)
+from .states import (SparseKet, StateSpace, _combinations, _digit_type,
+                     _in_order, _keys, _occupied)
 
 
 def _field_occupations(mode_caps: Sequence[int], total: int):
@@ -84,7 +84,9 @@ def enumerate_sector(space: StateSpace, totals: Iterable[int]) -> SparseKet:
     amplitude 1: ``len()`` is the dimension, ``.labels()`` the sorted
     labels.  Each block is one digit array (every (n_c + n_a)-subset of the
     atoms, split every way into n_c atoms in c and n_a in a, for every
-    photon spread), and one ``np.lexsort`` orders them all."""
+    photon spread).  Rows already in label order, as one total of one
+    mode with no atom in a is built, are kept as built; any others are
+    ordered by one ``np.lexsort``."""
     n_atoms, kc, modes = space.n_atoms, space.n_exc_max, space.n_modes
     width, digit = modes + kc + space.a_max, _digit_type(space)
     blocks = [np.zeros((0, width), dtype=digit)]
@@ -101,7 +103,9 @@ def enumerate_sector(space: StateSpace, totals: Iterable[int]) -> SparseKet:
         rows[..., modes + kc:modes + kc + n_a] = excited[:, in_a] + 1
         blocks.append(rows.reshape(math.prod(rows.shape[:3]), width))
     rows = np.concatenate(blocks)
-    rows = rows[np.lexsort(_keys(space, rows[:, :modes], rows[:, modes:]))]
+    keys = _keys(space, rows[:, :modes], rows[:, modes:])
+    if not _in_order(keys):
+        rows = rows[np.lexsort(keys)]
     dim = len(rows)
     cols = np.arange(dim, dtype=np.min_scalar_type(dim))
     return SparseKet._of(space, dim, cols, rows[:, :modes], rows[:, modes:],
@@ -201,12 +205,14 @@ class SparseOperator:
         self._rows, self._cols, self._amps = rows, cols, amps
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """The complex vector op v.  A complex ``v`` is gathered as it is,
+        other types are converted first; ``v`` itself is never written."""
         v = np.asarray(v)
         if v.shape != self.shape[1:]:
             raise ValueError(
                 f"operator of shape {self.shape} cannot act on a vector of "
                 f"shape {v.shape}")
-        terms = v.astype(complex)[self._cols]
+        terms = v.astype(complex, copy=False)[self._cols]
         terms *= self._amps
         dim = self.shape[0]
         return (np.bincount(self._rows, terms.real, dim)
@@ -529,6 +535,7 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
     norm = np.linalg.norm(psi)
     basis = np.empty((1, dim), dtype=complex)
     basis[0] = psi / norm if norm else psi
+    conj = basis.conj()     # the rows conjugated, grown beside them
     images: list[list[np.ndarray]] = [[] for _ in ops]
     scales = [0.0] * len(ops)
     m, j = 1, 0
@@ -542,7 +549,7 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
                 raise IntegrationError(f"|h v| of closure row {j} is {scale}")
             scales[i] = max(scales[i], scale)
             for _ in range(2):
-                w = w - (basis[:m].conj() @ w) @ basis[:m]
+                w = w - (conj[:m] @ w) @ basis[:m]
             beta = float(np.linalg.norm(w))
             if beta <= REACHABLE_TOL * scales[i] or m == dim:
                 continue
@@ -552,15 +559,18 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
                     f"REACHABLE_MAX_DIM = {REACHABLE_MAX_DIM} of the {dim} "
                     f"states of the sector; refusing to propagate it")
             if m == len(basis):     # double the rows; copy only those in use
-                grown = np.empty((min(2 * m, REACHABLE_MAX_DIM), dim), complex)
-                grown[:m], basis = basis, grown
+                rows = min(2 * m, REACHABLE_MAX_DIM)
+                grown = np.empty((2, rows, dim), complex)
+                grown[0, :m], grown[1, :m] = basis, conj
+                basis, conj = grown
             basis[m] = w / beta
+            np.conjugate(basis[m], out=conj[m])
             m += 1
         j += 1
-    basis = basis[:m]
+    basis, conj = basis[:m], conj[:m]
     reduced = []
     for image in map(np.array, images):
-        block = basis.conj() @ image.T
+        block = conj @ image.T
         scale = float(np.linalg.norm(image))
         image -= block.T @ basis
         leak = float(np.linalg.norm(image))

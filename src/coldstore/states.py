@@ -15,6 +15,7 @@ construction so that kets stay genuinely sparse.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -271,11 +272,25 @@ def _keys(space: StateSpace, field, sites, cols=None,
     return keys
 
 
+def _in_order(keys: list[np.ndarray]) -> bool:
+    """True when the entries of these :func:`_keys` are in order and none
+    repeats: one packed key holds each label and it strictly increases.
+    Labels that take more than one key always answer False."""
+    return len(keys) == 1 and bool((keys[0][1:] > keys[0][:-1]).all())
+
+
 def _merge(space: StateSpace, n_cols: int, cols, field, sites,
            amps) -> "SparseKet":
     """The ket of these entries: sorted by column and label, with the
-    amplitudes of equal ones summed in the order given."""
+    amplitudes of equal ones summed in the order given.
+
+    Entries that :func:`_in_order` finds in order are kept as given, with
+    no sort and no sum; adding 0.0 turns a -0.0 part into the +0.0 that
+    the sum leaves, so both paths give the same bits.  Everything else
+    goes through ``np.lexsort``."""
     keys = _keys(space, field, sites, cols, n_cols)
+    if _in_order(keys):
+        return SparseKet._of(space, n_cols, cols, field, sites, amps + 0.0)
     order = np.lexsort(keys)
     first = np.zeros(len(order), dtype=bool)
     first[:1] = True
@@ -305,6 +320,15 @@ def _kept(amps: np.ndarray, label_at) -> np.ndarray:
             raise ColdstoreError(f"amplitude {amps[bad[0]]} of label "
                                  f"{label_at(bad[0])} is not finite")
     return moduli > DROP_TOL
+
+
+def _finite(scalar) -> complex:
+    """``scalar`` as a complex; ColdstoreError naming it if a part is NaN
+    or infinite."""
+    scalar = complex(scalar)
+    if not cmath.isfinite(scalar):
+        raise ColdstoreError(f"scalar {scalar} is not finite")
+    return scalar
 
 
 class SparseKet:
@@ -396,13 +420,23 @@ class SparseKet:
     def find(self, labels: "SparseKet") -> np.ndarray:
         """Index of each entry's label among the entries of ``labels``
         (distinct labels in label order, such as a sector), or -1 where it
-        is not there.  Raises SpaceMismatchError unless both share a space."""
+        is not there.  Raises SpaceMismatchError unless both share a space.
+
+        Where one packed key holds a label, each is a binary search
+        (``np.searchsorted``) in the keys of ``labels``; otherwise both
+        kets are lexsorted together."""
         if self.space != labels.space:
             raise SpaceMismatchError(
                 f"incompatible spaces: {self.space} vs {labels.space}")
         n = len(labels)
-        keys = _keys(self.space, np.concatenate([labels.field, self.field]),
-                     np.concatenate([labels.sites, self.sites]))
+        ref = _keys(self.space, labels.field, labels.sites)
+        own = _keys(self.space, self.field, self.sites)
+        if len(ref) == 1:
+            at = np.searchsorted(ref[0], own[0])
+            found = at < n
+            found[found] = ref[0][at[found]] == own[0][found]
+            return np.where(found, at, -1)
+        keys = [np.concatenate(pair) for pair in zip(ref, own)]
         order = np.lexsort(keys)    # stable: a label sorts before its equals
         mine = order >= n
         at = np.empty(len(self), dtype=np.intp)
@@ -459,13 +493,16 @@ class SparseKet:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "SparseKet":
+        # a product past the float range is refused by _kept, by its label
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = _times(self.amps, _finite(scalar))
         return SparseKet._of(self.space, self.n_cols, self.cols, self.field,
-                             self.sites, _times(self.amps, complex(scalar)))
+                             self.sites, amps)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: complex) -> "SparseKet":
-        return self * (1.0 / complex(scalar))
+        return self * (1.0 / _finite(scalar))
 
     def __neg__(self) -> "SparseKet":
         return self * (-1.0)

@@ -125,6 +125,68 @@ CATALOGUE = (
            "return math.sqrt(num / n_atoms ** n)",
            ("tests/test_storage.py::test_prefactor_and_coefficient_closed_"
             "forms",)),
+    Mutant("in-order-repeats-unsummed", "src/coldstore/states.py",
+           "(keys[0][1:] > keys[0][:-1])",
+           "(keys[0][1:] >= keys[0][:-1])",
+           ("tests/test_states.py::test_an_in_order_merge_is_the_lexsort_"
+            "merge_bit_for_bit",)),
+    Mutant("in-order-keeps-negative-zero", "src/coldstore/states.py",
+           "return SparseKet._of(space, n_cols, cols, field, sites, amps "
+           "+ 0.0)",
+           "return SparseKet._of(space, n_cols, cols, field, sites, amps)",
+           ("tests/test_states.py::test_an_in_order_merge_is_the_lexsort_"
+            "merge_bit_for_bit",)),
+    Mutant("find-at-a-neighbour", "src/coldstore/states.py",
+           "            found[found] = ref[0][at[found]] == own[0][found]\n",
+           "",
+           ("tests/test_states.py::test_find_is_the_index_of_each_label_or_"
+            "minus_one",)),
+    Mutant("non-finite-scalar-multiplied", "src/coldstore/states.py",
+           "    if not cmath.isfinite(scalar):\n",
+           "    if False:\n",
+           ("tests/test_states.py::test_a_non_finite_scalar_is_refused_by_"
+            "name_before_any_product",)),
+    Mutant("product-overflow-warns", "src/coldstore/states.py",
+           'with np.errstate(over="ignore", invalid="ignore"):\n'
+           "            amps = _times(",
+           "with np.errstate():\n            amps = _times(",
+           ("tests/test_states.py::test_a_nan_or_infinite_amplitude_is_"
+            "refused_by_name",)),
+    Mutant("closure-conjugates-not-copied", "src/coldstore/propagate.py",
+           "grown[0, :m], grown[1, :m] = basis, conj",
+           "grown[0, :m] = basis",
+           ("tests/test_propagate.py::test_the_closure_rows_stay_orthonormal_"
+            "as_they_double",)),
+    Mutant("sector-rows-never-sorted", "src/coldstore/propagate.py",
+           "    if not _in_order(keys):\n",
+           "    if False:\n",
+           ("tests/test_invariants.py::test_the_sector_is_the_brute_force_"
+            "label_set_in_order",)),
+    Mutant("deviation-against-the-initial-state", "src/coldstore/transfer.py",
+           "ket_to_vector(mapped, basis)",
+           "ket_to_vector(joint0, basis)",
+           ("tests/test_transfer.py::test_the_deviation_runs_on_sector_"
+            "vectors_without_a_sort",)),
+    Mutant("transfer-adjoint-cap-unchecked", "src/coldstore/transfer.py",
+           "    _check_creation(space, basis.field[_level_count(basis, \"c\")"
+           " > 0], 0)\n",
+           "",
+           ("tests/test_transfer.py::test_exact_atoms_keeps_the_errors_of_a_"
+            "binding_cap",)),
+    Mutant("creation-past-the-mode-cap", "src/coldstore/operators.py",
+           "field[:, mode_index] >= space.mode_caps[mode_index]",
+           "field[:, mode_index] > space.mode_caps[mode_index]",
+           ("tests/test_operators.py::test_creation_past_a_mode_cap_is_"
+            "refused_below_the_photon_cap",)),
+    Mutant("continuum-without-i", "src/coldstore/geometry.py",
+           "(cmath.exp(1j * x) - 1.0) / (1j * x)",
+           "(cmath.exp(1j * x) - 1.0) / x",
+           ("tests/test_geometry.py::test_continuum_formula",)),
+    Mutant("ladder-prefactor-without-n-power", "src/coldstore/storage.py",
+           "falling_factorial(n_atoms, n) / n_atoms ** n * num",
+           "falling_factorial(n_atoms, n) * num",
+           ("tests/test_storage.py::test_single_mode_ladder_norm_is_"
+            "analytic",)),
 )
 
 

@@ -297,6 +297,17 @@ def test_sector_and_fock_overflow():
         apply_field(one_photon, 0, dagger=True)
 
 
+def test_creation_past_a_mode_cap_is_refused_below_the_photon_cap():
+    # mode 0 is at its cap of 1 while the total photon cap of 3 has room
+    space = StateSpace(n_atoms=2, n_exc_max=1, modes=(0.0, 0.5),
+                       mode_caps=(1, 2))
+    ket = SparseKet.basis_state(space, space.label(field=(1, 0)))
+    with pytest.raises(FockOverflowError, match="mode 0"):
+        apply_field(ket, 0, dagger=True)
+    assert apply_field(ket, 1, dagger=True).labels() == \
+        [space.label(field=(1, 1))]
+
+
 def test_field_ladder_factors():
     space = StateSpace(n_atoms=2, n_exc_max=1, modes=(0.0,), mode_caps=(3,),
                        photon_cap=3)

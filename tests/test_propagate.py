@@ -154,6 +154,63 @@ def test_sparse_sweep_operators_match_dense_oracle():
     assert_allclose(sparse_psi, dense_psi, rtol=0, atol=1e-12)
 
 
+def _sectors_to_order():
+    """(space, totals) of transfer sectors, whose rows are built in label
+    order, and of sweep and multimode sectors, whose rows are not."""
+    for n_atoms in (*range(1, 9), 16, 24):
+        for quanta in (1, 2, 3):
+            space = transfer_space(n_atoms, quanta, 0.4)
+            yield space, [quanta]
+            yield space, range(quanta + 1)
+    for n_atoms, quanta in ((4, 1), (8, 1), (8, 2), (5, 3)):
+        *_, space, _basis = sweep_sector(n_atoms, quanta)
+        yield space, [quanta]
+    yield StateSpace(5, 3, 1, (0.0, 0.5), (2, 1), 2), [2, 3]
+
+
+def test_enumerate_sector_keeps_the_rows_of_the_lexsort_path_bit_for_bit(
+        monkeypatch):
+    got = [enumerate_sector(space, totals)
+           for space, totals in _sectors_to_order()]
+    monkeypatch.setattr(propagate, "_in_order", lambda keys: False)
+    for ket, (space, totals) in zip(got, _sectors_to_order()):
+        want = enumerate_sector(space, totals)
+        assert ket.n_cols == want.n_cols == len(want)
+        for name in ("cols", "field", "sites", "amps"):
+            a, b = getattr(ket, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (space, name)
+
+
+def test_a_transfer_sector_is_built_in_label_order(monkeypatch):
+    def refuse(keys):
+        raise AssertionError("sorted a sector already in order")
+    monkeypatch.setattr(np, "lexsort", refuse)
+    assert len(enumerate_sector(transfer_space(24, 3), [3])) == 2325
+
+
+def test_a_sparse_matvec_leaves_its_vector_alone():
+    op = SparseOperator([0, 2, 1], [1, 0, 2], [2.0, 1j, -0.5], 3)
+    v = np.array([1.0, 2j, 3.0 - 1j])
+    v.flags.writeable = False
+    assert np.array_equal(op @ v, [4j, -1.5 + 0.5j, 1j])
+    assert np.array_equal(v, [1.0, 2j, 3.0 - 1j])
+    assert np.array_equal(op @ np.array([1, 2, 3]), [4, -1.5, 1j])
+
+
+def test_the_closure_rows_stay_orthonormal_as_they_double():
+    # a random state in the 93-state sector of N = 8 closes on 9 rows, so
+    # the rows and their conjugates double four times, from 1 to 16
+    apply_fn, space, basis = transfer_sector(8, 3)
+    h = sector_operator(apply_fn, space, basis)
+    psi = random_vector(np.random.default_rng(5), len(basis))
+    rows, (reduced,) = propagate._reachable_subspace((h,), psi)
+    assert len(rows) > 8
+    assert_allclose(rows.conj() @ rows.T, np.eye(len(rows)), rtol=0,
+                    atol=1e-13)
+    assert_allclose(reduced, rows.conj() @ np.array([h @ v for v in rows]).T,
+                    rtol=0, atol=1e-13)
+
+
 def test_sparse_operator_with_empty_rows_and_no_entries():
     rng = np.random.default_rng(7)
     rows = np.array([3, 0, 3, 5, 0])

@@ -1,6 +1,9 @@
+import cmath
 import dataclasses
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from coldstore import (
     normalize,
     photon_expectation,
 )
+
+from coldstore.propagate import enumerate_sector
 
 from oracles import DictKet
 
@@ -95,17 +100,43 @@ def test_construction_drops_amplitudes_as_arithmetic_does():
     math.nan, complex(1.0, math.nan), complex(math.nan, 0.0), math.inf,
     -math.inf, complex(0.0, math.inf), complex(math.inf, math.nan)])
 def test_a_nan_or_infinite_amplitude_is_refused_by_name(bad):
-    # construction and arithmetic share one rule, with the label named
+    # construction and arithmetic share one rule, with the label named; a
+    # scalar with a NaN or infinite part is named before any product
     space = atomic_space(3, 1)
     l0, l1 = space.label(), space.label(c_sites=(0,))
     with pytest.raises(ColdstoreError, match=re.escape(f"label {l1} ")):
         SparseKet(space, {l0: 1.0, l1: bad})
     ket = SparseKet(space, {l0: 1e-16, l1: 1.0})
-    with np.errstate(invalid="ignore"):     # numpy's warning for 0 * inf
-        with pytest.raises(ColdstoreError, match=re.escape(f"label {l1} ")):
-            _ = ket * bad
-        with pytest.raises(ColdstoreError, match=re.escape(f"label {l0} ")):
-            _ = (SparseKet(space, {l0: 0.5}) + ket) * bad
+    scalar = re.escape(f"scalar {complex(bad)} ")
+    with pytest.raises(ColdstoreError, match=scalar):
+        _ = ket * bad
+    with pytest.raises(ColdstoreError, match=scalar):
+        _ = (SparseKet(space, {l0: 0.5}) + ket) * bad
+    # a finite product past the float range is refused by its label
+    with pytest.raises(ColdstoreError, match=re.escape(f"label {l0} ")):
+        _ = (SparseKet(space, {l0: 1e308}) + ket) * 10.0
+
+
+def test_a_non_finite_scalar_is_refused_by_name_before_any_product():
+    # 0 * inf in the product would make numpy warn first, and under the
+    # RuntimeWarning filter the caller would get the warning instead
+    space = atomic_space(3, 1)
+    l0, l1 = space.label(), space.label(c_sites=(0,))
+    ket = SparseKet(space, {l0: 1.0, l1: 0.5j})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (math.inf, complex(0.0, -math.inf), math.nan,
+                    complex(2.0, math.nan), np.float64(math.inf)):
+            scalar = re.escape(f"scalar {complex(bad)} is not finite")
+            for product in (lambda: ket * bad, lambda: bad * ket,
+                            lambda: ket / bad):
+                with pytest.raises(ColdstoreError, match=scalar):
+                    product()
+        # a divisor whose reciprocal overflows is refused as that scalar
+        with pytest.raises(ColdstoreError, match=r"scalar \(inf\+0j\)"):
+            _ = ket / 5e-324
+        with pytest.raises(ZeroDivisionError):
+            _ = ket / 0.0
 
 
 def test_space_mismatch_raises():
@@ -351,3 +382,174 @@ def test_norm_is_the_loop_of_squares_bit_for_bit_on_both_paths(amps):
     else:
         assert np.float64(ket.norm()).view(np.uint64) == \
             np.float64(want).view(np.uint64)
+
+
+# -- every operation refuses what it cannot represent ---------------------------
+
+# any float in either part, NaN and both infinities included, and moduli
+# that overflow when summed or scaled
+any_complex = st.complex_numbers(allow_nan=True, allow_infinity=True) \
+    | st.sampled_from([complex(1e308, -1e308), -1.7e308, 1.7e308j,
+                       complex(math.nan, 1.0), complex(-math.inf, 0.0),
+                       complex(0.0, math.inf), 1e-15, 0j])
+
+
+@st.composite
+def split_entries(draw, amps):
+    """A space and two label -> amplitude dicts: with every label of the
+    second after every label of the first, so that their sum arrives in
+    label order, or drawn from one pool."""
+    space = draw(small_spaces())
+    pool = SparseKet(space, dict.fromkeys(draw(st.lists(
+        labels_of(space), min_size=1, max_size=10)), 1.0)).labels()
+    cut = draw(st.integers(0, len(pool)))
+    lower, upper = ((pool[:cut], pool[cut:]) if draw(st.booleans())
+                    else (pool, pool))
+    pick = (lambda part: st.lists(st.sampled_from(part), max_size=6)
+            if part else st.just([]))
+    x = {label: draw(amps) for label in draw(pick(lower))}
+    y = {label: draw(amps) for label in draw(pick(upper))}
+    return space, x, y
+
+
+def _finite_or_refused(make):
+    """make()'s ket, whose amplitudes must be finite, or None where it
+    raises ColdstoreError."""
+    try:
+        ket = make()
+    except ColdstoreError:
+        return None
+    assert np.isfinite(ket.amps).all()
+    return ket
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_entries(any_complex), any_complex, any_complex)
+def test_every_ket_operation_raises_or_returns_finite_amplitudes(
+        case, scalar, divisor):
+    space, x_entries, y_entries = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kets = []
+        for entries in (x_entries, y_entries):
+            ket = _finite_or_refused(lambda: SparseKet(space, entries))
+            assert (ket is None) == (not all(map(cmath.isfinite,
+                                                 entries.values())))
+            kets.append(ket)
+        x, y = kets
+        for ket in (k for k in (x, y) if k is not None):
+            _finite_or_refused(lambda: scalar * ket)
+            _finite_or_refused(lambda: ket * scalar)
+            _finite_or_refused(lambda: -ket)
+            if divisor == 0:
+                with pytest.raises(ZeroDivisionError):
+                    _ = ket / divisor
+            else:
+                _finite_or_refused(lambda: ket / divisor)
+        if x is not None and y is not None:
+            _finite_or_refused(lambda: x + y)
+            _finite_or_refused(lambda: x - y)
+            _finite_or_refused(lambda: y - x)
+
+
+# -- in-order merges and binary-search lookups against the lexsort path --------
+
+# signed zeros in either part, amplitudes at and about DROP_TOL
+signed_amplitudes = amplitudes | st.sampled_from([
+    complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(1.0, -0.0), complex(-0.0, -2.5), complex(1e-15, -0.0),
+    complex(-1e-15, 0.0), complex(0.0, 1e-15), complex(-1e-16, 1e-15)])
+
+
+@st.composite
+def merge_entries(draw):
+    """(space, n_cols, cols, field, sites, amps): entries in column and
+    label order without a repeat, or in any order with repeats."""
+    space = draw(small_spaces())
+    pool = SparseKet(space, dict.fromkeys(draw(st.lists(
+        labels_of(space), min_size=1, max_size=8)), 1.0))
+    n_cols = draw(st.integers(1, 3))
+    pairs = st.tuples(st.integers(0, n_cols - 1),
+                      st.integers(0, len(pool) - 1))
+    entries = draw(st.lists(pairs, max_size=12))
+    if draw(st.booleans()):
+        entries = sorted(set(entries))
+    cols = np.array([col for col, _row in entries], dtype=np.uint8)
+    rows = np.array([row for _col, row in entries], dtype=np.intp)
+    amps = np.array([draw(signed_amplitudes) for _ in entries], complex)
+    return space, n_cols, cols, pool.field[rows], pool.sites[rows], amps
+
+
+def _same_bits(got, want):
+    assert got.n_cols == want.n_cols
+    for name in ("cols", "field", "sites"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_entries())
+def test_an_in_order_merge_is_the_lexsort_merge_bit_for_bit(case):
+    got = states._merge(*case)
+    with mock.patch.object(states, "_in_order", lambda keys: False):
+        want = states._merge(*case)
+    _same_bits(got, want)
+
+
+def test_the_in_order_check_needs_one_strictly_increasing_key():
+    key = np.array([3, 5, 9], dtype=np.int64)
+    assert states._in_order([key])
+    assert states._in_order([key[:0]])
+    assert not states._in_order([np.array([3, 5, 5])])     # a repeat
+    assert not states._in_order([key[::-1]])
+    assert not states._in_order([key, key])                 # two keys
+
+
+@st.composite
+def lookups(draw):
+    """A space, a ket of distinct labels in label order (drawn, or a whole
+    sector of one column per label) and a ket whose labels may be absent
+    from it."""
+    space = draw(small_spaces())
+    if draw(st.booleans()):
+        totals = draw(st.lists(st.integers(0, 6), max_size=3))
+        ref = enumerate_sector(space, totals)
+    else:
+        ref = SparseKet(space, dict.fromkeys(draw(st.lists(
+            labels_of(space), max_size=10)), 1.0))
+    probe = SparseKet(space, dict.fromkeys(draw(st.lists(
+        labels_of(space), max_size=10)) + ref.labels()[:draw(
+            st.integers(0, 5))], 1.0))
+    return ref, probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookups())
+def test_find_is_the_index_of_each_label_or_minus_one(case):
+    ref, probe = case
+    index = {label: i for i, label in enumerate(ref.labels())}
+    at = probe.find(ref)
+    assert at.dtype == np.intp
+    assert at.tolist() == [index.get(label, -1) for label in probe.labels()]
+
+
+def test_find_takes_the_lexsort_path_only_when_a_label_needs_two_keys(
+        monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys: calls.append(len(keys)) or lexsort(keys))
+    for space in (atomic_space(8, 3), atomic_space(200, 10)):
+        labels = [space.label(c_sites=s) for s in
+                  [(), (0,), (3,), (0, 5), (2, 4, 7), (1, 2, 3)]]
+        ref = SparseKet(space, dict.fromkeys(labels[::2], 1.0))
+        probe = SparseKet(space, dict.fromkeys(labels, 1.0))
+        calls.clear()
+        at = probe.find(ref)
+        index = {label: i for i, label in enumerate(ref.labels())}
+        assert at.tolist() == [index.get(label, -1)
+                               for label in probe.labels()]
+        assert len(states._keys(space, ref.field, ref.sites)) == \
+            (1 if space.n_atoms == 8 else 2)
+        assert calls == ([] if space.n_atoms == 8 else [2])

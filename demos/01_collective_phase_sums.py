@@ -8,7 +8,6 @@ and finally runs the full validity-condition report.
 """
 
 from coldstore import (
-    ConditionThresholds,
     Geometry,
     ModeSet,
     check_mode_conditions,
@@ -48,8 +47,7 @@ for dkl in (5.0, 20.0, 40.0, 120.0, 300.0):
 # the wavelength-resolution check on purpose, to show the flag trip
 modes = ModeSet(k_signal=0.2, k_control=0.19, detunings=(0.0, 2.0),
                 transition="raman")
-report = check_mode_conditions(lattice, modes, n_max=3,
-                               thresholds=ConditionThresholds(min_ratio=10.0))
+report = check_mode_conditions(lattice, modes, n_max=3, min_ratio=10.0)
 print(f"\ncondition report (all_ok = {report.all_ok}):")
 print(f"  N / n_max             = {report.excitation_ratio:.1f}")
 print(f"  L / d                 = {report.length_over_spacing:.1f}")

@@ -27,9 +27,9 @@ from coldstore import (
 )
 
 
-def params_at(n_atoms, theta, fock_cap):
+def params_at(n_atoms, theta):
     geom = Geometry.lattice(n_atoms, 0.5)
-    modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=fock_cap)
+    modes = ModeSet(1.0, 0.8, (0.0,), "raman")
     rabi = math.sqrt(n_atoms) / math.tan(theta)
     return EitParams(geom, modes, 1.0, rabi)
 
@@ -38,7 +38,7 @@ theta = math.pi / 4
 print(f"null-eigenvalue residual ||H |D^n>|| at theta = pi/4, n = 2")
 print(f"{'N':>5} {'exact form':>14} {'approx form':>14}")
 for n_atoms in (4, 8, 16, 24):
-    p = params_at(n_atoms, theta, fock_cap=2)
+    p = params_at(n_atoms, theta)
     exact = null_eigenvalue_residual(p, 2, form="exact")
     approx = null_eigenvalue_residual(p, 2, form="approx")
     print(f"{n_atoms:5d} {exact:14.2e} {approx:14.6f}")
@@ -47,7 +47,7 @@ print("(the approximate residual falls off like 1/sqrt(N))")
 # endpoints: at theta = 0 the dark state is the bare photon; at pi/2 it is
 # the stored atomic state with a (-1)^n phase -- the negative copy
 n_atoms, n = 6, 2
-p = params_at(n_atoms, theta, fock_cap=n)
+p = params_at(n_atoms, theta)
 space = joint_space(p, n)
 photonic = with_field_occupation(vacuum(space), (n,))
 stored = storage_direct(StorageSpec(p.geometry, ((p.modes.k_eff(0.0), n),)),
@@ -64,7 +64,7 @@ print("\nphoton content of the one-quantum dark state vs control strength:")
 from coldstore import photon_expectation
 for rabi in (8.0, 4.0, 2.0, 1.0, 0.5):
     geom = Geometry.lattice(8, 0.5)
-    modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=1)
+    modes = ModeSet(1.0, 0.8, (0.0,), "raman")
     p = EitParams(geom, modes, 1.0, rabi)
     d = dark_state(p, 1)
     th = mixing_angle(1.0, 8, rabi)
@@ -73,7 +73,7 @@ for rabi in (8.0, 4.0, 2.0, 1.0, 0.5):
 
 # two detuned modes can share one dark state when the free term is off
 geom = Geometry.lattice(6, 0.5)
-modes = ModeSet(1.0, 0.8, (0.0, 0.3), "raman", fock_cap=2)
+modes = ModeSet(1.0, 0.8, (0.0, 0.3), "raman")
 p = EitParams(geom, modes, 1.0, rabi=1.4)
 shared = multimode_dark_state(p, {0.0: 1, 0.3: 1})
 print(f"\ntwo-mode dark state (one quantum each): residual "

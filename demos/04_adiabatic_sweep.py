@@ -27,7 +27,7 @@ from coldstore import (
 duration_coupling = float(sys.argv[1]) if len(sys.argv) > 1 else 80.0
 
 geom = Geometry.lattice(8, 0.5)
-modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=1)
+modes = ModeSet(1.0, 0.8, (0.0,), "raman")
 params = EitParams(geom, modes, g=1.0, rabi=0.0)
 space = joint_space(params, 1)
 initial = with_field_occupation(vacuum(space), (1,))

@@ -37,7 +37,6 @@ from .states import (
 )
 from .geometry import (
     ConditionReport,
-    ConditionThresholds,
     Geometry,
     ModeSet,
     PhaseSumReport,

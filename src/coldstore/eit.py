@@ -41,7 +41,8 @@ from .propagate import (
     step_grid,
     vector_to_ket,
 )
-from .states import SparseKet, StateSpace, _level_count, normalize
+from .states import (SparseKet, StateSpace, _joint_space, _level_count,
+                     normalize)
 from .storage import falling_factorial, vacuum
 
 DEFAULT_RABI_CAP_FACTOR = 50.0
@@ -84,7 +85,7 @@ class EitParams:
         return mixing_angle(self.g, self.n_atoms, self.rabi)
 
 
-def joint_space(params: EitParams, n_quanta: int | None = None,
+def joint_space(params: EitParams, n_quanta: int,
                 a_max: int | None = None) -> StateSpace:
     """Field-plus-atoms space sized to hold ``n_quanta`` total quanta.
 
@@ -93,26 +94,8 @@ def joint_space(params: EitParams, n_quanta: int | None = None,
     defaults to the full quanta budget: a photon can convert to an
     a-excitation, and with several quanta more than one can).
     """
-    if n_quanta is None:
-        n_quanta = params.modes.fock_cap
     return _joint_space(params.n_atoms, params.modes.detunings, n_quanta,
                         a_max)
-
-
-def _joint_space(n_atoms: int, detunings, n_quanta: int,
-                 a_max: int | None = None) -> StateSpace:
-    """:func:`joint_space` from the counts alone, with no geometry built."""
-    if n_quanta < 0:
-        raise ValueError("n_quanta must be nonnegative")
-    n_exc = min(n_quanta, n_atoms)
-    return StateSpace(
-        n_atoms=n_atoms,
-        n_exc_max=n_exc,
-        a_max=n_exc if a_max is None else a_max,
-        modes=tuple(detunings),
-        mode_caps=(n_quanta,) * len(detunings),
-        photon_cap=n_quanta,
-    )
 
 
 def _check_space(params: EitParams, space: StateSpace) -> None:

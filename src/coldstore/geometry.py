@@ -157,15 +157,12 @@ class ModeSet:
     k_control: float
     detunings: tuple[float, ...] = (0.0,)
     transition: str = "raman"
-    fock_cap: int = 3
 
     def __post_init__(self):
         if self.transition not in ("raman", "cascade"):
             raise ValueError(f"unknown transition scheme {self.transition!r}")
         if len(set(self.detunings)) != len(self.detunings):
             raise ValueError("detunings must be distinct")
-        if self.fock_cap < 0:
-            raise ValueError("fock_cap must be nonnegative")
 
     def k_eff(self, q: float) -> float:
         """Atomic storage wavevector for signal detuning q."""
@@ -179,13 +176,6 @@ class ModeSet:
     def omega(self, q: float) -> float:
         """Free-evolution frequency of mode q (units with c = 1)."""
         return q
-
-
-@dataclass(frozen=True)
-class ConditionThresholds:
-    """Pass thresholds for the collective-boson validity ratios."""
-
-    min_ratio: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -217,16 +207,12 @@ class ConditionReport:
     """
 
     n_atoms: int
-    n_max: int
     excitation_ratio: float
     excitation_ok: bool
     length_over_spacing: float
     length_ok: bool
     mode_records: tuple[ModeConditionRecord, ...]
     pair_records: tuple[PairConditionRecord, ...]
-    geometry_kind: str
-    geometry_seed: int | None
-    thresholds: ConditionThresholds
 
     @property
     def all_ok(self) -> bool:
@@ -236,10 +222,8 @@ class ConditionReport:
 
 
 def check_mode_conditions(geometry: Geometry, modes: ModeSet, n_max: int,
-                          thresholds: ConditionThresholds | None = None,
-                          ) -> ConditionReport:
-    """Quantify every validity condition; nothing is assumed silently."""
-    th = thresholds or ConditionThresholds()
+                          min_ratio: float = 10.0) -> ConditionReport:
+    """Quantify every validity ratio; each passes at ``min_ratio`` or above."""
     n = geometry.n_atoms
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -251,7 +235,7 @@ def check_mode_conditions(geometry: Geometry, modes: ModeSet, n_max: int,
         ratio = lam / geometry.spacing
         mode_records.append(ModeConditionRecord(
             q=q, wavelength=lam, wavelength_over_spacing=ratio,
-            ok=ratio >= th.min_ratio))
+            ok=ratio >= min_ratio))
     pair_records = []
     ds = modes.detunings
     for i in range(len(ds)):
@@ -261,17 +245,13 @@ def check_mode_conditions(geometry: Geometry, modes: ModeSet, n_max: int,
             residual = abs(phase_sum(geometry, dk)) / n
             pair_records.append(PairConditionRecord(
                 q_low=ds[i], q_high=ds[j], dk=dk, dk_times_length=dkl,
-                residual=residual, ok=dkl >= th.min_ratio))
+                residual=residual, ok=dkl >= min_ratio))
     return ConditionReport(
         n_atoms=n,
-        n_max=n_max,
         excitation_ratio=excitation_ratio,
-        excitation_ok=excitation_ratio >= th.min_ratio,
+        excitation_ok=excitation_ratio >= min_ratio,
         length_over_spacing=geometry.length / geometry.spacing,
-        length_ok=geometry.length / geometry.spacing >= th.min_ratio,
+        length_ok=geometry.length / geometry.spacing >= min_ratio,
         mode_records=tuple(mode_records),
         pair_records=tuple(pair_records),
-        geometry_kind=geometry.kind,
-        geometry_seed=geometry.seed,
-        thresholds=th,
     )

@@ -33,6 +33,8 @@ from .errors import (
 )
 
 DROP_TOL = 1e-15
+# How far the norm of a state that must have unit norm may stray from 1.
+_NORM_TOL = 1e-8
 # Entries from which SparseKet.norm works on arrays, not in a Python loop:
 # the array form costs about 8 us plus 40 ns an entry against 0.13-0.19 us
 # an entry for the loop (2-core VM, Python 3.11, numpy 2.4), so it wins from
@@ -210,6 +212,21 @@ def atomic_space(n_atoms: int, n_exc_max: int, a_max: int = 0) -> StateSpace:
     return StateSpace(n_atoms=n_atoms, n_exc_max=n_exc_max, a_max=a_max)
 
 
+def _joint_space(n_atoms: int, modes, n_quanta: int,
+                 a_max: int | None = None) -> StateSpace:
+    """Field ``modes`` plus atoms, each mode, the atoms and (unless ``a_max``
+    caps it) the excited level sized to hold all ``n_quanta`` quanta."""
+    if n_quanta < 0:
+        raise ValueError("n_quanta must be nonnegative")
+    n_exc = min(n_quanta, n_atoms)
+    return StateSpace(
+        n_atoms=n_atoms,
+        n_exc_max=n_exc,
+        a_max=n_exc if a_max is None else a_max,
+        modes=tuple(modes),
+        mode_caps=(n_quanta,) * len(modes),
+        photon_cap=n_quanta,
+    )
 
 
 # -- the integer code of a ket --------------------------------------------------
@@ -554,7 +571,7 @@ def normalize(x: SparseKet) -> tuple[SparseKet, float]:
     return x * (1.0 / n), n
 
 
-def fidelity(x: SparseKet, y: SparseKet, norm_tol: float = 1e-8) -> float:
+def fidelity(x: SparseKet, y: SparseKet) -> float:
     """|<x|y>|^2 for two *normalized* kets.
 
     Unnormalized input is an error, never silently renormalized: callers
@@ -562,7 +579,7 @@ def fidelity(x: SparseKet, y: SparseKet, norm_tol: float = 1e-8) -> float:
     """
     for name, ket in (("x", x), ("y", y)):
         n = ket.norm()
-        if not abs(n - 1.0) <= norm_tol:
+        if not abs(n - 1.0) <= _NORM_TOL:
             raise NotNormalizedError(
                 f"fidelity requires unit norm, but ||{name}|| = {n!r}")
     return abs(inner_product(x, y)) ** 2

@@ -45,8 +45,8 @@ from .propagate import (
     step_grid,
     vector_to_ket,
 )
-from .states import (DROP_TOL, SparseKet, StateSpace, _level_count, _merge,
-                     _times)
+from .states import (DROP_TOL, _NORM_TOL, SparseKet, StateSpace,
+                     _joint_space, _level_count, _merge, _times)
 from .storage import StorageSpec, storage_direct, vacuum
 
 
@@ -59,12 +59,12 @@ class BosonicState:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, norm_tol: float = 1e-8):
+    def __init__(self, amplitudes):
         arr = np.array(amplitudes, dtype=complex)
         if arr.ndim != 2:
             raise ValueError("amplitudes must be a 2-D grid")
         nrm = float(np.linalg.norm(arr))
-        if not abs(nrm - 1.0) <= norm_tol:
+        if not abs(nrm - 1.0) <= _NORM_TOL:
             raise NotNormalizedError(
                 f"bosonic state must be unit norm, got {nrm!r}")
         self.amplitudes = arr
@@ -272,11 +272,10 @@ def expected_swap_state(field_amps, atom_amps, omega_t: float) -> BosonicState:
                                      excitation_cap=total)
 
 
-def swap_check(field_amps, atom_amps,
-               omega_ts: Sequence[float] = (_QUARTER, 2 * _QUARTER,
-                                            3 * _QUARTER, 4 * _QUARTER),
-               ) -> SwapReport:
-    """Evolve a product state and compare against the checkpoint predictions."""
+def swap_check(field_amps, atom_amps) -> SwapReport:
+    """Evolve a product state through the four quarter periods and compare
+    against the checkpoint predictions."""
+    omega_ts = [n * _QUARTER for n in range(1, 5)]
     grids = rotation_grids(BosonicState.from_product(field_amps, atom_amps),
                            omega_ts)
     return SwapReport(tuple(SwapCheckpoint(
@@ -291,14 +290,7 @@ def swap_check(field_amps, atom_amps,
 
 def transfer_space(n_atoms: int, total_quanta: int, k: float = 0.0) -> StateSpace:
     """One field mode plus storage-level atoms, sized for ``total_quanta``."""
-    return StateSpace(
-        n_atoms=n_atoms,
-        n_exc_max=min(total_quanta, n_atoms),
-        a_max=0,
-        modes=(k,),
-        mode_caps=(total_quanta,),
-        photon_cap=total_quanta,
-    )
+    return _joint_space(n_atoms, (k,), total_quanta, a_max=0)
 
 
 def bosonic_to_joint(state: BosonicState, geometry: Geometry, k: float = 0.0,
@@ -354,8 +346,7 @@ _NORM_DRIFT_TOL = 1e-8
 
 
 def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
-                       geometry: Geometry, k: float = 0.0,
-                       norm_drift_tol: float = _NORM_DRIFT_TOL) -> SparseKet:
+                       geometry: Geometry, k: float = 0.0) -> SparseKet:
     """Integrate the finite-N transfer Hamiltonian Omega(a sigma^dag + h.c.).
 
     The non-ideal reference against :func:`evolve_analytic`: collective
@@ -372,16 +363,15 @@ def evolve_exact_atoms(initial: SparseKet, rabi: float, t: float,
     call raises ``FockOverflowError`` as ``apply_field`` does, after T's
     own ``SectorOverflowError`` if the atoms' cap binds as well.
     """
-    basis, psi = _exact_on_sector(initial, rabi, t, geometry, k,
-                                  norm_drift_tol)
+    basis, psi = _exact_on_sector(initial, rabi, t, geometry, k)
     if t == 0.0 or not len(basis):
         return initial
     return vector_to_ket(initial.space, basis, psi)
 
 
 def _exact_on_sector(initial: SparseKet, rabi: float, t: float,
-                     geometry: Geometry, k: float,
-                     norm_drift_tol: float) -> tuple[SparseKet, np.ndarray]:
+                     geometry: Geometry, k: float
+                     ) -> tuple[SparseKet, np.ndarray]:
     """(basis, psi): the sector of ``initial``'s total quantum numbers and
     the amplitudes over it of :func:`evolve_exact_atoms`, which says what
     raises.  At ``t = 0``, and for the zero ket, whose sector is empty,
@@ -399,7 +389,7 @@ def _exact_on_sector(initial: SparseKet, rabi: float, t: float,
     dt, n_steps = step_grid(t, dt_max)
     psi = rk4_propagate(h, psi, dt, n_steps)
     drift = abs(float(np.linalg.norm(psi)) - initial.norm())
-    if not drift <= norm_drift_tol:     # NaN fails this too
+    if not drift <= _NORM_DRIFT_TOL:    # NaN fails this too
         raise IntegrationError(
             f"norm drifted by {drift:.3g} over {n_steps} steps of {dt:.3g}")
     return basis, psi
@@ -415,8 +405,7 @@ def exact_vs_analytic_deviation(state: BosonicState, geometry: Geometry,
     below ``DROP_TOL`` are left out before the mapping: the mapped ket
     would drop their whole blocks."""
     joint0 = bosonic_to_joint(state, geometry, k)
-    basis, exact = _exact_on_sector(joint0, rabi, t, geometry, k,
-                                    _NORM_DRIFT_TOL)
+    basis, exact = _exact_on_sector(joint0, rabi, t, geometry, k)
     ideal = rotation_grids(state, [rabi * t])[0]
     # no amplitude of a unit storage state exceeds 1, so the block of an
     # entry at or below DROP_TOL (the rounding a quarter period leaves) is

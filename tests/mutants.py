@@ -88,8 +88,8 @@ CATALOGUE = (
            ("tests/test_propagate.py::test_a_non_finite_callable_control_"
             "stops_before_the_samples_past_it",)),
     Mutant("fidelity-passes-nan", "src/coldstore/states.py",
-           "        if not abs(n - 1.0) <= norm_tol:",
-           "        if abs(n - 1.0) > norm_tol:",
+           "        if not abs(n - 1.0) <= _NORM_TOL:",
+           "        if abs(n - 1.0) > _NORM_TOL:",
            ("tests/test_eit.py::test_non_finite_inputs_are_refused",)),
     Mutant("dark-weight-sum-of-squares", "src/coldstore/eit.py",
            "np.sum(np.abs(along) ** 2 / lam[keep])",
@@ -187,6 +187,21 @@ CATALOGUE = (
            "falling_factorial(n_atoms, n) * num",
            ("tests/test_storage.py::test_single_mode_ladder_norm_is_"
             "analytic",)),
+    Mutant("transfer-space-excited-level-open", "src/coldstore/transfer.py",
+           "_joint_space(n_atoms, (k,), total_quanta, a_max=0)",
+           "_joint_space(n_atoms, (k,), total_quanta)",
+           ("tests/test_transfer.py::test_quanta_sized_spaces_have_the_"
+            "written_out_fields",)),
+    Mutant("repeated-detunings-accepted", "src/coldstore/harness.py",
+           '    if valid("detunings") and len(set(ds)) < len(ds):\n',
+           "    if False:\n",
+           ("tests/test_harness.py::test_repeated_detunings_are_refused_by_"
+            "name",)),
+    Mutant("distant-bound-divides-by-zero", "src/coldstore/harness.py",
+           "2.0 / (n * sin) if sin else math.inf",
+           "2.0 / (n * sin)",
+           ("tests/test_harness.py::test_a_base_kd_past_the_float_resolution_"
+            "fails_without_an_error",)),
 )
 
 

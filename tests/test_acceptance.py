@@ -173,9 +173,9 @@ def test_05_route_equivalence_and_audit(acceptance):
     assert audit_ok, f"worst audit deviation {worst_audit:.3e}"
 
 
-def eit_params(n_atoms, theta, fock_cap):
+def eit_params(n_atoms, theta):
     geom = Geometry.lattice(n_atoms, 0.5)
-    modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=fock_cap)
+    modes = ModeSet(1.0, 0.8, (0.0,), "raman")
     rabi = math.sqrt(n_atoms) / math.tan(theta) if theta > 0 else 0.0
     return EitParams(geom, modes, 1.0, rabi)
 
@@ -191,12 +191,12 @@ def test_06_dark_state_null_eigenvalue(acceptance):
     for n_atoms in (4, 8):
         for n in (1, 2):
             for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
-                params = eit_params(n_atoms, theta, fock_cap=n)
+                params = eit_params(n_atoms, theta)
                 worst = max(worst, null_residual(params, n, "exact"))
     exact_ok = worst <= 1e-10
     approx = {}
     for n_atoms in (8, 16):
-        params = eit_params(n_atoms, math.pi / 4, fock_cap=2)
+        params = eit_params(n_atoms, math.pi / 4)
         approx[n_atoms] = null_residual(params, 2, "approx")
     approx_ok = approx[16] < approx[8]
     ok = exact_ok and approx_ok
@@ -210,7 +210,7 @@ def test_07_endpoint_mapping(acceptance):
     n_atoms = 6
     worst = 0.0
     for n in (1, 2, 3):
-        params = eit_params(n_atoms, math.pi / 4, fock_cap=n)
+        params = eit_params(n_atoms, math.pi / 4)
         space = joint_space(params, n)
         # theta = 0: the pure photonic state |n>|C^0>
         photonic = with_field_occupation(vacuum(space), (n,))
@@ -232,7 +232,7 @@ def test_07_endpoint_mapping(acceptance):
 
 def run_sweep(duration_coupling):
     geom = Geometry.lattice(8, 0.5)
-    modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=1)
+    modes = ModeSet(1.0, 0.8, (0.0,), "raman")
     params = EitParams(geom, modes, 1.0, rabi=0.0)
     space = joint_space(params, 1)
     initial = with_field_occupation(vacuum(space), (1,))

@@ -49,15 +49,14 @@ from coldstore.propagate import (
 from oracles import dense_rho
 
 
-def make_params(n_atoms, fock_cap=2, q=0.0, rabi=1.0, g=1.0,
-                include_free_term=False):
+def make_params(n_atoms, q=0.0, rabi=1.0, g=1.0, include_free_term=False):
     geom = Geometry.lattice(n_atoms, 0.5)
-    modes = ModeSet(1.0, 0.8, (q,), "raman", fock_cap=fock_cap)
+    modes = ModeSet(1.0, 0.8, (q,), "raman")
     return EitParams(geom, modes, g, rabi, include_free_term=include_free_term)
 
 
 def test_hamiltonian_is_hermitian_on_sector_basis():
-    params = make_params(4, fock_cap=2, rabi=0.7, include_free_term=True)
+    params = make_params(4, rabi=0.7, include_free_term=True)
     space = joint_space(params, 2)
     basis = enumerate_sector(space, [1, 2])
     h = operator_matrix(lambda ket: apply_hamiltonian(ket, params),
@@ -74,7 +73,7 @@ def test_hamiltonian_matches_dense_oracle():
     n, z = 3, geom.positions
     low = np.diag(np.sqrt([1.0, 2.0]), 1)        # <m-1| a |m> = sqrt(m)
     for qs in [(0.3,), (0.0, 0.3)]:
-        params = EitParams(geom, ModeSet(k_s, k_c, qs, "raman", fock_cap=2),
+        params = EitParams(geom, ModeSet(k_s, k_c, qs, "raman"),
                            g, rabi, include_free_term=True)
         space = joint_space(params, 2)
         assert (space.mode_caps, space.a_max) == ((2,) * len(qs), 2)
@@ -106,8 +105,7 @@ def test_hamiltonian_matches_dense_oracle():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, math.pi / 3])
 def test_exact_dark_state_nulls_the_coupling(n_atoms, n, theta):
-    params = make_params(n_atoms, fock_cap=n,
-                         rabi=math.sqrt(n_atoms) / math.tan(theta))
+    params = make_params(n_atoms, rabi=math.sqrt(n_atoms) / math.tan(theta))
     assert params.theta == pytest.approx(theta)
     residual = null_eigenvalue_residual(params, n, form="exact")
     assert residual <= 1e-10
@@ -116,7 +114,7 @@ def test_exact_dark_state_nulls_the_coupling(n_atoms, n, theta):
 def test_exact_form_raw_norm_at_small_n():
     # two quanta on four atoms at theta = pi/4: the raw polariton-ladder
     # product (psi-dagger)^2 / sqrt(2!) on the vacuum has norm sqrt(15)/4
-    params = make_params(4, fock_cap=2, rabi=2.0)  # tan(theta)=sqrt(4)/2=1
+    params = make_params(4, rabi=2.0)  # tan(theta)=sqrt(4)/2=1
     assert params.theta == pytest.approx(math.pi / 4)
     raw = dark_state(params, 2, form="exact", normalized=False)
     assert raw.norm() == pytest.approx(math.sqrt(15.0) / 4.0, abs=1e-13)
@@ -124,7 +122,7 @@ def test_exact_form_raw_norm_at_small_n():
 
 def test_approx_form_is_exactly_normalized():
     for n_atoms, n in [(4, 2), (8, 3)]:
-        params = make_params(n_atoms, fock_cap=n, rabi=1.3)
+        params = make_params(n_atoms, rabi=1.3)
         raw = dark_state(params, n, form="approx", normalized=False)
         assert raw.norm() == pytest.approx(1.0, abs=1e-13)
 
@@ -132,8 +130,7 @@ def test_approx_form_is_exactly_normalized():
 def test_approx_residual_shrinks_with_atom_number():
     residuals = {}
     for n_atoms in (8, 16):
-        params = make_params(n_atoms, fock_cap=2,
-                             rabi=math.sqrt(n_atoms))  # theta = pi/4
+        params = make_params(n_atoms, rabi=math.sqrt(n_atoms))  # theta = pi/4
         residuals[n_atoms] = null_eigenvalue_residual(params, 2, form="approx")
     assert residuals[16] < residuals[8]
     assert residuals[8] < 0.2
@@ -155,7 +152,7 @@ def test_excited_level_raising_identities():
     # N rho_ac(k_control) |C^n> = sqrt(n) |A, C^{n-1}>
     # N rho_ab(k_signal+q) |C^n> = sqrt(N-n) |A, C^n>
     n_atoms, n = 6, 2
-    params = make_params(n_atoms, fock_cap=n + 1)
+    params = make_params(n_atoms)
     geom, modes = params.geometry, params.modes
     space = joint_space(params, n + 1)
     cn = storage_direct(StorageSpec(geom, ((modes.k_eff(0.0), n),)),
@@ -169,7 +166,7 @@ def test_excited_level_raising_identities():
 
 
 def test_polariton_theta_overrides():
-    params = make_params(5, fock_cap=2, rabi=1.0)
+    params = make_params(5, rabi=1.0)
     space = joint_space(params, 2)
     ket = with_field_occupation(vacuum(space), (1,))
     # theta = 0: pure photon annihilation
@@ -200,7 +197,7 @@ def polariton_ladder(params, occupancies, space, theta, normalized=True):
 def test_polariton_dagger_builds_the_dark_state(detunings, occupancies,
                                                 theta):
     params = EitParams(Geometry.uniform_random(5, 2.5, seed=9),
-                       ModeSet(1.0, 0.8, detunings, "raman", fock_cap=3),
+                       ModeSet(1.0, 0.8, detunings, "raman"),
                        1.0, rabi=2.0)
     space = joint_space(params, 3)
     built = polariton_ladder(params, occupancies, space, theta,
@@ -215,7 +212,7 @@ def test_polariton_dagger_builds_the_dark_state(detunings, occupancies,
 def test_approx_form_is_the_direct_route_binomial(n, theta):
     # sum_m (-1)^m sqrt(C(n, m)) cos^{n-m} sin^m |n-m> (x) the directly
     # enumerated storage state of m excitations
-    params = make_params(5, fock_cap=n, rabi=1.3)
+    params = make_params(5, rabi=1.3)
     space = joint_space(params, n)
     k_eff = params.modes.k_eff(0.0)
     expected = SparseKet.zero(space)
@@ -231,7 +228,7 @@ def test_approx_form_is_the_direct_route_binomial(n, theta):
 
 
 def test_approx_form_refuses_more_quanta_than_atoms():
-    params = make_params(2, fock_cap=3)
+    params = make_params(2)
     with pytest.raises(ValueError, match="exceeds N"):
         dark_state(params, 3, form="approx")
     for theta in (0.0, 0.4):
@@ -241,7 +238,7 @@ def test_approx_form_refuses_more_quanta_than_atoms():
 
 def test_multimode_dark_state_nulls_the_coupling():
     geom = Geometry.lattice(6, 0.5)
-    modes = ModeSet(1.0, 0.8, (0.0, 0.3), "raman", fock_cap=2)
+    modes = ModeSet(1.0, 0.8, (0.0, 0.3), "raman")
     params = EitParams(geom, modes, 1.0, rabi=1.4)
     state = multimode_dark_state(params, {0.0: 1, 0.3: 1})
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
@@ -383,7 +380,7 @@ def test_in_place_schedule_is_bit_identical(shape):
 
 
 def test_dense_sweep_matches_the_sweep_on_the_stage_loop(monkeypatch):
-    params = make_params(8, fock_cap=1, rabi=0.0)
+    params = make_params(8, rabi=0.0)
     space = joint_space(params, 1)
     initial = with_field_occupation(vacuum(space), (1,))
     cc = params.collective_coupling
@@ -411,7 +408,7 @@ def test_dense_sweep_matches_the_sweep_on_the_stage_loop(monkeypatch):
 
 
 def _one_photon(n_atoms):
-    params = make_params(n_atoms, fock_cap=1, rabi=0.0)
+    params = make_params(n_atoms, rabi=0.0)
     return params, with_field_occupation(vacuum(joint_space(params, 1)), (1,))
 
 
@@ -532,7 +529,7 @@ def test_sweep_memory_is_flat_in_the_step_count():
 
 
 def test_short_sweep_stores_the_photon(tmp_path):
-    params = make_params(8, fock_cap=1, rabi=0.0)
+    params = make_params(8, rabi=0.0)
     space = joint_space(params, 1)
     initial = with_field_occupation(vacuum(space), (1,))
     cc = params.collective_coupling
@@ -556,7 +553,7 @@ def test_short_sweep_stores_the_photon(tmp_path):
 
 
 def test_sweep_refuses_a_non_unit_initial_state():
-    params = make_params(4, fock_cap=1, rabi=0.0)
+    params = make_params(4, rabi=0.0)
     space = joint_space(params, 1)
     initial = 2.0 * with_field_occupation(vacuum(space), (1,))
     ramp = RampSchedule(0.0, math.pi / 2, duration=1.0)
@@ -595,7 +592,7 @@ def test_non_finite_inputs_are_refused(build, error):
 
 
 def test_sweep_rejects_bad_inputs():
-    params = make_params(4, fock_cap=1, rabi=0.0)
+    params = make_params(4, rabi=0.0)
     space = joint_space(params, 1)
     initial = with_field_occupation(vacuum(space), (1,))
     ramp = RampSchedule(0.0, math.pi / 2, duration=1.0)
@@ -608,7 +605,7 @@ def test_sweep_rejects_bad_inputs():
 
 
 def test_sweep_names_a_nan_rabi_max_and_takes_an_infinite_one():
-    params = make_params(4, fock_cap=1, rabi=0.0)
+    params = make_params(4, rabi=0.0)
     initial = with_field_occupation(vacuum(joint_space(params, 1)), (1,))
     ramp = RampSchedule(0.0, math.pi / 2, duration=1.0)
     with pytest.raises(ValueError, match="rabi_max"):
@@ -621,7 +618,7 @@ def test_sweep_names_a_nan_rabi_max_and_takes_an_infinite_one():
 
 
 def test_sweep_refuses_an_infinite_rabi_max_on_a_ramp_to_theta_zero():
-    params = make_params(4, fock_cap=1, rabi=0.0)
+    params = make_params(4, rabi=0.0)
     initial = with_field_occupation(vacuum(joint_space(params, 1)), (1,))
     # theta = 0 needs an unbounded control, so no step size resolves it
     for ramp in (RampSchedule(0.0, math.pi / 2, duration=1.0),
@@ -643,7 +640,7 @@ def test_dark_manifold_weight_matches_the_dark_state_oracle(geometry, totals):
         geom = Geometry.lattice(5, 0.5)
     else:
         geom = Geometry.uniform_random(5, 2.5, seed=3)
-    modes = ModeSet(1.0, 0.8, (0.0,), "raman", fock_cap=max(totals))
+    modes = ModeSet(1.0, 0.8, (0.0,), "raman")
     params = EitParams(geom, modes, 1.0, rabi=1.0)
     space = joint_space(params, max(totals))
     basis = enumerate_sector(space, totals)
@@ -672,7 +669,7 @@ def test_dark_manifold_weight_matches_the_dark_state_oracle(geometry, totals):
 ], ids=["overlap-0.3", "overlap-pi/2", "degenerate-0.3", "degenerate-pi/2"])
 def test_dark_manifold_weight_is_a_projection_when_patterns_overlap(
         detunings, theta):
-    modes = ModeSet(1.0, 0.4, detunings, "raman", fock_cap=1)
+    modes = ModeSet(1.0, 0.4, detunings, "raman")
     params = EitParams(Geometry.lattice(8, 1.0), modes, 0.8, rabi=1.0)
     space = joint_space(params, 1)
     basis = enumerate_sector(space, [1])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from coldstore import (
-    ConditionThresholds,
     Geometry,
     ModeSet,
     check_mode_conditions,
@@ -125,8 +124,6 @@ def test_mode_set_validation():
         ModeSet(1.0, 1.0, transition="dipole")
     with pytest.raises(ValueError):
         ModeSet(1.0, 1.0, detunings=(0.1, 0.1))
-    with pytest.raises(ValueError):
-        ModeSet(1.0, 1.0, fock_cap=-1)
 
 
 def test_condition_report_passes_for_large_dilute_sample():
@@ -160,9 +157,7 @@ def test_condition_report_flags_failures():
 def test_condition_thresholds_are_adjustable():
     geom = Geometry.lattice(30)
     modes = ModeSet(k_signal=0.5, k_control=0.45)
-    strict = check_mode_conditions(geom, modes, n_max=3,
-                                   thresholds=ConditionThresholds(min_ratio=100.0))
-    lax = check_mode_conditions(geom, modes, n_max=3,
-                                thresholds=ConditionThresholds(min_ratio=1.0))
+    strict = check_mode_conditions(geom, modes, n_max=3, min_ratio=100.0)
+    lax = check_mode_conditions(geom, modes, n_max=3, min_ratio=1.0)
     assert not strict.all_ok
     assert lax.all_ok

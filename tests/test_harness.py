@@ -147,6 +147,31 @@ def test_both_sweeps_of_a_config_are_held_to_the_step_cap():
                 == steps <= harness.SWEEP_MAX_STEPS
 
 
+def test_repeated_detunings_are_refused_by_name():
+    # a mode set tracks each detuning once; 0.0 and -0.0 are one detuning
+    for detunings in ([0.0, 0.0], [0.0, 1.0e5, -0.0]):
+        with pytest.raises(ConfigError, match=r"detunings: must be distinct"):
+            run("mode-conditions", {"detunings": detunings})
+    with pytest.raises(ConfigError, match=r"point 0 .*detunings: must be"):
+        scan({"scenario": "mode-conditions",
+              "grid": {"detunings": [[1.0, 1.0]]}})
+    report = run("mode-conditions", {"detunings": [0.0, 1.0e5, 2.0e5]})
+    assert report.all_passed
+
+
+@pytest.mark.parametrize("base_kd", [1e16, 1e17, 1e300])
+def test_a_base_kd_past_the_float_resolution_fails_without_an_error(base_kd):
+    # next to base_k, k' = base_k + |dk|L / L rounds, at 1e16 and above to
+    # base_k itself for some grid points: a dk of 0 fails its bound (the
+    # phase sum is N), but no unit may raise or warn
+    report = run("commutator-scan", {"base_kd": base_kd})
+    assert [c.detail for c in report.checks if c.comparison == "error"] == []
+    distant = [c for c in report.checks
+               if c.name.startswith("distant-mode commutator")]
+    assert len(distant) == 9
+    assert any(not c.passed and c.detail.endswith("=inf") for c in distant)
+
+
 @pytest.mark.parametrize("scenario, config", [
     ("dark-residual", {"g": 1e100, "n_atoms_list": [4], "n_list": [2]}),
     ("dynamic-transfer", {"rabi": 1e100, "n_atoms_list": [4, 8]}),
@@ -316,9 +341,9 @@ def test_a_unit_that_raises_is_one_error_record_and_the_rest_run(
     # process pool's workers are forked and inherit the patch
     dark_params = harness._dark_params
 
-    def failing(cfg, n_atoms, theta, fock_cap):
+    def failing(cfg, n_atoms, theta):
         return 1.0 / 0.0 if theta == 0.25 else dark_params(
-            cfg, n_atoms, theta, fock_cap)
+            cfg, n_atoms, theta)
 
     monkeypatch.setattr(harness, "_dark_params", failing)
     cfg = {"thetas": [0.25, 0.5], "n_atoms_list": [4], "n_list": [1]}

@@ -94,14 +94,14 @@ def transfer_hamiltonian(geom, k, n_quanta):
             space, enumerate_sector(space, [n_quanta]))
 
 
-def sweep_params(geom, k_signal, k_control, n_quanta):
-    return EitParams(geom, ModeSet(k_signal, k_control, (0.0,), "raman",
-                                   fock_cap=n_quanta), 1.0, rabi=0.0)
+def sweep_params(geom, k_signal, k_control):
+    return EitParams(geom, ModeSet(k_signal, k_control, (0.0,), "raman"),
+                     1.0, rabi=0.0)
 
 
 def sweep_hamiltonians(geom, k_signal, k_control, n_quanta):
     """The static and the control part the sweep splits H into."""
-    params = sweep_params(geom, k_signal, k_control, n_quanta)
+    params = sweep_params(geom, k_signal, k_control)
     space = joint_space(params, n_quanta)
     return ([lambda ket: apply_hamiltonian(ket, params, rabi=0.0),
              lambda ket: apply_control_coupling(ket, params)],
@@ -298,7 +298,7 @@ def test_collective_operators_beyond_64_atoms(n_exc_max):
 def test_an_exact_dark_state_lies_in_the_dark_manifold(geom, k_signal,
                                                        k_control, n_quanta,
                                                        theta):
-    params = sweep_params(geom, k_signal, k_control, n_quanta)
+    params = sweep_params(geom, k_signal, k_control)
     space = joint_space(params, n_quanta)
     basis = enumerate_sector(space, [n_quanta])
     dark = vacuum(space)
@@ -324,7 +324,7 @@ def test_a_sweep_keeps_the_weight_of_each_total(geom, k_signal, k_control,
                                                 n_quanta, seed,
                                                 duration_coupling):
     # photons in a random superposition of 1 to n_quanta
-    params = sweep_params(geom, k_signal, k_control, n_quanta)
+    params = sweep_params(geom, k_signal, k_control)
     space = joint_space(params, n_quanta)
     amps = np.random.default_rng(seed).normal(size=(n_quanta, 2)) @ [1, 1j]
     initial = SparseKet.zero(space)

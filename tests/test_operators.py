@@ -277,14 +277,14 @@ def test_sector_and_fock_overflow():
         apply_rho_ab(SparseKet.basis_state(a_room, a_room.label(c_sites=(1,))),
                      geom, 0.0)
     # the Hamiltonian's photon absorption (b -> a) and control (c -> a)
-    params = EitParams(geom, ModeSet(1.0, 0.8, (0.0,), fock_cap=1), 1.0, 0.5)
+    params = EitParams(geom, ModeSet(1.0, 0.8, (0.0,)), 1.0, 0.5)
     no_a = joint_space(params, 1, a_max=0)
     for label in (no_a.label(field=(1,)), no_a.label(c_sites=(0,))):
         with pytest.raises(SectorOverflowError):
             apply_hamiltonian(SparseKet.basis_state(no_a, label), params)
     # and its photon emission (a -> b) from a mode already at its cap
     params = EitParams(Geometry.lattice(4),
-                       ModeSet(1.0, 0.8, (0.0,), fock_cap=2), 1.0, 0.5)
+                       ModeSet(1.0, 0.8, (0.0,)), 1.0, 0.5)
     full = joint_space(params, 2)
     at_cap = full.label(field=(2,), a_sites=(0,))
     with pytest.raises(FockOverflowError):

@@ -61,7 +61,7 @@ def transfer_sector(n_atoms, quanta, rabi=1.0):
 
 def sweep_sector(n_atoms, quanta):
     params = EitParams(Geometry.lattice(n_atoms, 0.5),
-                       ModeSet(1.9, 0.7, (0.0,), "raman", fock_cap=quanta),
+                       ModeSet(1.9, 0.7, (0.0,), "raman"),
                        1.0, rabi=0.0)
     space = joint_space(params, quanta)
     basis = enumerate_sector(space, [quanta])
@@ -453,7 +453,7 @@ def sweep_problem():
     N=8, one quantum, duration_coupling 5, control clamped at 50 g sqrt(N),
     25,000 steps; the stage-by-stage reference sampled at every step."""
     params = EitParams(Geometry.lattice(8, 0.5),
-                       ModeSet(1.9, 0.7, (0.0,), "raman", fock_cap=1),
+                       ModeSet(1.9, 0.7, (0.0,), "raman"),
                        1.0, rabi=0.0)
     space = joint_space(params, 1)
     basis = enumerate_sector(space, [1])
@@ -625,7 +625,7 @@ def sparse_sweep_problem():
     50 g sqrt(N) over duration_coupling 1 (5,000 steps); the stage-by-stage
     reference runs on the dense operator_matrix forms, sampled every step."""
     params = EitParams(Geometry.lattice(8, 0.5),
-                       ModeSet(1.9, 0.7, (0.0,), "raman", fock_cap=2),
+                       ModeSet(1.9, 0.7, (0.0,), "raman"),
                        1.0, rabi=0.0)
     space = joint_space(params, 2)
     basis = enumerate_sector(space, [2])

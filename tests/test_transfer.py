@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 
 from coldstore import (
     BosonicState,
+    EitParams,
     FockOverflowError,
     Geometry,
     IntegrationError,
+    ModeSet,
     NotNormalizedError,
     SectorOverflowError,
     StateSpace,
@@ -21,6 +23,7 @@ from coldstore import (
     exact_vs_analytic_deviation,
     expected_swap_state,
     fidelity,
+    joint_space,
     rotation_grids,
     subsystem_purity,
     swap_check,
@@ -390,6 +393,26 @@ def test_bosonic_to_joint_is_the_term_by_term_sum_bit_for_bit(seed):
     assert bosonic_to_joint(state, geom, k).labels() == \
         _bosonic_to_joint_term_by_term(
             state, geom, k, transfer_space(n_atoms, quanta, k)).labels()
+
+
+def test_quanta_sized_spaces_have_the_written_out_fields():
+    # the one sizing rule behind transfer_space and joint_space: every mode
+    # and the atoms take the whole budget of q quanta, one per atom
+    for n_atoms, q in itertools.product(range(1, 7), range(5)):
+        n_exc = min(q, n_atoms)
+        assert transfer_space(n_atoms, q, 0.4) == StateSpace(
+            n_atoms=n_atoms, n_exc_max=n_exc, a_max=0, modes=(0.4,),
+            mode_caps=(q,), photon_cap=q)
+        for detunings in ((0.0,), (0.0, 0.3)):
+            params = EitParams(Geometry.lattice(n_atoms, 0.5),
+                               ModeSet(1.0, 0.8, detunings), 1.0, 0.5)
+            assert joint_space(params, q) == StateSpace(
+                n_atoms=n_atoms, n_exc_max=n_exc, a_max=n_exc,
+                modes=detunings, mode_caps=(q,) * len(detunings),
+                photon_cap=q)
+            assert joint_space(params, q, a_max=0) == StateSpace(
+                n_atoms=n_atoms, n_exc_max=n_exc, a_max=0, modes=detunings,
+                mode_caps=(q,) * len(detunings), photon_cap=q)
 
 
 def test_bosonic_to_joint_keeps_its_overflow_errors():

@@ -49,7 +49,6 @@ from .geometry import (
 )
 from .operators import (
     AngularMomentumCheck,
-    CollectiveOperator,
     angular_momentum_eigencheck,
     apply_field,
     apply_population,

@@ -181,7 +181,6 @@ class ModeSet:
 @dataclass(frozen=True)
 class ModeConditionRecord:
     q: float
-    wavelength: float
     wavelength_over_spacing: float
     ok: bool
 
@@ -234,8 +233,7 @@ def check_mode_conditions(geometry: Geometry, modes: ModeSet, n_max: int,
         lam = math.inf if k == 0 else 2.0 * math.pi / abs(k)
         ratio = lam / geometry.spacing
         mode_records.append(ModeConditionRecord(
-            q=q, wavelength=lam, wavelength_over_spacing=ratio,
-            ok=ratio >= min_ratio))
+            q=q, wavelength_over_spacing=ratio, ok=ratio >= min_ratio))
     pair_records = []
     ds = modes.detunings
     for i in range(len(ds)):

@@ -201,66 +201,22 @@ def apply_r_squared(ket: SparseKet, geometry: Geometry, k: float) -> SparseKet:
             + (n * n / 4.0) * (dd_up_down - dd_down_up))
 
 
-# -- uniform operator handle ----------------------------------------------
-
-# kind -> (apply(ket, geometry, k), adjoint kind).  Entries look the module
-# functions up by name at call time, so rebinding those names reaches them.
-_KINDS = {
-    "sigma": (lambda x, g, k: apply_sigma(x, g, k), "sigma_dagger"),
-    "sigma_dagger": (lambda x, g, k: apply_sigma(x, g, k, dagger=True), "sigma"),
-    "rho_ab": (lambda x, g, k: apply_rho_ab(x, g, k), "rho_ab_dagger"),
-    "rho_ab_dagger": (lambda x, g, k: apply_rho_ab(x, g, k, dagger=True), "rho_ab"),
-    "rho_ac": (lambda x, g, k: apply_rho_ac(x, g, k), "rho_ac_dagger"),
-    "rho_ac_dagger": (lambda x, g, k: apply_rho_ac(x, g, k, dagger=True), "rho_ac"),
-    "pop_b": (lambda x, g, k: apply_population(x, "b"), "pop_b"),
-    "pop_c": (lambda x, g, k: apply_population(x, "c"), "pop_c"),
-    "pop_a": (lambda x, g, k: apply_population(x, "a"), "pop_a"),
-    "r1": (lambda x, g, k: apply_r1(x, g, k), "r1"),
-    "r2": (lambda x, g, k: apply_r2(x, g, k), "r2"),
-    "r3": (lambda x, g, k: apply_r3(x, g, k), "r3"),
-    "r_squared": (lambda x, g, k: apply_r_squared(x, g, k), "r_squared"),
-}
-
-
-@dataclass(frozen=True)
-class CollectiveOperator:
-    """A named collective operator bound to a geometry and wavevector."""
-
-    kind: str
-    geometry: Geometry
-    wavevector: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        needs_k = not self.kind.startswith("pop_")
-        if needs_k and self.wavevector is None:
-            raise ValueError(f"operator kind {self.kind!r} needs a wavevector")
-        if not needs_k and self.wavevector is not None:
-            raise ValueError(f"operator kind {self.kind!r} takes no wavevector")
-
-    def adjoint(self) -> "CollectiveOperator":
-        return CollectiveOperator(_KINDS[self.kind][1], self.geometry,
-                                  self.wavevector)
-
-    def apply(self, ket: SparseKet) -> SparseKet:
-        return _KINDS[self.kind][0](ket, self.geometry, self.wavevector)
-
-
-def commutator_matrix_element(op_a: CollectiveOperator, op_b: CollectiveOperator,
-                              x: SparseKet, y: SparseKet) -> complex:
-    """<x| [A, B] |y> evaluated by two operator applications per ordering."""
-    ab = op_a.apply(op_b.apply(y))
-    ba = op_b.apply(op_a.apply(y))
+def commutator_matrix_element(apply_a, apply_b, x: SparseKet,
+                              y: SparseKet) -> complex:
+    """<x| [A, B] |y> of the ket maps ``apply_a`` and ``apply_b``."""
+    ab = apply_a(apply_b(y))
+    ba = apply_b(apply_a(y))
     return inner_product(x, ab) - inner_product(x, ba)
 
 
 def sigma_commutator_element(geometry: Geometry, k: float, k_prime: float,
                              x: SparseKet, y: SparseKet) -> complex:
     """<x| [sigma(k), sigma_dagger(k')] |y> convenience wrapper."""
-    op_a = CollectiveOperator("sigma", geometry, k)
-    op_b = CollectiveOperator("sigma_dagger", geometry, k_prime)
-    return commutator_matrix_element(op_a, op_b, x, y)
+    # the lambdas look apply_sigma up at call time, so a rebinding of the
+    # module name reaches every application
+    return commutator_matrix_element(
+        lambda ket: apply_sigma(ket, geometry, k),
+        lambda ket: apply_sigma(ket, geometry, k_prime, dagger=True), x, y)
 
 
 @dataclass(frozen=True)

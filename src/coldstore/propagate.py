@@ -310,11 +310,10 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 # steps at default, 626 at duration_coupling 50), so blocks split only
 # unsampled or very long stretches.
 STEP_BLOCK_BYTES = 1 << 20
-# Half-steps a callable control is asked for at least per call; arrays and
-# scalars are plain slices.  A call of the sweep's schedule costs about 21 us
-# of overhead against 23-24 ns per value, so the slow sweep's stretches
-# (1,250 half-steps or more) take one call each, the fast sweep's one-step
-# stretches 500 per call.
+# Half-steps the control is asked for at least per call.  A call of the
+# sweep's schedule costs about 21 us of overhead against 23-24 ns per value,
+# so the slow sweep's stretches (1,250 half-steps or more) take one call
+# each, the fast sweep's one-step stretches 500 per call.
 _CONTROL_HALF_STEPS = 1000
 
 # Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.
@@ -455,50 +454,34 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
 def _control_reader(control, n_steps: int,
                     dt: float) -> Callable[[int, int], np.ndarray]:
     """``read(lo, hi)``, the control at half-steps lo..hi-1 of the grid
-    t_i = i dt/2, for ``lo`` that never decreases, from any form of
-    ``rk4_propagate``'s ``control``.  A scalar and an array are checked
-    whole here and read as slices.  A callable is asked for each half-step
-    once and in order, at least ``_CONTROL_HALF_STEPS`` of them per call
-    unless the grid ends, and its values are checked as they arrive; the
-    reader holds only those from the latest ``lo`` on."""
-    if callable(control):
-        held, start = np.empty(0), 0    # the values from half-step start on
+    t_i = i dt/2, for ``lo`` that never decreases.  ``control`` is asked for
+    each half-step once and in order, at least ``_CONTROL_HALF_STEPS`` of
+    them per call unless the grid ends, and its values are checked as they
+    arrive; the reader holds only those from the latest ``lo`` on."""
+    held, start = np.empty(0), 0    # the values from half-step start on
 
-        def read(lo, hi):
-            nonlocal held, start
-            held, start = held[lo - start:], lo
-            end = lo + len(held)
-            if hi > end:    # | 1: whole steps, and the first read one more
-                stop = min(max(hi, end + _CONTROL_HALF_STEPS) | 1,
-                           2 * n_steps + 1)
-                t = np.arange(end, stop, dtype=float)
-                t *= dt / 2
-                u = np.asarray(control(t), dtype=float)
-                if u.shape != t.shape:
-                    raise ValueError(
-                        f"control callable returned shape {u.shape} for "
-                        f"{len(t)} times")
-                if not np.isfinite(u).all():
-                    i = int(np.argmin(np.isfinite(u)))
-                    raise ValueError(
-                        f"control must be finite, got {u[i]!r} at "
-                        f"t = {float(t[i])!r} (half-step {end + i})")
-                held = np.concatenate((held, u))
-            return held[:hi - lo]
-        return read
-    if np.isscalar(control) or control is None:
-        value = 0.0 if control is None else float(control)
-        if not math.isfinite(value):
-            raise ValueError(f"control must be finite, got {value!r}")
-        return lambda lo, hi: np.broadcast_to(value, (hi - lo,))
-    u = np.asarray(control, dtype=float)
-    if u.shape != (2 * n_steps + 1,):
-        raise ValueError(
-            f"control array must have length {2*n_steps+1}, got {u.shape}")
-    # min and max allocate nothing of u's length; a NaN makes both NaN
-    if not np.isfinite([u.min(), u.max()]).all():
-        raise ValueError("control must be finite, got a NaN or infinite value")
-    return lambda lo, hi: u[lo:hi]
+    def read(lo, hi):
+        nonlocal held, start
+        held, start = held[lo - start:], lo
+        end = lo + len(held)
+        if hi > end:    # | 1: whole steps, and the first read one more
+            stop = min(max(hi, end + _CONTROL_HALF_STEPS) | 1,
+                       2 * n_steps + 1)
+            t = np.arange(end, stop, dtype=float)
+            t *= dt / 2
+            u = np.asarray(control(t), dtype=float)
+            if u.shape != t.shape:
+                raise ValueError(
+                    f"control callable returned shape {u.shape} for "
+                    f"{len(t)} times")
+            if not np.isfinite(u).all():
+                i = int(np.argmin(np.isfinite(u)))
+                raise ValueError(
+                    f"control must be finite, got {u[i]!r} at "
+                    f"t = {float(t[i])!r} (half-step {end + i})")
+            held = np.concatenate((held, u))
+        return held[:hi - lo]
+    return read
 
 
 # States the reachable subspace of one call may have; a call whose closure
@@ -592,8 +575,7 @@ def _integer(name: str, value) -> int:
 def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
                   dt: float, n_steps: int,
                   h1: SquareOperator | None = None,
-                  control: (np.ndarray | float
-                            | Callable[[np.ndarray], np.ndarray] | None) = None,
+                  control: Callable[[np.ndarray], np.ndarray] | None = None,
                   sample_every: int = 1,
                   on_sample: Callable[[int, float, np.ndarray], None] | None = None,
                   ) -> np.ndarray:
@@ -605,19 +587,17 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     :func:`operator_matrix`.  Each is applied once per row of the closure
     and never again.  ``h1`` must have the shape of ``h0``
     and ``psi0`` the shape ``(h0.shape[0],)``.
-    ``control`` supplies u on the half-step grid t_i = i dt/2, i = 0 ..
-    2*n_steps: a scalar for constant control, an array of those
-    2*n_steps + 1 values, or a callable ``u(t)`` that maps an array of grid
-    times to an array of as many values.  The callable is asked for the
-    grid as the integration reaches it, each time once and in order, at
-    least ``_CONTROL_HALF_STEPS`` half-steps per call, so no array as long
-    as the step count is ever held; a non-finite value raises
-    ``ValueError`` when its call returns, before any sample past it.
-    It is an error to give ``control`` without ``h1``.
+    ``control``, given with ``h1`` and only with it, is a callable ``u(t)``
+    mapping an array of times of the half-step grid t_i = i dt/2, i = 0 ..
+    2*n_steps, to as many values.  It is asked for the grid as the
+    integration reaches it, each time once and in order, at least
+    ``_CONTROL_HALF_STEPS`` half-steps per call (nothing as long as the step
+    count is held); a non-finite value raises ``ValueError`` when its call
+    returns, before any sample past it.
     ``on_sample(step, t, psi)`` is invoked at step 0, every ``sample_every``
     steps (at least 1), and at the final step.
     ``n_steps`` must be a nonnegative integer, ``sample_every`` an integer,
-    and ``dt``, ``psi0`` and ``control`` finite.
+    and ``dt`` and ``psi0`` finite.
 
     Every call runs on the subspace reachable from ``psi0``, with the small
     dense V^dag h V, and lifts the result back to the sector at every
@@ -650,8 +630,11 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     if h1 is None:
         if control is not None:
             raise ValueError("control given without a control operator h1")
-    else:
+    elif callable(control):
         read = _control_reader(control, n_steps, dt)
+    else:
+        raise ValueError(f"control must be a callable u(t) when h1 is "
+                         f"given, got {type(control).__name__}")
 
     if on_sample is None:
         stops = [n_steps] if n_steps else []

@@ -83,8 +83,8 @@ CATALOGUE = (
            ("tests/test_states.py::test_norm_is_the_loop_of_squares_bit_for_"
             "bit_on_both_paths",)),
     Mutant("control-callable-unchecked", "src/coldstore/propagate.py",
-           "                if not np.isfinite(u).all():\n",
-           "                if False:\n",
+           "            if not np.isfinite(u).all():\n",
+           "            if False:\n",
            ("tests/test_propagate.py::test_a_non_finite_callable_control_"
             "stops_before_the_samples_past_it",)),
     Mutant("fidelity-passes-nan", "src/coldstore/states.py",
@@ -202,6 +202,60 @@ CATALOGUE = (
            "2.0 / (n * sin)",
            ("tests/test_harness.py::test_a_base_kd_past_the_float_resolution_"
             "fails_without_an_error",)),
+    Mutant("commutator-orderings-swapped", "src/coldstore/operators.py",
+           "    ab = apply_a(apply_b(y))\n    ba = apply_b(apply_a(y))\n",
+           "    ab = apply_b(apply_a(y))\n    ba = apply_a(apply_b(y))\n",
+           ("tests/test_operators.py::test_commutator_element_matches_dense_"
+            "oracle_on_random_states",)),
+    Mutant("h1-without-control-accepted", "src/coldstore/propagate.py",
+           "    elif callable(control):\n"
+           "        read = _control_reader(control, n_steps, dt)\n",
+           "    elif callable(control) or control is None:\n"
+           "        read = _control_reader(control or (lambda t: 0 * t), "
+           "n_steps, dt)\n",
+           ("tests/test_propagate.py::test_rk4_refuses_h1_without_a_callable_"
+            "control",)),
+    Mutant("wavevector-overflow-accepted", "src/coldstore/harness.py",
+           '        derived("spacing", max(map(abs, ks)) * (n * d), '
+           '"a lattice phase k L")\n',
+           "",
+           ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
+            "range_is_refused_by_name",)),
+    Mutant("lattice-spacing-underflow-accepted", "src/coldstore/harness.py",
+           '        derived("length", spacing, '
+           '"the spacing length / n_atoms")\n',
+           "",
+           ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
+            "range_is_refused_by_name",)),
+    Mutant("mode-spacing-overflow-accepted", "src/coldstore/harness.py",
+           '        derived("wavelength", lam * lam / (2 * math.pi * '
+           'out["length"]),\n'
+           '                "the mode spacing wavelength^2 / '
+           '(2 pi length)")\n',
+           "",
+           ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
+            "range_is_refused_by_name",)),
+    Mutant("dark-control-overflow-accepted", "src/coldstore/harness.py",
+           '            derived(key, out["g"] * math.sqrt(max(out[n_key])) / '
+           'math.tan(\n'
+           '                np.min(out[key])), '
+           '"the control g sqrt(N) / tan(theta)")\n',
+           "            pass\n",
+           ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
+            "range_is_refused_by_name",)),
+    Mutant("sweep-duration-underflow-accepted", "src/coldstore/harness.py",
+           '            derived(key, out[key] / (out["g"] * '
+           'math.sqrt(out["n_atoms"])),\n'
+           '                    f"the sweep duration {key} / '
+           '(g sqrt(n_atoms))")\n',
+           "",
+           ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
+            "range_is_refused_by_name",)),
+    Mutant("sweep-aborts-at-the-drift-tolerance", "src/coldstore/harness.py",
+           "norm_drift_tol=math.inf)",
+           "norm_drift_tol=cfg[\"norm_drift_tolerance\"])",
+           ("tests/test_harness.py::test_a_drift_tolerance_below_rounding_"
+            "fails_its_check_without_an_error",)),
 )
 
 

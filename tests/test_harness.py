@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -157,6 +158,48 @@ def test_repeated_detunings_are_refused_by_name():
               "grid": {"detunings": [[1.0, 1.0]]}})
     report = run("mode-conditions", {"detunings": [0.0, 1.0e5, 2.0e5]})
     assert report.all_passed
+
+
+@pytest.mark.parametrize("scenario, key, refused, accepted, named", [
+    # k = kd / d, and the phases k z_j on the lattice
+    ("commutator-scan", "spacing", 5e-324, 1e-300, "spacing"),
+    ("commutator-scan", "max_kd", 1e307, 1e300, "spacing"),
+    # the lattice spacing L / N, and the mode spacing lambda^2 / (2 pi L)
+    ("mode-conditions", "length", 5e-324, 1e-300, "length"),
+    ("mode-conditions", "wavelength", 1e300, 1e150, "wavelength"),
+    # the control Omega = g sqrt(N) / tan(theta)
+    ("dark-residual", "thetas", [5e-324], [1e-300], "thetas"),
+    ("dark-residual", "approx_theta", 5e-324, 1e-300, "approx_theta"),
+    # the sweep duration T = duration / (g sqrt(N))
+    ("adiabatic-sweep", "duration_coupling", 5e-324, 1e-320,
+     "duration_coupling"),
+    ("adiabatic-sweep", "fast_duration_coupling", 5e-324, 1e-320,
+     "fast_duration_coupling"),
+], ids=["k", "k-phase", "spacing", "mode-spacing", "rabi", "approx-rabi",
+        "duration", "fast-duration"])
+def test_a_derived_quantity_past_the_float_range_is_refused_by_name(
+        scenario, key, refused, accepted, named):
+    # refused up front, not by a constructor inside a unit; the nearest
+    # accepted value runs with no error record and no warning
+    with pytest.raises(ConfigError) as info:
+        validate_config(scenario, {key: refused})
+    assert named in [v.split(":")[0] for v in info.value.violations]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(scenario, {key: accepted})
+    assert [c.detail for c in report.checks if c.comparison == "error"] == []
+
+
+def test_a_drift_tolerance_below_rounding_fails_its_check_without_an_error():
+    # no RK4 sweep holds its norm to 1e-300: the drift check fails, and
+    # both sweeps still run to their end
+    report = run("adiabatic-sweep", {"norm_drift_tolerance": 1e-300,
+                                     "duration_coupling": 5.0})
+    assert [c.detail for c in report.checks if c.comparison == "error"] == []
+    checks = {c.name: c for c in report.checks}
+    drift = checks["slow-sweep norm drift"]
+    assert not drift.passed and 0 < drift.actual < 1e-12
+    assert "fast-sweep fidelity stays low (T*coupling=0.1)" in checks
 
 
 @pytest.mark.parametrize("base_kd", [1e16, 1e17, 1e300])

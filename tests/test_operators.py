@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coldstore import (
-    CollectiveOperator,
     EitParams,
     FockOverflowError,
     Geometry,
@@ -183,81 +182,46 @@ def test_commutator_element_matches_dense_oracle_on_random_states():
     s_k = dense_sigma(geom.positions, k)
     s_kp = dense_sigma(geom.positions, kp)
     comm = s_k @ s_kp.conj().T - s_kp.conj().T @ s_k
-    expected = bc_ket_to_dense(x).conj() @ comm @ bc_ket_to_dense(y)
-    got = sigma_commutator_element(geom, k, kp, x, y)
-    assert got == pytest.approx(expected, abs=1e-13)
-    # the generic two-operator element agrees with the dedicated one
-    a = CollectiveOperator("sigma", geom, k)
-    b = CollectiveOperator("sigma_dagger", geom, kp)
-    assert commutator_matrix_element(a, b, x, y) == pytest.approx(got,
-                                                                  abs=1e-13)
+    # the commutator is diagonal in the labels and x, y share none, so
+    # <x|C|y> is 0; <x|C|x> and <y|C|x + y> are not, and change sign when
+    # the two orderings are exchanged
+    for bra, ket in ((x, y), (x, x), (y, x + y)):
+        expected = bc_ket_to_dense(bra).conj() @ comm @ bc_ket_to_dense(ket)
+        got = sigma_commutator_element(geom, k, kp, bra, ket)
+        assert got == pytest.approx(expected, abs=1e-13)
+        # the generic element of two ket maps agrees with the dedicated one
+        generic = commutator_matrix_element(
+            lambda v: apply_sigma(v, geom, k),
+            lambda v: apply_sigma(v, geom, kp, dagger=True), bra, ket)
+        assert generic == pytest.approx(expected, abs=1e-13)
+    assert abs(expected) > 0.1
 
 
-def test_collective_operator_validation_and_adjoint():
-    geom = Geometry.lattice(3)
-    with pytest.raises(ValueError):
-        CollectiveOperator("nonsense", geom, 0.0)
-    with pytest.raises(ValueError):
-        CollectiveOperator("sigma", geom)          # needs a wavevector
-    with pytest.raises(ValueError):
-        CollectiveOperator("pop_b", geom, 1.0)     # takes none
-    op = CollectiveOperator("rho_ac", geom, 0.5)
-    assert op.adjoint().kind == "rho_ac_dagger"
-    assert op.adjoint().adjoint() == op
-
-
-def test_collective_operator_dispatch_matches_functions():
-    n = 4
-    geom = Geometry.uniform_random(n, length=4.0, seed=15)
-    space = StateSpace(n_atoms=n, n_exc_max=n, a_max=1)
-    rng = np.random.default_rng(16)
-    labels = [space.label(c_sites=(0, 1)), space.label(c_sites=(2,)),
-              space.label(a_sites=(3,))]
-    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    amps /= np.linalg.norm(amps)
-    ket = SparseKet(space, dict(zip(labels, amps)))
-    k = 1.7
-    cases = [
-        ("sigma", lambda: apply_sigma(ket, geom, k)),
-        ("sigma_dagger", lambda: apply_sigma(ket, geom, k, dagger=True)),
-        ("rho_ac_dagger", lambda: apply_rho_ac(ket, geom, k, dagger=True)),
-        ("r3", lambda: apply_r3(ket, geom, k)),
-    ]
-    for kind, direct in cases:
-        via_op = CollectiveOperator(kind, geom, k).apply(ket)
-        diff = via_op - direct()
-        assert diff.norm() < 1e-14, kind
-    via_pop = CollectiveOperator("pop_c", geom).apply(ket)
-    assert (via_pop - apply_population(ket, "c")).norm() < 1e-14
-    # every kind on the full 3-atom space, which no operator can leave
+def test_adjoint_pairs_are_conjugate_transposes_on_the_full_space():
+    # the full 3-atom space, which no operator can leave: sigma, rho_ab and
+    # rho_ac against their daggers, and the quadratures, inversions and
+    # populations against themselves
     full = StateSpace(n_atoms=3, n_exc_max=3, a_max=3)
     basis = enumerate_basis(full)
-    geom3 = Geometry.uniform_random(3, length=3.0, seed=17)
-    amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    ket3 = SparseKet(full, dict(zip(basis.labels(),
-                                    amps / np.linalg.norm(amps))))
-    direct = {
-        "sigma": lambda x: apply_sigma(x, geom3, k),
-        "sigma_dagger": lambda x: apply_sigma(x, geom3, k, dagger=True),
-        "rho_ab": lambda x: apply_rho_ab(x, geom3, k),
-        "rho_ab_dagger": lambda x: apply_rho_ab(x, geom3, k, dagger=True),
-        "rho_ac": lambda x: apply_rho_ac(x, geom3, k),
-        "rho_ac_dagger": lambda x: apply_rho_ac(x, geom3, k, dagger=True),
-        "pop_b": lambda x: apply_population(x, "b"),
-        "pop_c": lambda x: apply_population(x, "c"),
-        "pop_a": lambda x: apply_population(x, "a"),
-        "r1": lambda x: apply_r1(x, geom3, k),
-        "r2": lambda x: apply_r2(x, geom3, k),
-        "r3": lambda x: apply_r3(x, geom3, k),
-        "r_squared": lambda x: apply_r_squared(x, geom3, k),
-    }
-    for kind, fn in direct.items():
-        op = CollectiveOperator(kind, geom3,
-                                None if kind.startswith("pop_") else k)
-        assert (op.apply(ket3) - fn(ket3)).norm() < 1e-14, kind
-        mat = operator_matrix(op.apply, full, basis)
-        adj = operator_matrix(op.adjoint().apply, full, basis)
-        assert_allclose(adj, mat.conj().T, atol=1e-13, err_msg=kind)
+    geom = Geometry.uniform_random(3, length=3.0, seed=17)
+    k = 1.7
+    pairs = {
+        name: (lambda x, fn=fn: fn(x, geom, k),
+               lambda x, fn=fn: fn(x, geom, k, dagger=True))
+        for name, fn in [("sigma", apply_sigma), ("rho_ab", apply_rho_ab),
+                         ("rho_ac", apply_rho_ac)]}
+    for name, fn in [("r1", apply_r1), ("r2", apply_r2), ("r3", apply_r3),
+                     ("r_squared", apply_r_squared)]:
+        pairs[name] = (lambda x, fn=fn: fn(x, geom, k),) * 2
+    for level in "bca":
+        pairs[f"pop_{level}"] = (
+            lambda x, level=level: apply_population(x, level),) * 2
+    assert len(pairs) == 10
+    for name, (op, adjoint) in pairs.items():
+        mat = operator_matrix(op, full, basis)
+        assert np.abs(mat).max() > 0, name
+        assert_allclose(operator_matrix(adjoint, full, basis), mat.conj().T,
+                        atol=1e-13, err_msg=name)
 
 
 def test_sector_and_fock_overflow():

@@ -145,7 +145,7 @@ def test_sparse_sweep_operators_match_dense_oracle():
         assert_allclose(op @ v, mat @ v, rtol=0, atol=1e-13)
 
     n_steps = 100
-    control = np.linspace(0.0, 3.0, 2 * n_steps + 1)
+    control = _lookup(np.linspace(0.0, 3.0, 2 * n_steps + 1), 1e-3)
     psi0 = random_vector(rng, len(basis))
     sparse_psi = rk4_propagate(ops[0], psi0, 1e-3, n_steps, h1=ops[1],
                                control=control)
@@ -353,12 +353,29 @@ def test_large_transfer_sector_never_forms_a_dense_matrix(monkeypatch):
     assert dev == pytest.approx(0.0689078768544164, rel=0, abs=1e-8)
 
 
+def _constant(value):
+    """The callable form of a constant control."""
+    return lambda t: np.full(len(t), value)
+
+
 def test_rk4_rejects_control_without_control_operator():
     psi = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="h1"):
-        rk4_propagate(np.eye(2), psi, 0.1, 3, control=1.0)
-    with pytest.raises(ValueError, match="h1"):
-        rk4_propagate(np.eye(2), psi, 0.1, 3, control=np.zeros(5))
+        rk4_propagate(np.eye(2), psi, 0.1, 3, control=_constant(1.0))
+
+
+@pytest.mark.parametrize("control", [None, 1.0, np.float64(1.0), np.zeros(7),
+                                     [0.0] * 7],
+                         ids=["none", "float", "numpy-float", "array", "list"])
+def test_rk4_refuses_h1_without_a_callable_control(control):
+    # h1 with no control, or with the constant or half-step array forms
+    # that a callable u(t) replaced, is refused before anything runs
+    seen = []
+    with pytest.raises(ValueError, match="control must be a callable"):
+        rk4_propagate(np.eye(2), np.array([1.0, 0.0]), 0.1, 3, h1=np.eye(2),
+                      control=control,
+                      on_sample=lambda step, t, v: seen.append(step))
+    assert seen == []
 
 
 @pytest.mark.parametrize("sample_every", [0, -1])
@@ -375,7 +392,8 @@ def test_rk4_rejects_sample_every_below_one(sample_every):
 @pytest.mark.parametrize("with_control", [False, True])
 def test_rk4_rejects_bad_step_counts(n_steps, with_control):
     psi = np.array([1.0, 0.0])
-    kwargs = {"h1": np.eye(2), "control": 1.0} if with_control else {}
+    kwargs = {"h1": np.eye(2), "control": _constant(1.0)} \
+        if with_control else {}
     with pytest.raises(ValueError, match="n_steps"):
         rk4_propagate(np.eye(2), psi, 0.1, n_steps, **kwargs)
 
@@ -383,7 +401,8 @@ def test_rk4_rejects_bad_step_counts(n_steps, with_control):
 @pytest.mark.parametrize("with_control", [False, True])
 def test_rk4_rejects_non_integer_sample_every(with_control):
     psi = np.array([1.0, 0.0])
-    kwargs = {"h1": np.eye(2), "control": 1.0} if with_control else {}
+    kwargs = {"h1": np.eye(2), "control": _constant(1.0)} \
+        if with_control else {}
     with pytest.raises(ValueError, match="sample_every"):
         rk4_propagate(np.eye(2), psi, 0.1, 10, sample_every=2.5,
                       on_sample=lambda step, t, v: None, **kwargs)
@@ -393,7 +412,8 @@ def test_rk4_rejects_non_integer_sample_every(with_control):
 @pytest.mark.parametrize("with_control", [False, True])
 def test_rk4_rejects_non_finite_step(dt, with_control):
     psi = np.array([1.0, 0.0])
-    kwargs = {"h1": np.eye(2), "control": 1.0} if with_control else {}
+    kwargs = {"h1": np.eye(2), "control": _constant(1.0)} \
+        if with_control else {}
     with pytest.raises(ValueError, match="dt"):
         rk4_propagate(np.eye(2), psi, dt, 3, **kwargs)
 
@@ -401,19 +421,22 @@ def test_rk4_rejects_non_finite_step(dt, with_control):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["control", "control array", "psi0"])
 def test_rk4_rejects_non_finite_control_or_state(where, bad):
+    # a control that is bad throughout, or at one half-step of its grid, is
+    # refused when it is read, before any sample after step 0; psi0 up front
     psi = np.array([1.0, 0.0])
-    control = np.zeros(7)
+    values = np.zeros(7)
+    control = _lookup(values, 0.1)
     if where == "control":
-        control = bad
+        control = _constant(bad)
     elif where == "control array":
-        control[3] = bad
+        values[3] = bad
     else:
         psi = np.array([1.0, bad])
     seen = []
     with pytest.raises(ValueError, match=where.split()[0]):
         rk4_propagate(np.eye(2), psi, 0.1, 3, h1=np.eye(2), control=control,
                       on_sample=lambda step, t, v: seen.append(step))
-    assert seen == []
+    assert seen == ([] if where == "psi0" else [0])
     if where == "psi0":
         with pytest.raises(ValueError, match="psi0"):
             rk4_propagate(np.eye(2), psi, 0.1, 3)
@@ -422,8 +445,9 @@ def test_rk4_rejects_non_finite_control_or_state(where, bad):
 def test_rk4_accepts_numpy_integers_and_zero_steps():
     psi = np.array([1.0, 0.0])
     seen = []
-    for h1 in (None, np.eye(2)):
+    for h1, control in ((None, None), (np.eye(2), _constant(1.0))):
         out = rk4_propagate(np.eye(2), psi, 0.1, np.int64(0), h1=h1,
+                            control=control,
                             on_sample=lambda step, t, v: seen.append(step))
         assert np.array_equal(out, psi)
     assert seen == [0, 0]
@@ -480,7 +504,8 @@ def test_compiled_rk4_step_matches_the_stage_loop_oracle(sweep_problem,
     assert isinstance(h0, np.ndarray) and h0.shape == (17, 17)
     assert n_steps == 25_000
     seen = []
-    psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1, control=control,
+    psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1,
+                        control=_lookup(control, dt),
                         sample_every=sample_every,
                         on_sample=lambda step, t, v: seen.append(
                             (step, t, v.copy())))
@@ -498,6 +523,7 @@ def test_compiled_rk4_step_matches_the_stage_loop_oracle(sweep_problem,
 
 
 def _sampled_run(h0, h1, psi0, dt, n_steps, control, sample_every):
+    """rk4_propagate with the callable ``control``, and its samples."""
     seen = []
     psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1, control=control,
                         sample_every=sample_every,
@@ -515,7 +541,7 @@ def test_composed_stretches_match_the_stage_loop_oracle(sweep_problem,
     h0, h1, psi0, dt, n_steps, control, reference = sweep_problem
     basis, _ = propagate._reachable_subspace((h0, h1), psi0)
     assert len(basis) == 3 <= propagate.COMPOSE_MAX_DIM
-    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, control,
+    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, _lookup(control, dt),
                              sample_every)
     steps = sorted({*range(0, n_steps, sample_every), n_steps})
     assert [(step, t) for step, t, _v in seen] == \
@@ -539,21 +565,22 @@ def _lookup(control, dt, reads=None):
 
 
 @pytest.mark.parametrize("sample_every", [1, 97, 25_001])
-def test_a_callable_control_equals_its_array_bit_for_bit(sweep_problem,
-                                                         sample_every):
+def test_the_control_is_read_ahead_once_in_order_and_matches_the_stage_loop(
+        sweep_problem, sample_every):
     # one-step stretches, 97-step stretches and one unsampled stretch in
     # blocks of step matrices: the callable is asked for 500 steps at a
     # time, or for a whole block when it holds more
-    h0, h1, psi0, dt, n_steps, control, _reference = sweep_problem
+    h0, h1, psi0, dt, n_steps, control, reference = sweep_problem
     reads = []
-    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, control,
-                             sample_every)
-    psi_c, seen_c = _sampled_run(h0, h1, psi0, dt, n_steps,
-                                 _lookup(control, dt, reads), sample_every)
-    assert np.array_equal(psi_c, psi)
-    assert [(s, t) for s, t, _v in seen_c] == [(s, t) for s, t, _v in seen]
-    assert all(np.array_equal(a, b)
-               for (_s, _t, a), (_s2, _t2, b) in zip(seen_c, seen))
+    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps,
+                             _lookup(control, dt, reads), sample_every)
+    steps = sorted({*range(0, n_steps, sample_every), n_steps})
+    assert [(s, t) for s, t, _v in seen] == \
+        [reference[step][:2] for step in steps]
+    assert_allclose(np.array([v for _s, _t, v in seen]),
+                    np.array([reference[step][2] for step in steps]),
+                    rtol=0, atol=1e-14)
+    assert_allclose(psi, reference[-1][2], rtol=0, atol=1e-14)
     assert np.array_equal(np.concatenate(reads), np.arange(2 * n_steps + 1))
     # every read after the first is of whole steps, every one but the last
     # of at least _CONTROL_HALF_STEPS, and none longer than that plus one
@@ -612,7 +639,8 @@ def test_controlled_rk4_with_a_zero_step_returns_psi_exactly(sweep_problem):
     h0, h1, psi0, _dt, n_steps, control, _reference = sweep_problem
     rng = np.random.default_rng(18)
     for start in (psi0, 2.5 * random_vector(rng, h0.shape[0])):
-        psi, seen = _sampled_run(h0, h1, start, 0.0, n_steps, control, 97)
+        psi, seen = _sampled_run(h0, h1, start, 0.0, n_steps,
+                                 _constant(control.max()), 97)
         assert np.array_equal(psi, start)
         assert all(np.array_equal(v, start) for _s, _t, v in seen)
         assert {t for _s, t, _v in seen} == {0.0}
@@ -653,7 +681,8 @@ def test_sparse_sector_sweep_matches_the_stage_loop_oracle(
     assert isinstance(h1, SparseOperator)
     assert n_steps == 5_000
     seen = []
-    psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1, control=control,
+    psi = rk4_propagate(h0, psi0, dt, n_steps, h1=h1,
+                        control=_lookup(control, dt),
                         sample_every=sample_every,
                         on_sample=lambda step, t, v: seen.append(
                             (step, t, v.copy())))
@@ -675,7 +704,8 @@ def test_a_closure_above_the_crossover_matches_the_stage_loop_oracle(
     assert len(basis) > propagate.COMPOSE_MAX_DIM
     reference = rk4_stage_loop(h0.toarray(), h1.toarray(), psi0, dt, control,
                                1000)
-    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps, control, 1000)
+    psi, seen = _sampled_run(h0, h1, psi0, dt, n_steps,
+                             _lookup(control, dt), 1000)
     assert [(step, t) for step, t, _v in seen] == \
         [(step, t) for step, t, _v in reference]
     for (_s, _t, v), (_rs, _rt, expected) in zip(seen, reference):
@@ -696,9 +726,10 @@ def test_a_reachable_space_above_the_cap_is_refused():
                              np.arange(dim - 1)],
                        np.r_[rng.normal(size=dim), off, off.conj()], dim)
     seen = []
-    for h1 in (None, h):
+    for h1, control in ((None, None), (h, _constant(1.0))):
         with pytest.raises(BudgetExceededError) as info:
             rk4_propagate(h, random_vector(rng, dim), 0.01, 10, h1=h1,
+                          control=control,
                           on_sample=lambda step, t, v: seen.append(step))
         assert f"{propagate.REACHABLE_MAX_DIM}" in str(info.value)
         assert f"{dim} states" in str(info.value)
@@ -733,7 +764,7 @@ def test_scalar_control_memory_does_not_grow_with_the_step_count():
 
     def steps(n_steps):
         return lambda: rk4_propagate(h0, psi0, 1e-4, n_steps, h1=h1,
-                                     control=0.7)
+                                     control=_constant(0.7))
 
     steps(n_steps)()
     assert abs(_traced_peak(steps(4 * n_steps))
@@ -919,7 +950,7 @@ def test_rk4_rejects_mismatched_shapes(n_steps):
         for h1 in (np.eye(2), SparseOperator([], [], [], 4)):
             with pytest.raises(ValueError, match="h1"):
                 rk4_propagate(h0, np.ones(3), 0.1, n_steps, h1=h1,
-                              control=1.0)
+                              control=_constant(1.0))
     with pytest.raises(ValueError, match="square"):
         rk4_propagate(np.ones((3, 2)), np.ones(3), 0.1, n_steps)
 

@@ -336,6 +336,41 @@ _QUANTA_ON_ATOMS = (("n_quanta", "n_atoms"), ("deviation_m", "n_atoms_list"),
                     ("approx_n", "approx_n_atoms"),
                     ("audit_occupancies", "audit_n_atoms"))
 
+# config keys that hold wavevectors, one each or a list
+_WAVEVECTOR_KEYS = ("wavevector", "wavevectors", "audit_wavevectors",
+                    "k_signal", "k_control", "q")
+
+
+def _check_lattice_phases(out, valid, n_atoms, length, violations) -> None:
+    """Append a violation for every wavevector k of the config whose phase
+    sum |k| N L is not finite, for ``n_atoms`` N on a lattice ``length`` L
+    long: a state of n <= N quanta sums n atoms' phases k x_j, each at most
+    |k| L.  The wavevectors are each value of a wavevector key, and the
+    signal k_signal + q and storage k_eff = k_signal + q -+ k_control that
+    the EIT units form, named by the largest of their terms.  k = 0 is
+    always valid."""
+    waves = [(key, f"{key} {k!r}", [k]) for key in _WAVEVECTOR_KEYS
+             if valid(key)
+             for k in (out[key] if isinstance(out[key], list) else [out[key]])]
+    names = ("k_signal", "q", "k_control")
+    if valid("transition", *names):
+        k_s, q, k_c = (out[key] for key in names)
+        sign = "-" if out["transition"] == "raman" else "+"
+        largest = max(names, key=lambda key: abs(out[key]))
+        waves += [(largest, "k_signal + q", [k_s, q]),
+                  (largest, f"k_eff = k_signal + q {sign} k_control",
+                   [k_s, q, -k_c if sign == "-" else k_c])]
+    for key, what, terms in waves:
+        try:
+            phase = abs(math.fsum(terms)) * length * n_atoms
+        except OverflowError:  # a sum or an integer beyond the float range
+            phase = math.inf
+        if math.isinf(phase):
+            violations.append(
+                f"{key}: the phase sum |k| N L of {what} is infinite for "
+                f"N = {n_atoms} atoms on a lattice {length!r} long")
+
+
 _COMMON_FIELDS = {
     "schema_version": Field(SCHEMA_VERSION, options=(SCHEMA_VERSION,)),
     "seed": Field(None, lo=0),
@@ -393,6 +428,9 @@ def validate_config(scenario: str, config: Mapping | None) -> dict:
             violations.append(
                 f"spacing: {max(counts)} atoms at this spacing overflow the "
                 f"lattice length (got {spacing!r})")
+        else:
+            _check_lattice_phases(out, valid, max(counts), length,
+                                  violations)
     # a quantity a unit derives must stay in the float range (neither 0 nor
     # inf), or the unit raises; a valid spacing keeps the atom counts finite
     def derived(key, value, what):

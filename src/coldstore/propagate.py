@@ -29,9 +29,11 @@ error, so there is no second path.  The RK4 core runs on the small dense
 V^dag h V, and the result is lifted back to the sector at every sample.
 
 One step is psi <- psi + D psi, D a fixed polynomial in the step's three
-control samples (``_rk4_step_terms``).  A controlled call composes the D of
-a stretch between two samples into one increment up to ``COMPOSE_MAX_DIM``
-states, else applies them in turn (``_rk4_compiled``); a control-free one
+control samples (``_rk4_step_terms``).  A controlled call holds each D as
+its real block [[Re D, -Im D], [Im D, Re D]] acting on (Re psi, Im psi),
+composes the D of a stretch between two samples into one increment up to
+``COMPOSE_MAX_DIM`` states, one stacked real matmul per level of a product
+tree, else applies them in turn (``_rk4_compiled``); a control-free one
 takes the k steps of a stretch as one power (I + D0)^k.  Each applies the
 map of stage-by-stage RK4, up to rounding.  Each block reads its control as
 the steps reach it (``_control_reader``: a callable ahead, in calls of at
@@ -303,13 +305,13 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
     return t / n_steps, n_steps
 
 
-# Bytes of step matrices D_n the compiled controlled step forms at once
-# (dim^2 complex entries each, 226 steps of a 17-state space; composing a
-# block allocates about as much again).  A block of the sweep's 3-state
-# closure holds 7,281 steps, more than one of its sample stretches (2,500
-# steps at default, 626 at duration_coupling 50), so blocks split only
-# unsampled or very long stretches.
-STEP_BLOCK_BYTES = 1 << 20
+# Bytes a block of the compiled controlled step takes at once: its real
+# blocks of the D_n (4 dim^2 floats, 32 dim^2 bytes, each) and the first
+# level of their product tree (16 dim^2 bytes a step), 48 dim^2 bytes a step.
+# A block of the sweep's 3-state closure holds 4,854 steps, more than one of
+# its sample stretches (2,500 steps at default, 625 at duration_coupling
+# 50), so blocks split only unsampled or very long stretches.
+STEP_BLOCK_BYTES = 1 << 21
 # Half-steps the control is asked for at least per call.  A call of the
 # sweep's schedule costs about 21 us of overhead against 23-24 ns per value,
 # so the slow sweep's stretches (1,250 half-steps or more) take one call
@@ -367,32 +369,45 @@ def _rk4_step_terms(h0: np.ndarray, h1: np.ndarray | None,
 # increment before they touch the state; above it each step is one matvec.
 # Measured as controlled rk4_propagate calls of 20,000 steps sampled every
 # 625 and every 2,500 steps on random Hermitian h0 and h1, composing against
-# stepping, interleaved, best of 7 (2-core Xeon VM, Python 3.11, numpy 2.4,
-# OpenBLAS): composing took 0.1-0.2x the time at 2 and 3 states (the sweep's
-# one-quantum closure), 0.5-0.85x at 6 (two quanta), 0.7-1.0x at 7, 0.85-1.5x
-# at 8 and 1.4-3.5x from 9 to 12 states (three quanta close on 10).
-COMPOSE_MAX_DIM = 7
+# stepping, both on real blocks, interleaved, best of 7 (2-core Xeon VM,
+# Python 3.11, numpy 2.4, OpenBLAS): composing took 0.1-0.2x the time at 2
+# and 3 states (the sweep's one-quantum closure), 0.2-0.3x at 4 and 5,
+# 0.4x at 6 (two quanta), 0.5x at 7 and 8, 0.7x at 9, 0.8-0.85x at 10 (three
+# quanta) and 0.9-1.0x at 11 and 12 states.
+COMPOSE_MAX_DIM = 10
+
+
+def _real_blocks(mats: np.ndarray) -> np.ndarray:
+    """The real block form [[Re M, -Im M], [Im M, Re M]] of each complex
+    matrix M on the last two axes, (..., 2 dim, 2 dim): the block maps
+    (Re x, Im x) to (Re Mx, Im Mx), and the product of two blocks is the
+    block of the product."""
+    return np.block([[mats.real, -mats.imag], [mats.imag, mats.real]])
 
 
 def _compose(steps: np.ndarray) -> np.ndarray:
-    """Increment E of a stack of step increments D_n, (n, dim, dim) and
-    earliest first, with I + E the product of the I + D_n, the later step on
-    the left; like the D_n, E leaves the identity out.  The stack is copied
-    with its step axis last, and each tree level composes all adjacent pairs
-    at once, E <- E_early + E_late + E_late E_early, as the dim products
-    E_late[:, j] E_early[j] elementwise along that axis; an odd last
-    increment carries over to the next level.
+    """Increment E of a stack of step increments D_n, (n, m, m) and earliest
+    first, with I + E the product of the I + D_n, the later step on the
+    left; like the D_n, E leaves the identity out.  Each tree level composes
+    all adjacent pairs at once, E <- E_late E_early + E_early + E_late, as
+    one stacked matmul and two adds.  A level of odd length first sets its
+    last increment aside; those are composed onto the result at the end,
+    earliest first.  The controlled step passes real blocks
+    (``_real_blocks``), whose products are those of the complex D_n.
     """
-    lanes = steps.transpose(1, 2, 0).copy()
-    while lanes.shape[-1] > 1:
-        early, late = lanes[..., :-1:2], lanes[..., 1::2]
-        pairs = early + late
-        for j in range(len(lanes)):
-            pairs += late[:, j, None] * early[None, j]
-        if lanes.shape[-1] % 2:
-            pairs = np.concatenate((pairs, lanes[..., -1:]), axis=-1)
-        lanes = pairs
-    return lanes[..., 0]
+    later = []      # the increments set aside, latest first
+    while len(steps) > 1:
+        if len(steps) % 2:
+            later.append(steps[-1])
+            steps = steps[:-1]
+        early, late = steps[::2], steps[1::2]
+        steps = np.matmul(late, early)
+        steps += early
+        steps += late
+    composed = steps[0]
+    for late in reversed(later):
+        composed = late @ composed + composed + late
+    return composed
 
 
 def _step_blocks(stops: Sequence[int], max_block: int):
@@ -416,23 +431,27 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
 
     ``read(lo, hi)`` returns the control at half-steps lo..hi-1.  Each
     stretch up to the next stop is cut into equal blocks of at most
-    ``STEP_BLOCK_BYTES`` of step matrices, so no block straddles a sample
-    and every stretch of equal length does the same work.  The stops are
-    those of the sample schedule, so the first stretch is the longest.
-    Each block of k steps reads its 2k + 1 half-steps of control.  A block's
-    increments D_n are one real GEMM of its monomials, held [a, b, c, step],
-    against the 12 coefficient matrices; up to COMPOSE_MAX_DIM states they
-    are composed and applied with one matvec, else in turn.
+    ``STEP_BLOCK_BYTES`` (48 dim^2 bytes a step), so no block straddles a
+    sample and every stretch of equal length does the same work.  The stops
+    are those of the sample schedule, so the first stretch is the longest.
+    Each block of k steps reads its 2k + 1 half-steps of control.  The 12
+    coefficient matrices are compiled once into real blocks
+    (``_real_blocks``), and a block's increments D_n are one real GEMM of
+    its monomials, held [a, b, c, step], against them, each written in
+    place as a (2 dim, 2 dim) block.  Up to COMPOSE_MAX_DIM states they are
+    composed (``_compose``) and applied with one matvec, else in turn, each
+    to (Re psi, Im psi); ``psi`` is written back at every sample.
     """
     if not stops:
         return
     dim = psi.shape[0]
-    terms = _rk4_step_terms(h0, h1, dt).reshape(len(_STEP_MONOMIALS), -1)
-    terms = terms.view(float)      # real GEMM on (re, im) pairs
-    max_block = max(1, STEP_BLOCK_BYTES // (16 * dim * dim))
+    terms = _real_blocks(_rk4_step_terms(h0, h1, dt))
+    terms = terms.reshape(len(_STEP_MONOMIALS), -1)
+    max_block = max(1, STEP_BLOCK_BYTES // (48 * dim * dim))
     block = np.empty((min(max_block, stops[0]), terms.shape[1]))
     # monomials u1^a um^b u0^c as _STEP_MONOMIALS; u^0 = 1 is never written
     monomials = np.ones((2, 3, 2, len(block)))
+    v = np.concatenate((psi.real, psi.imag))
     for lo, hi, sampled in _step_blocks(stops, max_block):
         u = read(2 * lo, 2 * hi + 1)    # step lo + n: u[2n], u[2n+1], u[2n+2]
         mono = monomials[..., :hi - lo]
@@ -442,13 +461,15 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
         mono[1] = mono[0] * u[2::2]
         steps = np.matmul(mono.reshape(-1, hi - lo).T, terms,
                           out=block[:hi - lo])
-        steps = steps.view(complex).reshape(-1, dim, dim)
-        if dim <= COMPOSE_MAX_DIM and len(steps) > 1:
+        steps = steps.reshape(-1, 2 * dim, 2 * dim)
+        if dim <= COMPOSE_MAX_DIM:
             steps = _compose(steps)[None]
-        for d_n in steps:
-            psi += d_n @ psi
-        if sampled and on_sample is not None:
-            on_sample(hi, hi * dt, psi)
+        for e in steps:
+            v += e @ v
+        if sampled:
+            psi.real, psi.imag = v[:dim], v[dim:]
+            if on_sample is not None:
+                on_sample(hi, hi * dt, psi)
 
 
 def _control_reader(control, n_steps: int,
@@ -500,6 +521,14 @@ REACHABLE_TOL = 1e-13
 REACHABLE_LEAK_TOL = 1e-12
 
 
+def _combination(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] rows[i], as elementwise products and one sum.  As a
+    complex vector-matrix product (a zgemv with a long output) the same sum
+    stalls for a scheduler tick, about 8 ms, in some processes under two
+    OpenBLAS threads."""
+    return (coeffs[:, None] * rows).sum(axis=0)
+
+
 def _reachable_subspace(ops: Sequence[SquareOperator],
                         psi: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(V, [V^dag h V for h in ops]): orthonormal rows V spanning the closure
@@ -532,7 +561,7 @@ def _reachable_subspace(ops: Sequence[SquareOperator],
                 raise IntegrationError(f"|h v| of closure row {j} is {scale}")
             scales[i] = max(scales[i], scale)
             for _ in range(2):
-                w = w - (conj[:m] @ w) @ basis[:m]
+                w = w - _combination(conj[:m] @ w, basis[:m])
             beta = float(np.linalg.norm(w))
             if beta <= REACHABLE_TOL * scales[i] or m == dim:
                 continue
@@ -651,7 +680,7 @@ def rk4_propagate(h0: SquareOperator, psi0: np.ndarray,
     def lift(y):
         # y is in units of |psi| and psi stands for |psi| times the first
         # basis vector, so a map that leaves e_1 alone returns psi exactly
-        return psi * y[0] + norm * (y[1:] @ basis[1:])
+        return psi * y[0] + norm * _combination(y[1:], basis[1:])
 
     y = np.zeros(len(basis), dtype=complex)
     y[0] = 1.0

@@ -215,6 +215,32 @@ CATALOGUE = (
            "n_steps, dt)\n",
            ("tests/test_propagate.py::test_rk4_refuses_h1_without_a_callable_"
             "control",)),
+    Mutant("real-blocks-imaginary-sign", "src/coldstore/propagate.py",
+           "[[mats.real, -mats.imag], [mats.imag, mats.real]]",
+           "[[mats.real, mats.imag], [mats.imag, mats.real]]",
+           ("tests/test_propagate.py::test_the_block_increments_are_the_"
+            "complex_increments_bit_for_bit",)),
+    Mutant("compose-earlier-step-on-the-left", "src/coldstore/propagate.py",
+           "        steps = np.matmul(late, early)\n",
+           "        steps = np.matmul(early, late)\n",
+           ("tests/test_propagate.py::test_compose_matches_the_sequential_"
+            "product",)),
+    Mutant("compose-drops-the-set-aside-steps", "src/coldstore/propagate.py",
+           "    for late in reversed(later):\n",
+           "    for late in reversed(later[1:]):\n",
+           ("tests/test_propagate.py::test_compose_matches_the_sequential_"
+            "product",)),
+    Mutant("lattice-phase-sum-unchecked", "src/coldstore/harness.py",
+           "            _check_lattice_phases(out, valid, max(counts), length,\n"
+           "                                  violations)\n",
+           "            pass\n",
+           ("tests/test_harness.py::test_a_wavevector_whose_lattice_phases_"
+            "overflow_is_refused_by_name",)),
+    Mutant("combination-unconjugated", "src/coldstore/propagate.py",
+           "w = w - _combination(conj[:m] @ w, basis[:m])",
+           "w = w - _combination(basis[:m] @ w, basis[:m])",
+           ("tests/test_propagate.py::test_the_closure_rows_stay_orthonormal_"
+            "as_they_double",)),
     Mutant("wavevector-overflow-accepted", "src/coldstore/harness.py",
            '        derived("spacing", max(map(abs, ks)) * (n * d), '
            '"a lattice phase k L")\n',

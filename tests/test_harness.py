@@ -190,6 +190,31 @@ def test_a_derived_quantity_past_the_float_range_is_refused_by_name(
     assert [c.detail for c in report.checks if c.comparison == "error"] == []
 
 
+@pytest.mark.parametrize("scenario, key", [
+    ("verify-ladder", "wavevectors"), ("verify-dicke", "wavevector"),
+    ("dark-residual", "k_signal"), ("dark-residual", "k_control"),
+    ("dark-residual", "q"), ("adiabatic-sweep", "k_signal"),
+    ("adiabatic-sweep", "k_control"), ("adiabatic-sweep", "q"),
+    ("dynamic-transfer", "wavevector"), ("normalization-audit", "wavevector"),
+])
+def test_a_wavevector_whose_lattice_phases_overflow_is_refused_by_name(
+        scenario, key):
+    # a state of n quanta sums n phases k x_j, each up to |k| L; at 1.7e308
+    # they overflow and a unit ended in an error record.  k = 1e300 keeps
+    # |k| N L finite and runs with no error record and no warning
+    def config(k):
+        cfg = {key: [0.0, k] if key == "wavevectors" else k}
+        return {**cfg, "duration_coupling": 5.0} \
+            if scenario == "adiabatic-sweep" else cfg
+    with pytest.raises(ConfigError) as info:
+        validate_config(scenario, config(1.7e308))
+    assert key in [v.split(":")[0] for v in info.value.violations]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(scenario, config(1e300))
+    assert [c.detail for c in report.checks if c.comparison == "error"] == []
+
+
 def test_a_drift_tolerance_below_rounding_fails_its_check_without_an_error():
     # no RK4 sweep holds its norm to 1e-300: the drift check fails, and
     # both sweeps still run to their end

@@ -535,9 +535,9 @@ def _sampled_run(h0, h1, psi0, dt, n_steps, control, sample_every):
 @pytest.mark.parametrize("sample_every", [97, 1, 25_001])
 def test_composed_stretches_match_the_stage_loop_oracle(sweep_problem,
                                                         sample_every):
-    # stretches of 97 steps (odd, so the product tree pads five of its
-    # levels), of one step (the fast sweep's schedule), and one stretch
-    # longer than a block of step matrices
+    # stretches of 97 steps (odd, so two levels of the product tree set
+    # their last increment aside), of one step (the fast sweep's schedule),
+    # and one stretch longer than a block of step matrices
     h0, h1, psi0, dt, n_steps, control, reference = sweep_problem
     basis, _ = propagate._reachable_subspace((h0, h1), psi0)
     assert len(basis) == 3 <= propagate.COMPOSE_MAX_DIM
@@ -587,7 +587,7 @@ def test_the_control_is_read_ahead_once_in_order_and_matches_the_stage_loop(
     # block of the 3-state closure
     assert all(len(r) % 2 == 0 for r in reads[1:])
     assert min(map(len, reads[:-1])) >= propagate._CONTROL_HALF_STEPS
-    block = propagate.STEP_BLOCK_BYTES // (16 * 3 * 3)
+    block = propagate.STEP_BLOCK_BYTES // (48 * 3 * 3)
     assert max(map(len, reads)) <= propagate._CONTROL_HALF_STEPS + 2 * block
 
 
@@ -615,24 +615,49 @@ def test_a_callable_control_of_the_wrong_length_is_refused():
                       control=lambda t: np.zeros(len(t) + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 625, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 625, 1000])
 @pytest.mark.parametrize("dim", [1, 3, 6, 8])
 def test_compose_matches_the_sequential_product(dim, n):
     # random non-commuting increments of RK4-step size, around the composed
-    # sizes; the reference multiplies the I + D_n in turn, the later step on
-    # the left, held as increments so I is never rounded
+    # sizes, composed as real blocks; the reference multiplies the complex
+    # I + D_n in turn, the later step on the left, held as increments so I
+    # is never rounded
     rng = np.random.default_rng(100 * dim + n)
     steps = 1e-3 * (rng.normal(size=(n, dim, dim))
                     + 1j * rng.normal(size=(n, dim, dim)))
-    composed = propagate._compose(steps)
+    blocks = propagate._real_blocks(steps)
+    composed = propagate._compose(blocks)
     if n == 1:
-        assert np.array_equal(composed, steps[0])
+        assert np.array_equal(composed, blocks[0])
     expected = np.zeros((dim, dim), dtype=complex)
     for d_n in steps:
         expected = d_n + expected + d_n @ expected
-    assert composed.shape == (dim, dim)
-    assert np.abs(composed - expected).max() <= \
-        1e-13 * np.abs(expected).max()
+    assert composed.shape == (2 * dim, 2 * dim)
+    assert np.abs(composed[:dim, :dim] + 1j * composed[dim:, :dim]
+                  - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_the_block_increments_are_the_complex_increments_bit_for_bit(dim):
+    # one real GEMM of a block's monomials against the real blocks of the
+    # 12 step coefficients: the first block column is, bit for bit, the
+    # GEMM of the same monomials against the (re, im) pairs of the complex
+    # coefficients, and the second column is (-Im D, Re D)
+    rng = np.random.default_rng(200 + dim)
+    h0, h1 = (a + a.conj().T for a in rng.normal(size=(2, dim, dim))
+              + 1j * rng.normal(size=(2, dim, dim)))
+    terms = propagate._rk4_step_terms(h0, h1, 0.05)
+    assert terms.shape == (len(propagate._STEP_MONOMIALS), dim, dim)
+    mono = rng.normal(size=(97, len(terms)))
+    steps = (mono @ terms.reshape(len(terms), -1).view(float)).view(complex)
+    steps = steps.reshape(-1, dim, dim)
+    blocks = mono @ propagate._real_blocks(terms).reshape(len(terms), -1)
+    blocks = blocks.reshape(-1, 2 * dim, 2 * dim)
+    for part, want in ((blocks[:, :dim, :dim], steps.real),
+                       (blocks[:, dim:, :dim], steps.imag)):
+        assert np.array_equal(part.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(blocks[:, :dim, dim:], -steps.imag)
+    assert np.array_equal(blocks[:, dim:, dim:], steps.real)
 
 
 def test_controlled_rk4_with_a_zero_step_returns_psi_exactly(sweep_problem):
@@ -760,7 +785,7 @@ def test_scalar_control_memory_does_not_grow_with_the_step_count():
     h0 = np.array([[0.0, 1.0], [1.0, 0.3]])
     h1 = np.diag([0.5, -0.5])
     psi0 = np.array([1.0, 0.0])
-    n_steps = 2 * (propagate.STEP_BLOCK_BYTES // (16 * 2 * 2))
+    n_steps = 2 * (propagate.STEP_BLOCK_BYTES // (48 * 2 * 2))
 
     def steps(n_steps):
         return lambda: rk4_propagate(h0, psi0, 1e-4, n_steps, h1=h1,

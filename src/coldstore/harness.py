@@ -329,46 +329,100 @@ def _copied(values) -> list:
     return [_copied(x) if isinstance(x, list) else x for x in values]
 
 
-# (quanta key, atoms key) pairs checked by validate_config; a list of atom
-# counts binds at its smallest, a list of occupancy patterns at its largest
-# total
-_QUANTA_ON_ATOMS = (("n_quanta", "n_atoms"), ("deviation_m", "n_atoms_list"),
-                    ("approx_n", "approx_n_atoms"),
-                    ("audit_occupancies", "audit_n_atoms"))
-
-# config keys that hold wavevectors, one each or a list
-_WAVEVECTOR_KEYS = ("wavevector", "wavevectors", "audit_wavevectors",
-                    "k_signal", "k_control", "q")
+# A scenario's cross-field rule, (keys, check): check(cfg) yields violations
+# of the filled config.  validate_config calls it once no violation so far,
+# of a field or of an earlier rule, names one of keys, so that a check reads
+# no value that broke a rule.
+Rule = tuple[tuple[str, ...], Callable[[dict], Iterable[str]]]
 
 
-def _check_lattice_phases(out, valid, n_atoms, length, violations) -> None:
-    """Append a violation for every wavevector k of the config whose phase
-    sum |k| N L is not finite, for ``n_atoms`` N on a lattice ``length`` L
-    long: a state of n <= N quanta sums n atoms' phases k x_j, each at most
-    |k| L.  The wavevectors are each value of a wavevector key, and the
-    signal k_signal + q and storage k_eff = k_signal + q -+ k_control that
-    the EIT units form, named by the largest of their terms.  k = 0 is
-    always valid."""
-    waves = [(key, f"{key} {k!r}", [k]) for key in _WAVEVECTOR_KEYS
-             if valid(key)
-             for k in (out[key] if isinstance(out[key], list) else [out[key]])]
-    names = ("k_signal", "q", "k_control")
-    if valid("transition", *names):
-        k_s, q, k_c = (out[key] for key in names)
-        sign = "-" if out["transition"] == "raman" else "+"
-        largest = max(names, key=lambda key: abs(out[key]))
-        waves += [(largest, "k_signal + q", [k_s, q]),
-                  (largest, f"k_eff = k_signal + q {sign} k_control",
-                   [k_s, q, -k_c if sign == "-" else k_c])]
-    for key, what, terms in waves:
+def _rule(*keys: str) -> Callable[[Callable], Rule]:
+    """Pair a check with the keys it waits on."""
+    return lambda check: (keys, check)
+
+
+def _listed(v) -> list:
+    return v if isinstance(v, list) else [v]
+
+
+def _out_of_range(cfg, key, value, what) -> list[str]:
+    # a quantity a unit derives must stay in the float range (neither 0 nor
+    # inf), or the unit raises
+    return [] if 0.0 < value < math.inf else [
+        f"{key}: {what} leaves the float range (got {cfg[key]!r})"]
+
+
+@_rule()
+def _atom_range(cfg):
+    # waits on no key: two integer bounds in the wrong order are refused
+    # even where one of them also breaks its own bound
+    lo, hi = cfg["n_atoms_min"], cfg["n_atoms_max"]
+    if _is_int(lo) and _is_int(hi) and lo > hi:
+        yield f"n_atoms_min: must be <= n_atoms_max (got {lo!r} > {hi!r})"
+
+
+def _quanta_on_atoms(q_key: str, n_key: str) -> Rule:
+    # each storage quantum needs its own atom: (S^dag)^n |0> = 0 for n > N;
+    # a list of atom counts binds at its smallest, a list of occupancy
+    # patterns at its largest total
+    @_rule(q_key, n_key)
+    def check(cfg):
+        quanta, atoms = cfg[q_key], cfg[n_key]
+        quanta = max(map(sum, quanta)) if isinstance(quanta, list) else quanta
+        atoms = min(atoms) if isinstance(atoms, list) else atoms
+        if quanta > atoms:
+            yield (f"{q_key}: must be <= {n_key}, since each storage quantum "
+                   f"needs its own atom (got {quanta!r} > {atoms!r})")
+    return check
+
+
+def _lattice(atom_keys, wave_keys=(), eit=False) -> tuple[Rule, Rule]:
+    """The rules of a lattice of N atoms at spacing d, N the most that any
+    of ``atom_keys`` counts (an integer that broke its own field rule too):
+    its length L = N d must be finite, and so must the phase sum |k| N L of
+    each wavevector k of ``wave_keys``, since a state of n <= N quanta sums
+    n atoms' phases k x_j, each at most |k| L.  ``eit`` adds the EIT units'
+    k_signal, k_control and q, and the signal k_signal + q and storage
+    k_eff = k_signal + q -+ k_control they form, each named by its largest
+    term."""
+    sums = ("k_signal", "q", "k_control") if eit else ()
+    wave_keys += ("k_signal", "k_control", "q") if eit else ()
+
+    def extent(cfg):
+        n = max((c for key in atom_keys for c in _listed(cfg[key])
+                 if _is_int(c)), default=0)
         try:
-            phase = abs(math.fsum(terms)) * length * n_atoms
-        except OverflowError:  # a sum or an integer beyond the float range
-            phase = math.inf
-        if math.isinf(phase):
-            violations.append(
-                f"{key}: the phase sum |k| N L of {what} is infinite for "
-                f"N = {n_atoms} atoms on a lattice {length!r} long")
+            return n, n * float(cfg["spacing"])
+        except OverflowError:  # an integer beyond the float range
+            return n, math.inf
+
+    def lattice_length(cfg):
+        n, length = extent(cfg)
+        if math.isinf(length):
+            yield (f"spacing: {n} atoms at this spacing overflow the lattice "
+                   f"length (got {cfg['spacing']!r})")
+
+    def phase_sums(cfg):
+        n, length = extent(cfg)
+        waves = [(key, f"{key} {k!r}", [k]) for key in wave_keys
+                 for k in _listed(cfg[key])]
+        if eit:
+            k_s, q, k_c = (cfg[key] for key in sums)
+            sign = "-" if cfg["transition"] == "raman" else "+"
+            largest = max(sums, key=lambda key: abs(cfg[key]))
+            waves += [(largest, "k_signal + q", [k_s, q]),
+                      (largest, f"k_eff = k_signal + q {sign} k_control",
+                       [k_s, q, -k_c if sign == "-" else k_c])]
+        for key, what, terms in waves if n else ():  # no count, no lattice
+            try:
+                phase = abs(math.fsum(terms)) * length * n
+            except OverflowError:  # a sum or an integer past the float range
+                phase = math.inf
+            if math.isinf(phase):
+                yield (f"{key}: the phase sum |k| N L of {what} is infinite "
+                       f"for N = {n} atoms on a lattice {length!r} long")
+    keys = ("spacing", *wave_keys) + (("transition",) if eit else ())
+    return (("spacing",), lattice_length), (keys, phase_sums)
 
 
 _COMMON_FIELDS = {
@@ -378,96 +432,18 @@ _COMMON_FIELDS = {
 
 
 def validate_config(scenario: str, config: Mapping | None) -> dict:
-    """Fill defaults and collect *all* violations before raising."""
+    """Fill defaults and collect *all* violations before raising: those of
+    the fields, then those of each of the scenario's rules in turn."""
     if scenario not in SCENARIOS:
         raise ConfigError([f"unknown scenario {scenario!r}; available: "
                            + ", ".join(sorted(SCENARIOS))])
     violations: list[str] = []
     out = _validate({**_COMMON_FIELDS, **SCENARIOS[scenario].schema},
                     dict(config or {}), f"scenario {scenario!r}", violations)
-    lo, hi = out.get("n_atoms_min"), out.get("n_atoms_max")
-    if _is_int(lo) and _is_int(hi) and lo > hi:
-        violations.append(
-            f"n_atoms_min: must be <= n_atoms_max (got {lo!r} > {hi!r})")
-    def valid(*keys):
-        return all(key in out and not any(v.startswith(f"{key}:")
-                                          for v in violations) for key in keys)
-
-    # each storage quantum needs its own atom: (S^dag)^n |0> = 0 for n > N
-    for q_key, n_key in _QUANTA_ON_ATOMS:
-        if valid(q_key, n_key):
-            quanta, atoms = out[q_key], out[n_key]
-            quanta = max(map(sum, quanta)) if isinstance(quanta, list) \
-                else quanta
-            atoms = min(atoms) if isinstance(atoms, list) else atoms
-            if quanta > atoms:
-                violations.append(
-                    f"{q_key}: must be <= {n_key}, since each storage quantum "
-                    f"needs its own atom (got {quanta!r} > {atoms!r})")
-    # an occupancy pattern fills one mode per wavevector, and modes differ
-    if valid("audit_occupancies", "audit_wavevectors"):
-        width, ks = len(out["audit_occupancies"][0]), out["audit_wavevectors"]
-        if len(set(ks[:width])) < width:
-            violations.append(
-                f"audit_wavevectors: the {width} modes of audit_occupancies "
-                f"need distinct wavevectors (got {ks!r})")
-    # a mode set tracks each detuning once
-    ds = out.get("detunings", [])
-    if valid("detunings") and len(set(ds)) < len(ds):
-        violations.append(f"detunings: must be distinct (got {ds!r})")
-    # a lattice of N atoms at spacing d is N d long, and that must be finite
-    counts = [n for key, v in out.items() if "n_atoms" in key
-              for n in (v if isinstance(v, list) else [v]) if _is_int(n)]
-    if counts and valid("spacing"):
-        spacing = out["spacing"]
-        try:
-            length = max(counts) * float(spacing)
-        except OverflowError:  # an integer beyond the float range
-            length = math.inf
-        if math.isinf(length):
-            violations.append(
-                f"spacing: {max(counts)} atoms at this spacing overflow the "
-                f"lattice length (got {spacing!r})")
-        else:
-            _check_lattice_phases(out, valid, max(counts), length,
-                                  violations)
-    # a quantity a unit derives must stay in the float range (neither 0 nor
-    # inf), or the unit raises; a valid spacing keeps the atom counts finite
-    def derived(key, value, what):
-        if not 0.0 < value < math.inf:
-            violations.append(f"{key}: {what} leaves the float range "
-                              f"(got {out[key]!r})")
-    if valid("n_atoms", "spacing", "max_kd", "base_kd", "dk_length_grid"):
-        n, d = out["n_atoms"], out["spacing"]
-        ks = [out["max_kd"] / d] + [out["base_kd"] / d + dkl / (n * d)
-                                    for dkl in out["dk_length_grid"]]
-        derived("spacing", max(map(abs, ks)) * (n * d), "a lattice phase k L")
-    if valid("length", "n_atoms", "wavelength"):
-        try:
-            spacing = out["length"] / out["n_atoms"]
-        except OverflowError:  # an integer beyond the float range
-            spacing = 0.0
-        derived("length", spacing, "the spacing length / n_atoms")
-        lam = out["wavelength"]
-        derived("wavelength", lam * lam / (2 * math.pi * out["length"]),
-                "the mode spacing wavelength^2 / (2 pi length)")
-    for key, n_key in (("thetas", "n_atoms_list"),
-                       ("approx_theta", "approx_n_atoms")):
-        if valid("g", "spacing", key, n_key):
-            derived(key, out["g"] * math.sqrt(max(out[n_key])) / math.tan(
-                np.min(out[key])), "the control g sqrt(N) / tan(theta)")
-    # a sweep's step count grows with rabi_cap_factor (dt ~ 1 / Omega_max)
-    durations = ("duration_coupling", "fast_duration_coupling")
-    if valid("n_atoms", "spacing", "g", "rabi_cap_factor", *durations):
-        for key in durations:
-            derived(key, out[key] / (out["g"] * math.sqrt(out["n_atoms"])),
-                    f"the sweep duration {key} / (g sqrt(n_atoms))")
-            steps = _sweep_steps(out, out[key])
-            if steps > SWEEP_MAX_STEPS:
-                violations.append(
-                    f"rabi_cap_factor: with {key} {out[key]!r} a sweep takes "
-                    f"{steps:,} RK4 steps, more than SWEEP_MAX_STEPS = "
-                    f"{SWEEP_MAX_STEPS:,} (got {out['rabi_cap_factor']!r})")
+    for keys, check in SCENARIOS[scenario].rules:
+        if not any(v.startswith(f"{key}:") for key in keys
+                   for v in violations):
+            violations.extend(check(out))
     if violations:
         raise ConfigError(violations)
     return out
@@ -633,6 +609,16 @@ _COMMUTATOR_SCHEMA = {
 }
 
 
+@_rule("n_atoms", "spacing", "max_kd", "base_kd", "dk_length_grid")
+def _commutator_phase(cfg):
+    # the wavevectors k = kd / d, and their phases k L over the lattice
+    n, d = cfg["n_atoms"], cfg["spacing"]
+    ks = [cfg["max_kd"] / d] + [cfg["base_kd"] / d + dkl / (n * d)
+                                for dkl in cfg["dk_length_grid"]]
+    return _out_of_range(cfg, "spacing", max(map(abs, ks)) * (n * d),
+                         "a lattice phase k L")
+
+
 def _run_commutator_scan(cfg) -> Iterator[Unit]:
     n = cfg["n_atoms"]
     d = cfg["spacing"]
@@ -717,6 +703,29 @@ _MODE_SCHEMA = {
 }
 
 
+@_rule("detunings")
+def _distinct_detunings(cfg):
+    # a mode set tracks each detuning once
+    ds = cfg["detunings"]
+    if len(set(ds)) < len(ds):
+        yield f"detunings: must be distinct (got {ds!r})"
+
+
+@_rule("length", "n_atoms", "wavelength")
+def _mode_spacings(cfg):
+    # the lattice spacing L / N, and the mode spacing lambda^2 / (2 pi L)
+    try:
+        spacing = cfg["length"] / cfg["n_atoms"]
+    except OverflowError:  # an integer beyond the float range
+        spacing = 0.0
+    yield from _out_of_range(cfg, "length", spacing,
+                             "the spacing length / n_atoms")
+    lam = cfg["wavelength"]
+    yield from _out_of_range(cfg, "wavelength",
+                             lam * lam / (2 * math.pi * cfg["length"]),
+                             "the mode spacing wavelength^2 / (2 pi length)")
+
+
 def _run_mode_conditions(cfg) -> Iterator[Unit]:
     yield "resolvable mode spacing", 0, lambda: check_abs(
         "resolvable mode spacing lambda^2/(2 pi L)",
@@ -778,6 +787,21 @@ _DARK_SCHEMA = {
     "approx_n": Field(2, lo=1),
     "approx_theta": Field(math.pi / 4, positive=True, hi=math.pi / 2),
 }
+
+
+def _dark_control(theta_key: str, n_key: str) -> Rule:
+    # the control g sqrt(N) / tan(theta), at the smallest angle and the most
+    # atoms, must stay in the float range
+    @_rule("g", theta_key, n_key)
+    def check(cfg):
+        try:
+            control = cfg["g"] * math.sqrt(max(cfg[n_key])) / math.tan(
+                np.min(cfg[theta_key]))
+        except OverflowError:  # an atom count beyond the float range
+            control = math.inf
+        return _out_of_range(cfg, theta_key, control,
+                             "the control g sqrt(N) / tan(theta)")
+    return check
 
 
 def _dark_params(cfg, n_atoms, theta) -> EitParams:
@@ -872,6 +896,24 @@ def _sweep_steps(cfg, duration_coupling) -> float:
                            cfg["rabi_cap_factor"] * cc)[1]
     except ValueError:      # an infinite span or an unbounded peak control
         return math.inf
+
+
+# waits on spacing too: the lattice-length rule names spacing for an atom
+# count beyond the float range, whose square root would overflow
+@_rule("n_atoms", "spacing", "g", "rabi_cap_factor", "duration_coupling",
+       "fast_duration_coupling")
+def _sweep_bounds(cfg):
+    # each sweep's duration / (g sqrt(n_atoms)) must stay in the float range,
+    # and its step count (dt ~ 1 / Omega_max) within SWEEP_MAX_STEPS
+    for key in ("duration_coupling", "fast_duration_coupling"):
+        yield from _out_of_range(
+            cfg, key, cfg[key] / (cfg["g"] * math.sqrt(cfg["n_atoms"])),
+            f"the sweep duration {key} / (g sqrt(n_atoms))")
+        steps = _sweep_steps(cfg, cfg[key])
+        if steps > SWEEP_MAX_STEPS:
+            yield (f"rabi_cap_factor: with {key} {cfg[key]!r} a sweep takes "
+                   f"{steps:,} RK4 steps, more than SWEEP_MAX_STEPS = "
+                   f"{SWEEP_MAX_STEPS:,} (got {cfg['rabi_cap_factor']!r})")
 
 
 def _sweep_setup(cfg):
@@ -1118,6 +1160,15 @@ _AUDIT_SCHEMA = {
 }
 
 
+@_rule("audit_occupancies", "audit_wavevectors")
+def _distinct_audit_wavevectors(cfg):
+    # an occupancy pattern fills one mode per wavevector, and modes differ
+    width, ks = len(cfg["audit_occupancies"][0]), cfg["audit_wavevectors"]
+    if len(set(ks[:width])) < width:
+        yield (f"audit_wavevectors: the {width} modes of audit_occupancies "
+               f"need distinct wavevectors (got {ks!r})")
+
+
 def _route_unit(cfg, n_atoms) -> CheckRecord:
     geom = Geometry.lattice(n_atoms, cfg["spacing"])
     worst = 1.0
@@ -1173,36 +1224,56 @@ def _run_normalization_audit(cfg) -> Iterator[Unit]:
 class Scenario:
     runner: Callable[[dict], Iterable[Unit]]
     schema: Mapping[str, Field]
+    rules: tuple[Rule, ...]
     description: str
 
 
 SCENARIOS: dict[str, Scenario] = {
     "verify-ladder": Scenario(
         _run_verify_ladder, _LADDER_SCHEMA,
+        (_atom_range, *_lattice(("n_atoms_min", "n_atoms_max"),
+                                ("wavevectors",))),
         "Exact collective raising/lowering coefficients and level populations"),
     "verify-dicke": Scenario(
         _run_verify_dicke, _DICKE_SCHEMA,
+        (_atom_range, *_lattice(("n_atoms_min", "n_atoms_max"),
+                                ("wavevector",))),
         "Collective-spin eigenvalues of symmetric storage states"),
     "commutator-scan": Scenario(
         _run_commutator_scan, _COMMUTATOR_SCHEMA,
+        (*_lattice(("n_atoms",)), _commutator_phase),
         "Vacuum commutator of collective operators vs the geometric phase sum"),
     "mode-conditions": Scenario(
         _run_mode_conditions, _MODE_SCHEMA,
+        (_distinct_detunings, _mode_spacings),
         "Mode spacing estimate and collective-description validity ratios"),
     "dark-residual": Scenario(
         _run_dark_residual, _DARK_SCHEMA,
+        (_quanta_on_atoms("approx_n", "approx_n_atoms"),
+         *_lattice(("n_atoms_list", "approx_n_atoms"), eit=True),
+         _dark_control("thetas", "n_atoms_list"),
+         _dark_control("approx_theta", "approx_n_atoms")),
         "Null-eigenvalue residuals of exact and approximate dark states"),
     "adiabatic-sweep": Scenario(
         _run_adiabatic_sweep, _SWEEP_SCHEMA,
+        (_quanta_on_atoms("n_quanta", "n_atoms"),
+         *_lattice(("n_atoms",), eit=True), _sweep_bounds),
         "Integrated storage sweep: slow-ramp fidelity and fast-ramp contrast"),
     "dynamic-transfer": Scenario(
         _run_dynamic_transfer, _TRANSFER_SCHEMA,
+        (_quanta_on_atoms("deviation_m", "n_atoms_list"),
+         *_lattice(("n_atoms_list",), ("wavevector",))),
         "Closed-form photon/excitation rotation and finite-N deviations"),
     "swap": Scenario(
-        _run_swap, _SWAP_SCHEMA,
+        _run_swap, _SWAP_SCHEMA, (),
         "Quarter-period state swapping for random superpositions"),
     "normalization-audit": Scenario(
         _run_normalization_audit, _AUDIT_SCHEMA,
+        (_atom_range,
+         _quanta_on_atoms("audit_occupancies", "audit_n_atoms"),
+         _distinct_audit_wavevectors,
+         *_lattice(("n_atoms_min", "n_atoms_max", "audit_n_atoms"),
+                   ("wavevector", "audit_wavevectors"))),
         "Construction-route equivalence and multimode normalization audit"),
 }
 

@@ -294,14 +294,18 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
     """(dt, n_steps): the fewest equal steps covering ``t`` with |dt| <= dt_max.
 
     At least one step is taken, so ``t = 0`` gives one step of length 0, and
-    ``dt_max = inf`` one step of length ``t``.  ``t`` must be finite and
-    ``dt_max`` positive.
+    ``dt_max = inf`` one step of length ``t``.  ``t`` must be finite,
+    ``dt_max`` positive, and the step count ``|t| / dt_max`` finite.
     """
     if not math.isfinite(t):
         raise ValueError(f"time span must be finite, got {t}")
     if not dt_max > 0:
         raise ValueError(f"maximum step must be positive, got {dt_max}")
-    n_steps = max(1, math.ceil(abs(t) / dt_max))
+    steps = abs(t) / dt_max
+    if not math.isfinite(steps):
+        raise ValueError(f"a time span {t} takes infinitely many steps of "
+                         f"at most {dt_max}")
+    n_steps = max(1, math.ceil(steps))
     return t / n_steps, n_steps
 
 

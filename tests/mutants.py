@@ -101,8 +101,8 @@ CATALOGUE = (
            "math.log(rng.random())",
            ("tests/test_harness.py::test_the_seed_zero_stream_is_pinned",)),
     Mutant("quanta-on-atoms-unchecked", "src/coldstore/harness.py",
-           "    for q_key, n_key in _QUANTA_ON_ATOMS:\n",
-           "    for q_key, n_key in ():\n",
+           "        if quanta > atoms:\n",
+           "        if False:\n",
            ("tests/test_harness.py::test_more_storage_quanta_than_atoms_are_"
             "refused",)),
     Mutant("vector-to-ket-any-space", "src/coldstore/propagate.py",
@@ -193,7 +193,7 @@ CATALOGUE = (
            ("tests/test_transfer.py::test_quanta_sized_spaces_have_the_"
             "written_out_fields",)),
     Mutant("repeated-detunings-accepted", "src/coldstore/harness.py",
-           '    if valid("detunings") and len(set(ds)) < len(ds):\n',
+           "    if len(set(ds)) < len(ds):\n",
            "    if False:\n",
            ("tests/test_harness.py::test_repeated_detunings_are_refused_by_"
             "name",)),
@@ -231,9 +231,8 @@ CATALOGUE = (
            ("tests/test_propagate.py::test_compose_matches_the_sequential_"
             "product",)),
     Mutant("lattice-phase-sum-unchecked", "src/coldstore/harness.py",
-           "            _check_lattice_phases(out, valid, max(counts), length,\n"
-           "                                  violations)\n",
-           "            pass\n",
+           "            if math.isinf(phase):\n",
+           "            if False:\n",
            ("tests/test_harness.py::test_a_wavevector_whose_lattice_phases_"
             "overflow_is_refused_by_name",)),
     Mutant("combination-unconjugated", "src/coldstore/propagate.py",
@@ -242,38 +241,39 @@ CATALOGUE = (
            ("tests/test_propagate.py::test_the_closure_rows_stay_orthonormal_"
             "as_they_double",)),
     Mutant("wavevector-overflow-accepted", "src/coldstore/harness.py",
-           '        derived("spacing", max(map(abs, ks)) * (n * d), '
-           '"a lattice phase k L")\n',
-           "",
+           '    return _out_of_range(cfg, "spacing", max(map(abs, ks)) * '
+           '(n * d),\n'
+           '                         "a lattice phase k L")\n',
+           "    return []\n",
            ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
             "range_is_refused_by_name",)),
     Mutant("lattice-spacing-underflow-accepted", "src/coldstore/harness.py",
-           '        derived("length", spacing, '
-           '"the spacing length / n_atoms")\n',
+           '    yield from _out_of_range(cfg, "length", spacing,\n'
+           '                             "the spacing length / n_atoms")\n',
            "",
            ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
             "range_is_refused_by_name",)),
     Mutant("mode-spacing-overflow-accepted", "src/coldstore/harness.py",
-           '        derived("wavelength", lam * lam / (2 * math.pi * '
-           'out["length"]),\n'
-           '                "the mode spacing wavelength^2 / '
+           '    yield from _out_of_range(cfg, "wavelength",\n'
+           '                             lam * lam / (2 * math.pi * '
+           'cfg["length"]),\n'
+           '                             "the mode spacing wavelength^2 / '
            '(2 pi length)")\n',
            "",
            ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
             "range_is_refused_by_name",)),
     Mutant("dark-control-overflow-accepted", "src/coldstore/harness.py",
-           '            derived(key, out["g"] * math.sqrt(max(out[n_key])) / '
-           'math.tan(\n'
-           '                np.min(out[key])), '
-           '"the control g sqrt(N) / tan(theta)")\n',
-           "            pass\n",
+           "        return _out_of_range(cfg, theta_key, control,\n"
+           '                             "the control g sqrt(N) / '
+           'tan(theta)")\n',
+           "        return []\n",
            ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
             "range_is_refused_by_name",)),
     Mutant("sweep-duration-underflow-accepted", "src/coldstore/harness.py",
-           '            derived(key, out[key] / (out["g"] * '
-           'math.sqrt(out["n_atoms"])),\n'
-           '                    f"the sweep duration {key} / '
-           '(g sqrt(n_atoms))")\n',
+           "        yield from _out_of_range(\n"
+           '            cfg, key, cfg[key] / (cfg["g"] * '
+           'math.sqrt(cfg["n_atoms"])),\n'
+           '            f"the sweep duration {key} / (g sqrt(n_atoms))")\n',
            "",
            ("tests/test_harness.py::test_a_derived_quantity_past_the_float_"
             "range_is_refused_by_name",)),
@@ -282,6 +282,31 @@ CATALOGUE = (
            "norm_drift_tol=cfg[\"norm_drift_tolerance\"])",
            ("tests/test_harness.py::test_a_drift_tolerance_below_rounding_"
             "fails_its_check_without_an_error",)),
+    Mutant("empty-atom-range-accepted", "src/coldstore/harness.py",
+           "    if _is_int(lo) and _is_int(hi) and lo > hi:\n",
+           "    if False:\n",
+           ("tests/test_harness.py::test_an_empty_atom_range_is_refused",)),
+    Mutant("repeated-audit-wavevectors-accepted", "src/coldstore/harness.py",
+           "    if len(set(ks[:width])) < width:\n",
+           "    if False:\n",
+           ("tests/test_harness.py::test_configs_that_would_end_in_an_error_"
+            "record_are_refused[normalization-audit-refused3-accepted3-"
+            "audit_wavevectors: the 2 modes of audit_occupancies need "
+            "distinct]",)),
+    Mutant("lattice-length-overflow-accepted", "src/coldstore/harness.py",
+           "        if math.isinf(length):\n",
+           "        if False:\n",
+           ("tests/test_harness.py::test_a_spacing_that_overflows_the_lattice_"
+            "is_refused",)),
+    Mutant("sweep-step-cap-unchecked", "src/coldstore/harness.py",
+           "        if steps > SWEEP_MAX_STEPS:\n",
+           "        if False:\n",
+           ("tests/test_harness.py::test_both_sweeps_of_a_config_are_held_to_"
+            "the_step_cap",)),
+    Mutant("step-count-overflow-leaks", "src/coldstore/propagate.py",
+           "    if not math.isfinite(steps):\n",
+           "    if False:\n",
+           ("tests/test_propagate.py::test_step_grid_rejects_bad_arguments",)),
 )
 
 

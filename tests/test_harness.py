@@ -215,6 +215,29 @@ def test_a_wavevector_whose_lattice_phases_overflow_is_refused_by_name(
     assert [c.detail for c in report.checks if c.comparison == "error"] == []
 
 
+# every float and float-list field of every scenario, read from the schemas
+FLOAT_FIELDS = [
+    (name, key) for name, sc in SCENARIOS.items()
+    for key, fld in sc.schema.items()
+    if isinstance(fld.default, float)
+    or (isinstance(fld.default, list) and isinstance(fld.default[0], float))]
+
+
+@pytest.mark.parametrize("scenario, key", FLOAT_FIELDS)
+def test_validate_config_raises_only_config_error(scenario, key):
+    # a float-range edge is accepted or refused, never an exception from a
+    # rule: the CLI exits 2 on a ConfigError and 1 with a traceback on any
+    # other; a list takes the edge as its last entry
+    default = SCENARIOS[scenario].schema[key].default
+    for x in (5e-324, -5e-324, 1e-300, 0.0, 1e300, -1e300, 1.7e308,
+              -1.7e308):
+        value = [*default[:-1], x] if isinstance(default, list) else x
+        try:
+            assert isinstance(validate_config(scenario, {key: value}), dict)
+        except ConfigError:
+            pass
+
+
 def test_a_drift_tolerance_below_rounding_fails_its_check_without_an_error():
     # no RK4 sweep holds its norm to 1e-300: the drift check fails, and
     # both sweeps still run to their end

@@ -463,6 +463,7 @@ def test_step_grid_covers_the_span():
 @pytest.mark.parametrize("t, dt_max", [
     (1.0, -0.1), (1.0, 0.0), (1.0, math.nan), (1.0, -math.inf),
     (math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1), (math.nan, math.inf),
+    (1.0, 5e-324), (1.7e308, 0.1),
 ])
 def test_step_grid_rejects_bad_arguments(t, dt_max):
     with pytest.raises(ValueError) as info:

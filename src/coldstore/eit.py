@@ -545,8 +545,9 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
             t[-1] = ramp.duration
         return control_amplitude(cc, ramp.theta(t), rabi_max)
 
-    photon_diag = basis.field.sum(axis=1, dtype=float)
-    cpop_diag = _level_count(basis, "c").astype(float)
+    # photon number and c population of |psi|^2, one product for both
+    diagonals = np.array([basis.field.sum(axis=1, dtype=float),
+                          _level_count(basis, "c")], dtype=float)
 
     psi0 = ket_to_vector(initial, basis)
     if record_every is None:
@@ -565,10 +566,10 @@ def adiabatic_sweep(initial: SparseKet, params: EitParams, ramp: RampSchedule,
                 f"{n_steps}, dt = {dt:.3g}); reduce the step size")
         rabi_t = float(sample_rabi[len(samples)])
         theta_eff = math.atan2(cc, rabi_t)
-        w = abs(psi) ** 2
+        photons, c_population = (diagonals @ (abs(psi) ** 2)).tolist()
         samples.append((t, rabi_t, theta_eff, nrm,
                         dark_manifold_weight(psi, manifold, theta_eff),
-                        float(photon_diag @ w), float(cpop_diag @ w)))
+                        photons, c_population))
 
     psi_final = rk4_propagate(h_static, psi0, dt, n_steps, h1=h_control,
                               control=schedule, sample_every=record_every,

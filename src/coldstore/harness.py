@@ -269,6 +269,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite_number(v) -> bool:
+    """A float that is finite, or an integer that converts to one."""
+    if not (_is_int(v) or isinstance(v, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an integer past the float range
+        return False
+
+
 def _broken_rule(fld: Field, v) -> str | None:
     """The first rule of ``fld`` that ``v`` breaks, or None."""
     like = fld.default
@@ -293,7 +303,7 @@ def _broken_entry_rule(fld: Field, like, v) -> str | None:
         if not isinstance(v, str):
             return "must be a string"
     elif isinstance(like, float):
-        if not (_is_int(v) or isinstance(v, float) and math.isfinite(v)):
+        if not _is_finite_number(v):
             return "must be a finite number"
     elif not _is_int(v):
         return "must be an integer" + (" or null" if like is None else "")
@@ -720,7 +730,7 @@ def _mode_spacings(cfg):
         spacing = 0.0
     yield from _out_of_range(cfg, "length", spacing,
                              "the spacing length / n_atoms")
-    lam = cfg["wavelength"]
+    lam = float(cfg["wavelength"])  # an integer's square may pass the range
     yield from _out_of_range(cfg, "wavelength",
                              lam * lam / (2 * math.pi * cfg["length"]),
                              "the mode spacing wavelength^2 / (2 pi length)")

@@ -34,7 +34,11 @@ its real block [[Re D, -Im D], [Im D, Re D]] acting on (Re psi, Im psi),
 composes the D of a stretch between two samples into one increment up to
 ``COMPOSE_MAX_DIM`` states, one stacked real matmul per level of a product
 tree, else applies them in turn (``_rk4_compiled``); a control-free one
-takes the k steps of a stretch as one power (I + D0)^k.  Each applies the
+takes the k steps of a stretch as one power (I + D0)^k.  The composed
+stack is laid out in tree order (``_tree_order``): every level pairs its
+first half with its second, two contiguous halves, and the control is
+gathered in that order, so the one GEMM that makes the D writes them where
+the tree takes them.  Each applies the
 map of stage-by-stage RK4, up to rounding.  Each block reads its control as
 the steps reach it (``_control_reader``: a callable ahead, in calls of at
 least ``_CONTROL_HALF_STEPS``), so no array of the step count is formed.
@@ -317,9 +321,10 @@ def step_grid(t: float, dt_max: float) -> tuple[float, int]:
 # 50), so blocks split only unsampled or very long stretches.
 STEP_BLOCK_BYTES = 1 << 21
 # Half-steps the control is asked for at least per call.  A call of the
-# sweep's schedule costs about 21 us of overhead against 23-24 ns per value,
-# so the slow sweep's stretches (1,250 half-steps or more) take one call
-# each, the fast sweep's one-step stretches 500 per call.
+# sweep's schedule costs about 19-23 us of overhead against 26 ns per value
+# (best of 5 x 2,000 calls of 1 to 5,001 values, 2-core VM, numpy 2.4), so
+# the slow sweep's stretches (1,250 half-steps or more) take one call each,
+# the fast sweep's one-step stretches 500 per call.
 _CONTROL_HALF_STEPS = 1000
 
 # Exponents (a, b, c) of the monomials u1^a um^b u0^c of one RK4 step.
@@ -389,22 +394,40 @@ def _real_blocks(mats: np.ndarray) -> np.ndarray:
     return np.block([[mats.real, -mats.imag], [mats.imag, mats.real]])
 
 
+def _tree_order(n: int) -> np.ndarray:
+    """The steps 0..n-1 in the order ``_compose`` takes them: position p
+    holds step ``order[p]``.  Each level pairs its first half with its
+    second, position i with h + i, and the pair is two adjacent times, the
+    earlier in the first half; a level of odd length holds its latest step
+    last, where it is set aside.  So order(n) is order(n - 1) and then
+    n - 1 for odd n, and 2 q then 2 q + 1, q = order(n / 2), for even n."""
+    if n == 1:
+        return np.zeros(1, dtype=np.intp)
+    if n % 2:
+        return np.append(_tree_order(n - 1), n - 1)
+    half = 2 * _tree_order(n // 2)
+    return np.concatenate((half, half + 1))
+
+
 def _compose(steps: np.ndarray) -> np.ndarray:
-    """Increment E of a stack of step increments D_n, (n, m, m) and earliest
-    first, with I + E the product of the I + D_n, the later step on the
-    left; like the D_n, E leaves the identity out.  Each tree level composes
-    all adjacent pairs at once, E <- E_late E_early + E_early + E_late, as
-    one stacked matmul and two adds.  A level of odd length first sets its
-    last increment aside; those are composed onto the result at the end,
-    earliest first.  The controlled step passes real blocks
-    (``_real_blocks``), whose products are those of the complex D_n.
+    """Increment E of a stack of step increments D_n, (n, m, m) in
+    ``_tree_order``, with I + E the product of the I + D_n, the later step
+    on the left; like the D_n, E leaves the identity out.  Each tree level
+    composes its first half with its second at once, the later of each
+    pair in the second half, E <- E_late E_early + E_early + E_late, as one
+    stacked matmul of two contiguous halves and two adds.  A level of odd
+    length first sets its last increment aside, the latest; those are
+    composed onto the result at the end, earliest first.  The controlled
+    step passes real blocks (``_real_blocks``), whose products are those of
+    the complex D_n.
     """
     later = []      # the increments set aside, latest first
     while len(steps) > 1:
         if len(steps) % 2:
             later.append(steps[-1])
             steps = steps[:-1]
-        early, late = steps[::2], steps[1::2]
+        half = len(steps) // 2
+        early, late = steps[:half], steps[half:]
         steps = np.matmul(late, early)
         steps += early
         steps += late
@@ -442,9 +465,12 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
     coefficient matrices are compiled once into real blocks
     (``_real_blocks``), and a block's increments D_n are one real GEMM of
     its monomials, held [a, b, c, step], against them, each written in
-    place as a (2 dim, 2 dim) block.  Up to COMPOSE_MAX_DIM states they are
-    composed (``_compose``) and applied with one matvec, else in turn, each
-    to (Re psi, Im psi); ``psi`` is written back at every sample.
+    place as a (2 dim, 2 dim) block.  Up to COMPOSE_MAX_DIM states the
+    monomials gather the control in ``_tree_order``, so the GEMM writes the
+    stack as ``_compose`` takes it, and the composed increment is applied
+    with one matvec; above it the steps stay in time order and are applied
+    in turn, each to (Re psi, Im psi).  ``psi`` is written back at every
+    sample.
     """
     if not stops:
         return
@@ -455,21 +481,27 @@ def _rk4_compiled(h0: np.ndarray, h1: np.ndarray, psi: np.ndarray,
     block = np.empty((min(max_block, stops[0]), terms.shape[1]))
     # monomials u1^a um^b u0^c as _STEP_MONOMIALS; u^0 = 1 is never written
     monomials = np.ones((2, 3, 2, len(block)))
+    gathers = {}    # block length -> half-steps of (u0, um, u1) per position
     v = np.concatenate((psi.real, psi.imag))
     for lo, hi, sampled in _step_blocks(stops, max_block):
-        u = read(2 * lo, 2 * hi + 1)    # step lo + n: u[2n], u[2n+1], u[2n+2]
-        mono = monomials[..., :hi - lo]
-        mono[0, 0, 1] = u[:-1:2]
-        mono[0, 1] = mono[0, 0] * u[1::2]
-        mono[0, 2] = mono[0, 1] * u[1::2]
-        mono[1] = mono[0] * u[2::2]
-        steps = np.matmul(mono.reshape(-1, hi - lo).T, terms,
-                          out=block[:hi - lo])
+        k = hi - lo
+        if k not in gathers:
+            order = _tree_order(k) if dim <= COMPOSE_MAX_DIM else np.arange(k)
+            gathers[k] = 2 * order + np.arange(3)[:, None]
+        # position p holds step lo + order[p]: u[2 order[p]], ... + 1, + 2
+        u0, um, u1 = read(2 * lo, 2 * hi + 1)[gathers[k]]
+        mono = monomials[..., :k]
+        mono[0, 0, 1] = u0
+        np.multiply(mono[0, 0], um, out=mono[0, 1])
+        np.multiply(mono[0, 1], um, out=mono[0, 2])
+        np.multiply(mono[0], u1, out=mono[1])
+        steps = np.matmul(mono.reshape(-1, k).T, terms, out=block[:k])
         steps = steps.reshape(-1, 2 * dim, 2 * dim)
         if dim <= COMPOSE_MAX_DIM:
-            steps = _compose(steps)[None]
-        for e in steps:
-            v += e @ v
+            v += _compose(steps) @ v
+        else:
+            for e in steps:
+                v += e @ v
         if sampled:
             psi.real, psi.imag = v[:dim], v[dim:]
             if on_sample is not None:
@@ -526,11 +558,12 @@ REACHABLE_LEAK_TOL = 1e-12
 
 
 def _combination(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] rows[i], as elementwise products and one sum.  As a
+    """sum_i coeffs[i] rows[i], as elementwise products and one sum, by
+    ``np.add.reduce`` itself rather than the ``ndarray.sum`` wrapper.  As a
     complex vector-matrix product (a zgemv with a long output) the same sum
     stalls for a scheduler tick, about 8 ms, in some processes under two
     OpenBLAS threads."""
-    return (coeffs[:, None] * rows).sum(axis=0)
+    return np.add.reduce(coeffs[:, None] * rows, axis=0)
 
 
 def _reachable_subspace(ops: Sequence[SquareOperator],

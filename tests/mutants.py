@@ -230,6 +230,11 @@ CATALOGUE = (
            "    for late in reversed(later[1:]):\n",
            ("tests/test_propagate.py::test_compose_matches_the_sequential_"
             "product",)),
+    Mutant("tree-order-halves-swapped", "src/coldstore/propagate.py",
+           "    return np.concatenate((half, half + 1))\n",
+           "    return np.concatenate((half + 1, half))\n",
+           ("tests/test_propagate.py::test_the_tree_order_pairs_consecutive_"
+            "times_at_every_level",)),
     Mutant("lattice-phase-sum-unchecked", "src/coldstore/harness.py",
            "            if math.isinf(phase):\n",
            "            if False:\n",
@@ -303,6 +308,18 @@ CATALOGUE = (
            "        if False:\n",
            ("tests/test_harness.py::test_both_sweeps_of_a_config_are_held_to_"
             "the_step_cap",)),
+    Mutant("big-int-float-field-accepted", "src/coldstore/harness.py",
+           "    except OverflowError:   # an integer past the float range\n"
+           "        return False\n",
+           "    except OverflowError:   # an integer past the float range\n"
+           "        return True\n",
+           ("tests/test_harness.py::test_an_integer_past_the_float_range_is_"
+            "not_a_finite_number",)),
+    Mutant("wavelength-squared-as-an-integer", "src/coldstore/harness.py",
+           'lam = float(cfg["wavelength"])',
+           'lam = cfg["wavelength"]',
+           ("tests/test_harness.py::test_validate_config_raises_only_config_"
+            "error[mode-conditions-wavelength]",)),
     Mutant("step-count-overflow-leaks", "src/coldstore/propagate.py",
            "    if not math.isfinite(steps):\n",
            "    if False:\n",

@@ -227,15 +227,30 @@ FLOAT_FIELDS = [
 def test_validate_config_raises_only_config_error(scenario, key):
     # a float-range edge is accepted or refused, never an exception from a
     # rule: the CLI exits 2 on a ConfigError and 1 with a traceback on any
-    # other; a list takes the edge as its last entry
+    # other; a list takes the edge as its last entry; JSON reads an integer
+    # as a Python int, whose arithmetic in a rule may pass the float range
     default = SCENARIOS[scenario].schema[key].default
     for x in (5e-324, -5e-324, 1e-300, 0.0, 1e300, -1e300, 1.7e308,
-              -1.7e308):
+              -1.7e308, int(sys.float_info.max), 10**400, -10**400):
         value = [*default[:-1], x] if isinstance(default, list) else x
         try:
             assert isinstance(validate_config(scenario, {key: value}), dict)
         except ConfigError:
             pass
+
+
+@pytest.mark.parametrize("scenario, key", FLOAT_FIELDS)
+def test_an_integer_past_the_float_range_is_not_a_finite_number(scenario,
+                                                                key):
+    # an integer is a number only if it converts to a finite float
+    default = SCENARIOS[scenario].schema[key].default
+    entry = "each element " if isinstance(default, list) else ""
+    for x in (10**400, -10**400, 2**1024):
+        value = [*default[:-1], x] if isinstance(default, list) else x
+        with pytest.raises(ConfigError) as info:
+            validate_config(scenario, {key: value})
+        assert f"{key}: {entry}must be a finite number (got {value!r})" in \
+            info.value.violations
 
 
 def test_a_drift_tolerance_below_rounding_fails_its_check_without_an_error():

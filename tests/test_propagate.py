@@ -616,17 +616,17 @@ def test_a_callable_control_of_the_wrong_length_is_refused():
                       control=lambda t: np.zeros(len(t) + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 97, 625, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 625, 1000, 2500, 4854])
 @pytest.mark.parametrize("dim", [1, 3, 6, 8])
 def test_compose_matches_the_sequential_product(dim, n):
     # random non-commuting increments of RK4-step size, around the composed
-    # sizes, composed as real blocks; the reference multiplies the complex
-    # I + D_n in turn, the later step on the left, held as increments so I
-    # is never rounded
+    # sizes, composed as real blocks in tree order; the reference multiplies
+    # the complex I + D_n in turn, the later step on the left, held as
+    # increments so I is never rounded
     rng = np.random.default_rng(100 * dim + n)
     steps = 1e-3 * (rng.normal(size=(n, dim, dim))
                     + 1j * rng.normal(size=(n, dim, dim)))
-    blocks = propagate._real_blocks(steps)
+    blocks = propagate._real_blocks(steps)[propagate._tree_order(n)]
     composed = propagate._compose(blocks)
     if n == 1:
         assert np.array_equal(composed, blocks[0])
@@ -636,6 +636,64 @@ def test_compose_matches_the_sequential_product(dim, n):
     assert composed.shape == (2 * dim, 2 * dim)
     assert np.abs(composed[:dim, :dim] + 1j * composed[dim:, :dim]
                   - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_the_tree_order_pairs_consecutive_times_at_every_level():
+    # each position covers the times [lo, hi); a level pairs position i of
+    # its first half with h + i of its second, which must cover the times
+    # right after; a level of odd length sets aside its last position, the
+    # latest times; the set-aside ones then follow the root, earliest first
+    for n in range(1, 2049):
+        order = propagate._tree_order(n)
+        assert order.dtype == np.intp
+        assert np.array_equal(np.sort(order), np.arange(n))
+        lo, hi, later = order, order + 1, []
+        while len(lo) > 1:
+            if len(lo) % 2:
+                assert lo[-1] == hi[:-1].max()
+                later.append((lo[-1], hi[-1]))
+                lo, hi = lo[:-1], hi[:-1]
+            half = len(lo) // 2
+            assert np.array_equal(hi[:half], lo[half:])
+            lo, hi = lo[:half], hi[half:]
+        for start, stop in reversed(later):
+            assert start == hi[0]
+            hi = [stop]
+        assert (lo[0], hi[0]) == (0, n)
+
+
+def _strided_compose(steps):
+    """The product tree in time order, each level pairing its even and odd
+    positions (steps[::2] with steps[1::2]): the layout ``_compose`` had
+    before the tree order, kept as its bit-for-bit reference."""
+    later = []
+    while len(steps) > 1:
+        if len(steps) % 2:
+            later.append(steps[-1])
+            steps = steps[:-1]
+        early, late = steps[::2], steps[1::2]
+        steps = np.matmul(late, early)
+        steps += early
+        steps += late
+    composed = steps[0]
+    for late in reversed(later):
+        composed = late @ composed + composed + late
+    return composed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 625, 1000, 2500])
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_the_tree_order_composes_the_strided_tree_bit_for_bit(dim, n):
+    # the same pairs, associated the same way, so the same bits: real
+    # blocks of random increments in time order against the same in tree
+    # order
+    rng = np.random.default_rng(300 * dim + n)
+    blocks = propagate._real_blocks(
+        1e-3 * (rng.normal(size=(n, dim, dim))
+                + 1j * rng.normal(size=(n, dim, dim))))
+    composed = propagate._compose(blocks[propagate._tree_order(n)])
+    assert np.array_equal(composed.view(np.uint64),
+                          _strided_compose(blocks).view(np.uint64))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
